@@ -114,48 +114,51 @@ def _cmd_validate(args) -> int:
     return EXIT_VIOLATIONS if report.violations else EXIT_OK
 
 
+def _fmt(term) -> str:
+    return format_term(term, vocab.PREFIXES)
+
+
+def _cq5_rows(dataset, args):
+    """One (request, "true"/"false") row per request with a response."""
+    requests = {t.subject
+                for t in dataset.default_graph.match(None, vocab.RESP, None)}
+    return [(q, str(queries.cq5_negotiation(dataset, q)).lower())
+            for q in sorted(requests, key=_fmt)]
+
+
+# Competency question -> (answer(dataset, args), required option). The
+# answers look the CQ functions up on `queries` when they are called.
+_CQS = {
+    "1": (lambda d, args: queries.cq1_media_types(d), None),
+    "2": (lambda d, args: queries.cq2_interaction_status(d), None),
+    "3": (lambda d, args: queries.cq3_locations(d), None),
+    "4": (lambda d, args: queries.cq4_conversation_status(d), None),
+    "5": (_cq5_rows, None),
+    "6": (lambda d, args: queries.cq6_body_values(d, Iri(args.prop)), "prop"),
+    "7": (lambda d, args: queries.cq7_query_param(d, args.name), "name"),
+}
+
+
+def _format_row(row) -> str:
+    """A dict row's values, a tuple's items or a single term, tab-separated;
+    strings are printed as they are."""
+    cells = row.values() if isinstance(row, dict) \
+        else row if isinstance(row, tuple) else (row,)
+    return "\t".join(c if isinstance(c, str) else _fmt(c) for c in cells)
+
+
 def _cmd_query(args) -> int:
-    if args.cq not in {"1", "2", "3", "4", "5", "6", "7"}:
+    if args.cq not in _CQS:
         print("error: unknown competency question %r" % args.cq,
               file=sys.stderr)
         return EXIT_ERROR
+    answer, option = _CQS[args.cq]
     dataset = _load_dataset(args.input, args.format, args.base)
-    g = dataset.default_graph
-
-    def fmt(term):
-        return format_term(term, vocab.PREFIXES)
-
-    lines = []
-    if args.cq == "1":
-        lines = ["%s\t%s" % (fmt(b["m"]), fmt(b["mt"]))
-                 for b in queries.cq1_media_types(dataset)]
-    elif args.cq == "2":
-        lines = ["%s\t%s" % (fmt(b["q"]), fmt(b["status"]))
-                 for b in queries.cq2_interaction_status(dataset)]
-    elif args.cq == "3":
-        lines = [fmt(b["next"]) for b in queries.cq3_locations(dataset)]
-    elif args.cq == "4":
-        lines = [fmt(b["status"])
-                 for b in queries.cq4_conversation_status(dataset)]
-    elif args.cq == "5":
-        requests = sorted({t.subject for t in g.match(None, vocab.RESP, None)},
-                          key=fmt)
-        lines = ["%s\t%s" % (fmt(q),
-                             "true" if queries.cq5_negotiation(dataset, q)
-                             else "false")
-                 for q in requests]
-    elif args.cq == "6":
-        if not args.prop:
-            print("error: CQ6 requires --prop", file=sys.stderr)
-            return EXIT_ERROR
-        lines = [fmt(v) for v in queries.cq6_body_values(dataset,
-                                                         Iri(args.prop))]
-    elif args.cq == "7":
-        if not args.name:
-            print("error: CQ7 requires --name", file=sys.stderr)
-            return EXIT_ERROR
-        lines = [fmt(v) for v in queries.cq7_query_param(dataset, args.name)]
-    _write_output("".join(line + "\n" for line in lines), args.out)
+    if option and not getattr(args, option):
+        print("error: CQ%s requires --%s" % (args.cq, option), file=sys.stderr)
+        return EXIT_ERROR
+    _write_output("".join(_format_row(row) + "\n"
+                          for row in answer(dataset, args)), args.out)
     return EXIT_OK
 
 

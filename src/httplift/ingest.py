@@ -41,7 +41,10 @@ def _parse_headers(lines: List[str]) -> List[Header]:
         if ":" not in line:
             raise IngestError("malformed header line: %r" % line)
         name, value = line.split(":", 1)
-        headers.append(Header(name.strip(), value.strip()))
+        try:
+            headers.append(Header(name.strip(), value.strip()))
+        except ValueError as e:
+            raise IngestError(str(e))
     return headers
 
 
@@ -51,11 +54,10 @@ def _frame_body(headers: List[Header], rest: bytes) -> bytes:
         raise IngestError("transfer-coding %r is not supported" % coding)
     length = header_value(headers, "Content-Length")
     if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
+        # RFC 9112 section 6.3: Content-Length = 1*DIGIT.
+        if not length.isdecimal():
             raise IngestError("bad Content-Length: %r" % length)
-        return rest[:n]
+        return rest[:int(length)]
     return rest
 
 
@@ -211,20 +213,32 @@ def load_transcript(text: str) -> Conversation:
 
 def load_har(text: str) -> Conversation:
     """Each HAR entry becomes one interaction with a final response. Entries
-    are ordered by startedDateTime, falling back to file order."""
+    are ordered by startedDateTime, falling back to file order. A malformed
+    entry raises IngestError naming the entry by its position in the file,
+    counted from 1."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise IngestError("not a HAR document: %s" % e)
     if not isinstance(doc, dict) or "log" not in doc:
         raise IngestError("not a HAR document: missing 'log'")
+    if not isinstance(doc["log"], dict):
+        raise IngestError("not a HAR document: 'log' is not an object")
     entries = doc["log"].get("entries", [])
-    indexed = sorted(enumerate(entries),
-                     key=lambda pair: (pair[1].get("startedDateTime", ""),
+    if not isinstance(entries, list) \
+            or not all(isinstance(e, dict) for e in entries):
+        raise IngestError("not a HAR document: 'entries' is not a list of "
+                          "objects")
+    indexed = sorted(enumerate(entries, 1),
+                     key=lambda pair: (str(pair[1].get("startedDateTime", "")),
                                        pair[0]))
     interactions = []
-    for _, entry in indexed:
-        interactions.append(_har_interaction(entry))
+    for n, entry in indexed:
+        try:
+            interactions.append(_har_interaction(entry))
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            reason = "missing %s" % e if isinstance(e, KeyError) else e
+            raise IngestError("HAR entry %d: %s" % (n, reason))
     return Conversation(tuple(interactions))
 
 
@@ -235,12 +249,7 @@ def _har_headers(items) -> List[Header]:
 def _har_interaction(entry: dict) -> Interaction:
     req = entry.get("request") or {}
     resp = entry.get("response") or {}
-    if "method" not in req or "url" not in req or "status" not in resp:
-        raise IngestError("HAR entry missing method, url or status")
-    try:
-        uri = parse_uri(req["url"])
-    except UriError as e:
-        raise IngestError(str(e))
+    uri = parse_uri(req["url"])
     req_headers = _har_headers(req.get("headers"))
     req_body = None
     post = req.get("postData")

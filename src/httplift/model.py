@@ -34,16 +34,6 @@ class Method:
 STANDARD_METHODS = ("GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT",
                     "OPTIONS", "TRACE", "PATCH")
 
-GET = Method("GET")
-HEAD = Method("HEAD")
-POST = Method("POST")
-PUT = Method("PUT")
-DELETE = Method("DELETE")
-CONNECT = Method("CONNECT")
-OPTIONS = Method("OPTIONS")
-TRACE = Method("TRACE")
-PATCH = Method("PATCH")
-
 
 @dataclass(frozen=True)
 class Header:

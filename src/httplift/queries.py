@@ -3,102 +3,71 @@ matching and property-path evaluation."""
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from typing import Dict, List
 
 from . import vocab
 from .rdf import (
     RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, Dataset, Graph, Iri, Literal,
-    Term,
+    Pred, Seq, Term, eval_path, path_lexicals,
 )
 from .turtle import format_term
 
-
-class Binding(Mapping):
-    """An immutable variable-name to term mapping."""
-
-    def __init__(self, **variables):
-        self._vars = dict(variables)
-
-    def __getitem__(self, name):
-        return self._vars[name]
-
-    def __iter__(self):
-        return iter(self._vars)
-
-    def __len__(self):
-        return len(self._vars)
-
-    def __eq__(self, other):
-        if isinstance(other, Binding):
-            return self._vars == other._vars
-        return self._vars == other
-
-    def __repr__(self):
-        return "Binding(%s)" % ", ".join(
-            "%s=%r" % kv for kv in sorted(self._vars.items()))
+Row = Dict[str, Term]
 
 
 def _key(term: Term) -> str:
     return format_term(term, vocab.PREFIXES)
 
 
-def _sorted(bindings: List[Binding], *names: str) -> List[Binding]:
-    return sorted(bindings, key=lambda b: tuple(_key(b[n]) for n in names))
+def _sorted(rows: List[Row]) -> List[Row]:
+    """Rows ordered by their values, compared in projection order."""
+    return sorted(rows, key=lambda row: tuple(_key(v) for v in row.values()))
 
 
-def cq1_media_types(d: Dataset) -> List[Binding]:
+def _location_targets(g: Graph) -> set:
+    """URI nodes given by the Location headers of responses."""
+    return {u for t in g.match(None, vocab.RESP, None)
+            for u in g.objects(t.object, vocab.LOCATION)}
+
+
+def cq1_media_types(d: Dataset) -> List[Row]:
     """Media types of message bodies: (m, mt) pairs where the message has a
     body and a declared content type."""
     g = d.default_graph
-    out = []
-    for t in g.match(None, vocab.CONTENT_TYPE, None):
-        if g.objects(t.subject, vocab.BODY):
-            out.append(Binding(m=t.subject, mt=t.object))
-    return _sorted(out, "m", "mt")
+    return _sorted([{"m": t.subject, "mt": t.object}
+                    for t in g.match(None, vocab.CONTENT_TYPE, None)
+                    if g.objects(t.subject, vocab.BODY)])
 
 
-def cq2_interaction_status(d: Dataset) -> List[Binding]:
+def cq2_interaction_status(d: Dataset) -> List[Row]:
     """Status code numbers per interaction: (q, status) for every response
     of every request."""
     g = d.default_graph
-    out = []
-    for t in g.match(None, vocab.RESP, None):
-        for s in g.objects(t.object, vocab.SC_PROP):
-            for n in g.objects(s, vocab.STATUS_CODE_NUMBER):
-                out.append(Binding(q=t.subject, status=n))
-    return _sorted(out, "q", "status")
+    return _sorted([{"q": t.subject, "status": n}
+                    for t in g.match(None, vocab.RESP, None)
+                    for n in eval_path(g, t.object, vocab.STATUS_NUMBER)])
 
 
-def cq3_locations(d: Dataset) -> List[Binding]:
+def cq3_locations(d: Dataset) -> List[Row]:
     """URI nodes provided by Location headers of responses."""
-    g = d.default_graph
-    out = []
-    seen = set()
-    for t in g.match(None, vocab.RESP, None):
-        for u in g.objects(t.object, vocab.LOCATION):
-            if u not in seen:
-                seen.add(u)
-                out.append(Binding(next=u))
-    return _sorted(out, "next")
+    return _sorted([{"next": u}
+                    for u in _location_targets(d.default_graph)])
 
 
-def cq4_conversation_status(d: Dataset) -> List[Binding]:
+def cq4_conversation_status(d: Dataset) -> List[Row]:
     """Final status codes of requests that dereference a Location target of
     an earlier response (pure join, no temporal constraint)."""
     g = d.default_graph
-    targets = {u for t in g.match(None, vocab.RESP, None)
-               for u in g.objects(t.object, vocab.LOCATION)}
-    out = []
-    for t in g.match(None, vocab.URI_PROP, None):
-        if t.object not in targets:
-            continue
-        for r in g.objects(t.subject, vocab.RESP):
-            if vocab.FINAL_RESPONSE not in g.objects(r, RDF_TYPE):
-                continue
-            for s in g.objects(r, vocab.SC_PROP):
-                for n in g.objects(s, vocab.STATUS_CODE_NUMBER):
-                    out.append(Binding(status=n))
-    return _sorted(out, "status")
+    targets = _location_targets(g)
+    return _sorted([{"status": n}
+                    for t in g.match(None, vocab.URI_PROP, None)
+                    if t.object in targets
+                    for r in g.objects(t.subject, vocab.RESP)
+                    if vocab.FINAL_RESPONSE in g.objects(r, RDF_TYPE)
+                    for n in eval_path(g, r, vocab.STATUS_NUMBER)])
+
+
+_DECLARED_TYPE = Seq(Pred(vocab.RESP), Pred(vocab.CONTENT_TYPE))
 
 
 def cq5_negotiation(d: Dataset, request: Term) -> bool:
@@ -106,14 +75,8 @@ def cq5_negotiation(d: Dataset, request: Term) -> bool:
     response's content type satisfy substring containment either way?
     False when either side is absent."""
     g = d.default_graph
-    accepted = {o.lexical
-                for a in g.objects(request, vocab.ACCEPT)
-                for o in g.objects(a, vocab.MEDIA_TYPE)
-                if isinstance(o, Literal)}
-    declared = {o.lexical
-                for r in g.objects(request, vocab.RESP)
-                for o in g.objects(r, vocab.CONTENT_TYPE)
-                if isinstance(o, Literal)}
+    accepted = path_lexicals(g, request, vocab.ACCEPTED_RANGE)
+    declared = path_lexicals(g, request, _DECLARED_TYPE)
     return any(a in c or c in a for a in accepted for c in declared)
 
 
@@ -141,11 +104,9 @@ def cq6_body_values(d: Dataset, prop: Iri) -> List[Term]:
     """Values of `prop` inside RDF message bodies, flattening RDF
     collections into their members (list order preserved)."""
     g = d.default_graph
+    graph_names = [n for t in g.match(None, vocab.BODY, None)
+                   for n in g.objects(t.object, vocab.ABOUT)]
     out = []
-    graph_names = []
-    for t in g.match(None, vocab.BODY, None):
-        for gname in g.objects(t.object, vocab.ABOUT):
-            graph_names.append(gname)
     for gname in sorted(graph_names, key=_key):
         body = d.graph(gname)
         for t in sorted(body.match(None, prop, None),
@@ -157,9 +118,7 @@ def cq6_body_values(d: Dataset, prop: Iri) -> List[Term]:
 def cq7_query_param(d: Dataset, name: str) -> List[Term]:
     """Values of the query parameter called `name` on request URIs."""
     g = d.default_graph
-    out = []
-    for t in g.match(None, vocab.URI_PROP, None):
-        for p in g.objects(t.object, vocab.QUERY_PARAMS):
-            if Literal(name) in g.objects(p, vocab.PARAM_NAME):
-                out.extend(g.objects(p, vocab.PARAM_VALUE))
-    return sorted(out, key=_key)
+    return sorted((v for t in g.match(None, vocab.URI_PROP, None)
+                   for p in g.objects(t.object, vocab.QUERY_PARAMS)
+                   if Literal(name) in g.objects(p, vocab.PARAM_NAME)
+                   for v in g.objects(p, vocab.PARAM_VALUE)), key=_key)

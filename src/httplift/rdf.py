@@ -233,6 +233,12 @@ def eval_path(graph: Graph, start: Term, path: PathExpr) -> set:
     raise TypeError("not a path expression: %r" % (path,))
 
 
+def path_lexicals(graph: Graph, start: Term, path: PathExpr) -> set:
+    """Lexical forms of the literals reachable from `start` along `path`."""
+    return {o.lexical for o in eval_path(graph, start, path)
+            if isinstance(o, Literal)}
+
+
 # --------------------------------------------------------------------------
 # Isomorphism
 

@@ -11,11 +11,15 @@ from typing import List, Optional, Tuple
 
 from . import vocab
 from .model import STATUS_CODES, is_token
-from .rdf import RDF_TYPE, Dataset, Iri, Literal, Term
+from .rdf import RDF_TYPE, Dataset, Iri, Literal, Term, path_lexicals
 from .turtle import format_term
 
 VIOLATION = "violation"
 WARNING = "warning"
+
+
+def _fmt(term: Term) -> str:
+    return format_term(term, vocab.PREFIXES)
 
 
 @dataclass(frozen=True)
@@ -43,14 +47,12 @@ class ValidationReport:
         if not self.findings:
             return "OK: %d rules checked, no findings\n" % len(self.checked_rules)
         lines = ["%s [%s] %s: %s" % (f.severity.upper(), f.rule_id,
-                                     format_term(f.focus, vocab.PREFIXES),
-                                     f.message)
+                                     _fmt(f.focus), f.message)
                  for f in self.findings]
         return "\n".join(lines) + "\n"
 
     def to_tsv(self) -> str:
-        lines = ["%s\t%s\t%s\t%s" % (f.rule_id, f.severity,
-                                     format_term(f.focus, vocab.PREFIXES),
+        lines = ["%s\t%s\t%s\t%s" % (f.rule_id, f.severity, _fmt(f.focus),
                                      f.message)
                  for f in self.findings]
         return "\n".join(lines) + ("\n" if lines else "")
@@ -123,7 +125,7 @@ def validate(dataset: Dataset) -> ValidationReport:
             if len(values) > 1:
                 report("R1", VIOLATION, subject,
                        "%d values for functional property %s"
-                       % (len(values), format_term(prop, vocab.PREFIXES)))
+                       % (len(values), _fmt(prop)))
 
     # R2 request completeness.
     for q in g.subjects(RDF_TYPE, vocab.REQUEST):
@@ -148,7 +150,7 @@ def validate(dataset: Dataset) -> ValidationReport:
         if code is None:
             report("R4", VIOLATION, t.subject,
                    "status code number is not an integer: %s"
-                   % format_term(t.object, vocab.PREFIXES))
+                   % _fmt(t.object))
             continue
         expected = None
         if isinstance(t.subject, Iri) and t.subject.value.startswith(vocab.SC):
@@ -186,10 +188,7 @@ def validate(dataset: Dataset) -> ValidationReport:
 
     # R8 content negotiation.
     for t in g.match(None, vocab.RESP, None):
-        ranges = {o.lexical
-                  for a in g.objects(t.subject, vocab.ACCEPT)
-                  for o in g.objects(a, vocab.MEDIA_TYPE)
-                  if isinstance(o, Literal)}
+        ranges = path_lexicals(g, t.subject, vocab.ACCEPTED_RANGE)
         if not ranges:
             continue
         for ct in g.objects(t.object, vocab.CONTENT_TYPE):
@@ -204,8 +203,7 @@ def validate(dataset: Dataset) -> ValidationReport:
     for t in g.match(None, vocab.METHOD_NAME, None):
         if not isinstance(t.object, Literal) or not is_token(t.object.lexical):
             report("R9", VIOLATION, t.subject,
-                   "method name is not a valid token: %s"
-                   % format_term(t.object, vocab.PREFIXES))
+                   "method name is not a valid token: %s" % _fmt(t.object))
 
     # R10 Location header lifted to a URI.
     for t in g.match(None, vocab.HDR_NAME, None):
@@ -215,7 +213,6 @@ def validate(dataset: Dataset) -> ValidationReport:
             report("R10", VIOLATION, t.subject,
                    "Location header value could not be lifted to a URI")
 
-    findings.sort(key=lambda f: (int(f.rule_id[1:]),
-                                 format_term(f.focus, vocab.PREFIXES),
+    findings.sort(key=lambda f: (int(f.rule_id[1:]), _fmt(f.focus),
                                  f.message))
     return ValidationReport(tuple(findings), RULE_IDS)

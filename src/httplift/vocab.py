@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 from importlib import resources
 
-from .rdf import Graph, Iri
+from .rdf import Graph, Iri, Pred, Seq
 from . import turtle
 
 HTTP = "http://w3id.org/http#"
@@ -87,6 +87,10 @@ EXTENSION_TERMS = frozenset({
     CONTENT_TYPE_HEADER, CONTENT_TYPE, ACCEPT_HEADER, ACCEPT, MEDIA_TYPE,
 })
 
+# Property paths shared by the competency questions and the rules.
+STATUS_NUMBER = Seq(Pred(SC_PROP), Pred(STATUS_CODE_NUMBER))
+ACCEPTED_RANGE = Seq(Pred(ACCEPT), Pred(MEDIA_TYPE))
+
 
 def method_iri(name: str) -> Iri:
     return Iri(MTHD + name)
@@ -112,22 +116,9 @@ def embedded_ontology() -> Graph:
 
 
 @functools.lru_cache(maxsize=None)
-def extension_graph() -> Graph:
-    """The extension-term declarations parsed into a graph (cached).
-    Prefix directives live in ontology.ttl, so parse the concatenation and
-    subtract."""
-    full = turtle.parse_turtle(ontology_text(extensions=True))
-    base = embedded_ontology()
-    return Graph(t for t in full if t not in base)
-
-
-@functools.lru_cache(maxsize=None)
 def known_terms() -> frozenset:
     """Every IRI mentioned by the vendored ontology or the extension set."""
-    terms = set()
-    for g in (embedded_ontology(), extension_graph()):
-        for t in g:
-            for x in (t.subject, t.predicate, t.object):
-                if isinstance(x, Iri):
-                    terms.add(x)
-    return frozenset(terms | EXTENSION_TERMS)
+    full = turtle.parse_turtle(ontology_text(extensions=True))
+    return frozenset({x for t in full
+                      for x in (t.subject, t.predicate, t.object)
+                      if isinstance(x, Iri)} | EXTENSION_TERMS)

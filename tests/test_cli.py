@@ -2,6 +2,7 @@
 
 import importlib
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -178,6 +179,40 @@ class TestErrors:
 
     def test_no_command_errors(self, capsys):
         assert main([]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("suffix, mutate, message", [
+        (".har", lambda d: d["log"]["entries"][1]["response"].update(
+            status="abc"), "HAR entry 2: "),
+        (".har", lambda d: d["log"]["entries"][1]["response"].update(
+            status=1000), "HAR entry 2: "),
+        (".har", lambda d: d["log"]["entries"][0]["request"].update(
+            method="G T"), "HAR entry 1: "),
+        (".har", lambda d: d["log"]["entries"][0]["request"]["headers"][0]
+         .pop("name"), "HAR entry 1: missing 'name'"),
+        (".har", lambda d: d.update(log=[]), "'log' is not an object"),
+        (".har", lambda d: d["log"]["entries"][1]["response"]["content"]
+         .update(text="QUJ", encoding="base64"), "HAR entry 2: "),
+        (".http", "Bad Header: x", "'Bad Header'"),
+        (".http", "Content-Length: -5", "bad Content-Length: '-5'"),
+    ], ids=["har-status-abc", "har-status-1000", "har-method-space",
+            "har-header-without-name", "har-log-not-object",
+            "har-base64-padding", "header-name-space",
+            "negative-content-length"])
+    def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
+                                     message):
+        if suffix == ".har":
+            with open(HAR) as fh:
+                doc = json.load(fh)
+            mutate(doc)
+            text = json.dumps(doc)
+        else:
+            text = "POST /p HTTP/1.1\nHost: h\n%s\n\nhello\n" % mutate
+        bad = tmp_path / ("bad" + suffix)
+        bad.write_text(text)
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err and "Traceback" not in err
 
     def test_console_script_installed(self, capsys):
         # The suite runs from a checkout, where no wrapper script exists, so

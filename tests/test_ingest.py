@@ -53,6 +53,13 @@ class TestParseRequest:
         assert r.body.octets == b"hello"
         assert r.body.media_type == "text/plain"
 
+    def test_negative_content_length_rejected(self):
+        # rest[:-5] would silently cut the body short
+        text = ("POST /p HTTP/1.1\nHost: h\nContent-Type: text/plain\n"
+                "Content-Length: -5\n\nhello world")
+        with pytest.raises(IngestError, match="bad Content-Length: '-5'"):
+            parse_http_request(text)
+
     def test_chunked_rejected(self):
         text = ("POST /p HTTP/1.1\nHost: h\n"
                 "Transfer-Encoding: chunked\n\n0\r\n\r\n")

@@ -7,7 +7,7 @@ import pytest
 from httplift.ingest import load_transcript
 from httplift.lift import lift_conversation, uri_node
 from httplift.queries import (
-    Binding, cq1_media_types, cq2_interaction_status, cq3_locations,
+    cq1_media_types, cq2_interaction_status, cq3_locations,
     cq4_conversation_status, cq5_negotiation, cq6_body_values,
     cq7_query_param,
 )
@@ -146,9 +146,14 @@ class TestCq7:
         assert cq7_query_param(d, "tag") == [Literal("a"), Literal("b")]
 
 
-class TestBinding:
-    def test_mapping_protocol(self):
-        b = Binding(x=Literal("1"), y=Literal("2"))
-        assert set(b) == {"x", "y"}
-        assert len(b) == 2
-        assert b == {"x": Literal("1"), "y": Literal("2")}
+class TestRows:
+    def test_rows_are_dicts_in_projection_order(self, turtle_conv):
+        # The CLI prints a row's values in key order.
+        for cq, keys in ((cq1_media_types, ["m", "mt"]),
+                         (cq2_interaction_status, ["q", "status"]),
+                         (cq3_locations, ["next"]),
+                         (cq4_conversation_status, ["status"])):
+            rows = cq(turtle_conv)
+            assert rows, cq.__name__
+            for row in rows:
+                assert type(row) is dict and list(row) == keys, cq.__name__
