@@ -168,41 +168,54 @@ def _is_response_block(block: str) -> bool:
     return token.startswith("HTTP/") or token.isdigit()
 
 
+def _transcript_blocks(text: str) -> List[Tuple[int, str]]:
+    """The message blocks of a transcript that hold more than whitespace,
+    each with the 1-based number of the line it starts on."""
+    blocks = []
+    current: List[str] = []
+    start = 1
+    for n, line in enumerate(text.split("\n"), 1):
+        if line.strip() == "---":
+            blocks.append((start, "\n".join(current)))
+            current, start = [], n + 1
+        else:
+            current.append(line)
+    blocks.append((start, "\n".join(current)))
+    return [block for block in blocks if block[1].strip()]
+
+
 def load_transcript(text: str) -> Conversation:
     """Pair a transcript's messages into interactions: each request opens
     one, 1xx responses accumulate as interims, the first non-1xx response
-    closes it. A trailing request without a final response is allowed."""
-    blocks = []
-    current: List[str] = []
-    for line in text.split("\n"):
-        if line.strip() == "---":
-            blocks.append("\n".join(current))
-            current = []
-        else:
-            current.append(line)
-    blocks.append("\n".join(current))
-    blocks = [b for b in blocks if b.strip()]
-
+    closes it. A trailing request without a final response is allowed. A
+    malformed message raises IngestError naming the message, counted from
+    1, and the line it starts on."""
     interactions = []
     pending: Optional[Request] = None
     interims: List[Response] = []
-    for block in blocks:
-        if _is_response_block(block):
-            response = parse_http_response(block)
-            if pending is None:
-                raise IngestError("response before any request")
-            if is_interim(response):
-                interims.append(response)
+    for n, (line, block) in enumerate(_transcript_blocks(text), 1):
+        try:
+            is_response = _is_response_block(block)
+            if is_response:
+                message = parse_http_response(block)
+                if pending is None:
+                    raise IngestError("response before any request")
             else:
-                interactions.append(Interaction(pending, tuple(interims),
-                                                response))
-                pending, interims = None, []
-        else:
-            request = parse_http_request(block)
+                message = parse_http_request(block)
+        except IngestError as e:
+            raise IngestError("transcript message %d (line %d): %s"
+                              % (n, line, e))
+        if not is_response:
             if pending is not None:
                 interactions.append(Interaction(pending, tuple(interims)))
                 interims = []
-            pending = request
+            pending = message
+        elif is_interim(message):
+            interims.append(message)
+        else:
+            interactions.append(Interaction(pending, tuple(interims),
+                                            message))
+            pending, interims = None, []
     if pending is not None:
         interactions.append(Interaction(pending, tuple(interims)))
     return Conversation(tuple(interactions))
@@ -242,6 +255,10 @@ def load_har(text: str) -> Conversation:
     return Conversation(tuple(interactions))
 
 
+# ASCII whitespace, as in string.whitespace.
+_NO_WHITESPACE = str.maketrans("", "", " \t\n\r\x0b\x0c")
+
+
 def _har_headers(items) -> List[Header]:
     return [Header(h["name"], h.get("value", "")) for h in (items or [])]
 
@@ -269,7 +286,10 @@ def _har_interaction(entry: dict) -> Interaction:
     octets = b""
     if content.get("text"):
         if content.get("encoding") == "base64":
-            octets = base64.b64decode(content["text"])
+            # Line-wrapped base64 stays legal; any other character outside
+            # the alphabet is an error, not silently dropped.
+            octets = base64.b64decode(
+                content["text"].translate(_NO_WHITESPACE), validate=True)
         else:
             octets = content["text"].encode("utf-8")
     headers = list(resp_headers)

@@ -2,19 +2,22 @@
 datasets, property paths and blank-node-aware isomorphism.
 
 Graphs and datasets are immutable after construction; all operations here
-are pure functions and safe to use from multiple threads.
+are pure functions and safe to use from multiple threads. A graph builds
+its triple indexes on its first lookup, not on construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     value: str
 
@@ -28,7 +31,7 @@ class Iri:
         return "Iri(%r)" % self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlankNode:
     label: str
 
@@ -52,7 +55,7 @@ RDF_NIL = Iri(RDF + "nil")
 RDF_LANG_STRING = Iri(RDF + "langString")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     lexical: str
     datatype: Iri = XSD_STRING
@@ -74,7 +77,7 @@ class Literal:
 Term = Union[Iri, BlankNode, Literal]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Term
     predicate: Term
@@ -91,14 +94,30 @@ class Triple:
             raise ValueError("triple object must be a term")
 
 
-def _matches(pattern: Optional[Term], term: Term) -> bool:
-    return pattern is None or pattern == term
+_NO_KEYS: Mapping = MappingProxyType({})
+
+
+def _build_index(triples: Iterable[Triple]) -> tuple:
+    """SPO, POS and OSP indexes, each `term -> term -> [Triple]`. Every list
+    keeps the order in which `triples` yields its members."""
+    spo, pos, osp = {}, {}, {}
+    for t in triples:
+        s, p, o = t.subject, t.predicate, t.object
+        spo.setdefault(s, {}).setdefault(p, []).append(t)
+        pos.setdefault(p, {}).setdefault(o, []).append(t)
+        osp.setdefault(o, {}).setdefault(s, []).append(t)
+    return spo, pos, osp
 
 
 class Graph:
-    """An immutable, duplicate-free set of triples."""
+    """An immutable, duplicate-free set of triples.
 
-    __slots__ = ("_triples",)
+    Lookups are answered from SPO, POS and OSP hash indexes (Weiss, Karras &
+    Bernstein, "Hexastore", VLDB 2008), built on the first lookup rather
+    than on construction. They live in one slot assigned once, so threads
+    racing on that first lookup each see either no index or a whole one."""
+
+    __slots__ = ("_triples", "_index")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         triples = frozenset(triples)
@@ -106,6 +125,7 @@ class Graph:
             if not isinstance(t, Triple):
                 raise TypeError("not a Triple: %r" % (t,))
         self._triples = triples
+        self._index = None
 
     def insert(self, triple: Triple) -> "Graph":
         if not isinstance(triple, Triple):
@@ -114,24 +134,47 @@ class Graph:
             return self
         return Graph(self._triples | {triple})
 
+    def _indexes(self) -> tuple:
+        index = self._index
+        if index is None:
+            index = self._index = _build_index(self._triples)
+        return index
+
+    def _lookup(self, s: Optional[Term], p: Optional[Term],
+                o: Optional[Term]) -> Iterable[Triple]:
+        """The triples matching a pattern, None being a wildcard. The result
+        may be an internal container: callers copy it, never hand it out."""
+        if s is None and p is None and o is None:
+            return self._triples
+        spo, pos, osp = self._indexes()
+        if s is not None:
+            if p is not None:
+                found = spo.get(s, _NO_KEYS).get(p, ())
+                return found if o is None else [t for t in found
+                                                if t.object == o]
+            if o is not None:
+                return osp.get(o, _NO_KEYS).get(s, ())
+            return chain.from_iterable(spo.get(s, _NO_KEYS).values())
+        if p is not None:
+            if o is not None:
+                return pos.get(p, _NO_KEYS).get(o, ())
+            return chain.from_iterable(pos.get(p, _NO_KEYS).values())
+        return chain.from_iterable(osp.get(o, _NO_KEYS).values())
+
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> set:
-        return {t for t in self._triples
-                if _matches(s, t.subject) and _matches(p, t.predicate)
-                and _matches(o, t.object)}
+        return set(self._lookup(s, p, o))
 
     def objects(self, s: Optional[Term], p: Optional[Term]) -> set:
-        return {t.object for t in self.match(s, p, None)}
+        return {t.object for t in self._lookup(s, p, None)}
 
     def subjects(self, p: Optional[Term], o: Optional[Term]) -> set:
-        return {t.subject for t in self.match(None, p, o)}
+        return {t.subject for t in self._lookup(None, p, o)}
 
     def value(self, s: Term, p: Iri) -> Optional[Term]:
         """A single object of (s, p, ·), or None. Arbitrary pick on >1."""
-        for t in self._triples:
-            if t.subject == s and t.predicate == p:
-                return t.object
-        return None
+        found = self._indexes()[0].get(s, _NO_KEYS).get(p)
+        return found[0].object if found else None
 
     def __len__(self):
         return len(self._triples)
@@ -152,12 +195,15 @@ class Graph:
         return "Graph(<%d triples>)" % len(self._triples)
 
 
+_EMPTY_GRAPH = Graph()
+
+
 class Dataset:
     """A default graph plus named graphs keyed by IRI or blank node."""
 
     __slots__ = ("_default", "_named")
 
-    def __init__(self, default_graph: Graph = Graph(),
+    def __init__(self, default_graph: Graph = _EMPTY_GRAPH,
                  named_graphs: Optional[Mapping] = None):
         self._default = default_graph
         named = dict(named_graphs or {})
@@ -177,7 +223,7 @@ class Dataset:
         return dict(self._named)
 
     def graph(self, name) -> Graph:
-        return self._named.get(name, Graph())
+        return self._named.get(name, _EMPTY_GRAPH)
 
     def __eq__(self, other):
         return (isinstance(other, Dataset) and self._default == other._default
@@ -191,18 +237,18 @@ class Dataset:
 # --------------------------------------------------------------------------
 # Property paths
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pred:
     iri: Iri
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seq:
     left: "PathExpr"
     right: "PathExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star:
     inner: "PathExpr"
 

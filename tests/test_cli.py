@@ -192,11 +192,15 @@ class TestErrors:
         (".har", lambda d: d.update(log=[]), "'log' is not an object"),
         (".har", lambda d: d["log"]["entries"][1]["response"]["content"]
          .update(text="QUJ", encoding="base64"), "HAR entry 2: "),
-        (".http", "Bad Header: x", "'Bad Header'"),
+        (".har", lambda d: d["log"]["entries"][1]["response"]["content"]
+         .update(text="QUJD!!REVG", encoding="base64"),
+         "HAR entry 2: Only base64 data is allowed"),
+        (".http", "Bad Header: x", "transcript message 1 (line 1): header "
+         "name must be a non-empty token: 'Bad Header'"),
         (".http", "Content-Length: -5", "bad Content-Length: '-5'"),
     ], ids=["har-status-abc", "har-status-1000", "har-method-space",
             "har-header-without-name", "har-log-not-object",
-            "har-base64-padding", "header-name-space",
+            "har-base64-padding", "har-base64-alphabet", "header-name-space",
             "negative-content-length"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
                                      message):

@@ -144,8 +144,24 @@ class TestTranscript:
         assert [r.status_code for r in i.responses] == [100, 200]
 
     def test_response_before_request_errors(self):
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError, match=r"^transcript message 1 "
+                           r"\(line 1\): response before any request$"):
             load_transcript("HTTP/1.1 200 OK\n")
+
+    def test_errors_name_the_message_and_its_line(self):
+        text = ("GET /a HTTP/1.1\nHost: h\n"
+                "---\n"
+                "HTTP/1.1 200 OK\n"
+                "---\n"
+                "   \n"
+                "---\n"
+                "POST /b HTTP/1.1\nHost: h\nContent-Length: x\n\nhi\n")
+        # The whitespace-only block is no message: POST is message 3, and
+        # it starts on line 8.
+        with pytest.raises(IngestError) as info:
+            load_transcript(text)
+        assert str(info.value) == ("transcript message 3 (line 8): "
+                                   "bad Content-Length: 'x'")
 
     def test_dangling_request_allowed(self):
         c = load_transcript("GET /p HTTP/1.1\nHost: h\n")
@@ -187,6 +203,22 @@ class TestHar:
         content["encoding"] = "base64"
         c = load_har(json.dumps(doc))
         assert c.interactions[1].final_response.body.rdf is not None
+
+    def test_base64_content_is_strict(self):
+        doc = json.loads(SAMPLE_HAR)
+        content = doc["log"]["entries"][1]["response"]["content"]
+        encoded = base64.b64encode(content["text"].encode()).decode("ascii")
+        content["encoding"] = "base64"
+        # Line-wrapped base64 decodes to the same body.
+        content["text"] = "\r\n".join(encoded[i:i + 16]
+                                      for i in range(0, len(encoded), 16))
+        body = load_har(json.dumps(doc)).interactions[1].final_response.body
+        assert body.octets == base64.b64decode(encoded)
+        # Characters outside the alphabet are an error, not dropped.
+        for bad in ("!!", "\u00a0", "-"):
+            content["text"] = encoded[:8] + bad + encoded[8:]
+            with pytest.raises(IngestError, match=r"^HAR entry 2: "):
+                load_har(json.dumps(doc))
 
     def test_mime_type_becomes_content_type_header(self):
         c = load_har(SAMPLE_HAR)

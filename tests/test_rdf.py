@@ -1,8 +1,16 @@
 """Term, graph, dataset and isomorphism behaviour."""
 
+import itertools
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
+from httplift import queries, rdf, vocab
+from httplift.ingest import load_transcript
+from httplift.lift import lift_conversation
+from httplift.turtle import serialize_trig
+from httplift.validate import validate
 from httplift.rdf import (
     Iri, BlankNode, Literal, Triple, Graph, Dataset,
     Pred, Seq, Star, eval_path, isomorphic, isomorphic_datasets,
@@ -11,6 +19,7 @@ from httplift.rdf import (
 )
 
 EX = "http://example.org/"
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def iri(s):
@@ -73,6 +82,31 @@ class TestGraph:
     def test_contains(self):
         assert Triple(iri("s"), iri("q"), iri("o2")) in self.g
         assert Triple(iri("s"), iri("q"), iri("o3")) not in self.g
+
+
+class TestDatasetGraph:
+    def setup_method(self):
+        self.g = Graph([Triple(iri("s"), iri("p"), iri("o"))])
+        self.d = Dataset(Graph(), {iri("g"): self.g})
+
+    def test_existing_name_gives_the_stored_graph(self, monkeypatch):
+        builds = []
+        original = Graph.__init__
+
+        def counting(graph, *args):
+            builds.append(graph)
+            original(graph, *args)
+
+        monkeypatch.setattr(Graph, "__init__", counting)
+        assert self.d.graph(iri("g")) is self.d.named_graphs[iri("g")]
+        assert self.d.graph(iri("nope")) == Graph()
+        # One build: the Graph() just compared with, none inside graph().
+        assert len(builds) == 1
+
+    def test_missing_name_gives_an_empty_graph(self):
+        missing = self.d.graph(iri("nope"))
+        assert isinstance(missing, Graph)
+        assert len(missing) == 0 and missing == Graph()
 
 
 class TestPaths:
@@ -175,3 +209,108 @@ def test_blank_permutation_preserves_isomorphism(triples, perm):
     g = Graph(triples)
     h = Graph(rename(t) for t in triples)
     assert isomorphic(g, h)
+
+
+# hypothesis: every indexed lookup agrees with a scan over all triples
+
+_subjects = st.sampled_from([iri("s1"), iri("s2"), BlankNode("b1")])
+_predicates = st.sampled_from([iri("p"), iri("q"), RDF_TYPE])
+_values = st.one_of(
+    _subjects,
+    st.sampled_from([Literal("1", datatype=XSD_INTEGER), Literal("1"),
+                     Literal("x"), Literal("x", language="en")]))
+# Terms found in no generated graph, including near misses of its literals.
+_OUTSIDE = [iri("elsewhere"), BlankNode("b9"), Literal("2", datatype=XSD_INTEGER),
+            Literal("x", language="fr")]
+
+
+def _rebuilt(term):
+    """An equal term that is a different object."""
+    if isinstance(term, Literal):
+        return Literal(term.lexical, Iri(term.datatype.value), term.language)
+    if isinstance(term, Iri):
+        return Iri(term.value)
+    return BlankNode(term.label)
+
+
+def _scan(g, s, p, o):
+    return {t for t in g if (s is None or t.subject == s)
+            and (p is None or t.predicate == p)
+            and (o is None or t.object == o)}
+
+
+@given(st.lists(st.builds(Triple, _subjects, _predicates, _values),
+                max_size=30), st.data())
+def test_lookups_agree_with_a_scan(triples, data):
+    g = Graph(triples)
+    # Any term of the graph may be asked for in any position.
+    pool = sorted({x for t in g for x in (t.subject, t.predicate, t.object)},
+                  key=repr) + _OUTSIDE
+
+    def term():
+        picked = data.draw(st.sampled_from(pool))
+        return _rebuilt(picked) if data.draw(st.booleans()) else picked
+
+    for bound in itertools.product((False, True), repeat=3):
+        s, p, o = (term() if b else None for b in bound)
+        expected = _scan(g, s, p, o)
+        found = g.match(s, p, o)
+        assert found == expected
+        found.clear()
+        found.add(Triple(iri("added"), iri("p"), iri("o")))
+        assert g.match(s, p, o) == expected
+
+        objects = g.objects(s, p)
+        assert objects == {t.object for t in _scan(g, s, p, None)}
+        objects.clear()
+        assert g.objects(s, p) == {t.object for t in _scan(g, s, p, None)}
+        subjects = g.subjects(p, o)
+        assert subjects == {t.subject for t in _scan(g, None, p, o)}
+        subjects.clear()
+        assert g.subjects(p, o) == {t.subject for t in _scan(g, None, p, o)}
+
+        # value() binds s and p; None matches nothing, as in a scan.
+        candidates = {t.object for t in g
+                      if t.subject == s and t.predicate == p}
+        value = g.value(s, p)
+        assert value in candidates if candidates else value is None
+    assert g.match() == set(g)
+
+
+class TestIndexBuilds:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The triples of every graph whose index gets built."""
+        calls = []
+        original = rdf._build_index
+
+        def counting(triples):
+            calls.append(frozenset(triples))
+            return original(triples)
+
+        monkeypatch.setattr(rdf, "_build_index", counting)
+        return calls
+
+    @staticmethod
+    def conversation():
+        with open(os.path.join(FIXTURES, "registration.http")) as fh:
+            return load_transcript(fh.read())
+
+    def test_rules_and_queries_build_the_default_index_once(self, built):
+        d = lift_conversation(self.conversation())
+        validate(d)
+        g = d.default_graph
+        queries.cq1_media_types(d)
+        queries.cq2_interaction_status(d)
+        queries.cq3_locations(d)
+        queries.cq4_conversation_status(d)
+        for request in g.subjects(RDF_TYPE, vocab.REQUEST):
+            queries.cq5_negotiation(d, request)
+        assert queries.cq6_body_values(d, Iri("http://example.org/ns#ids"))
+        queries.cq7_query_param(d, "count")
+        assert built.count(frozenset(g)) == 1
+
+    def test_lift_and_serialize_build_no_index(self, built):
+        d = lift_conversation(self.conversation())
+        serialize_trig(d, vocab.PREFIXES)
+        assert built == []
