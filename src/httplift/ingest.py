@@ -170,18 +170,24 @@ def _is_response_block(block: str) -> bool:
 
 def _transcript_blocks(text: str) -> List[Tuple[int, str]]:
     """The message blocks of a transcript that hold more than whitespace,
-    each with the 1-based number of the line it starts on."""
+    each with the 1-based number of its first non-blank line. Blank lines
+    before a message are skipped, as RFC 9112 section 2.2 lets a server
+    skip empty lines before a request line."""
     blocks = []
     current: List[str] = []
     start = 1
     for n, line in enumerate(text.split("\n"), 1):
         if line.strip() == "---":
-            blocks.append((start, "\n".join(current)))
-            current, start = [], n + 1
-        else:
+            if current:
+                blocks.append((start, "\n".join(current)))
+            current = []
+        elif current or line.strip():
+            if not current:
+                start = n
             current.append(line)
-    blocks.append((start, "\n".join(current)))
-    return [block for block in blocks if block[1].strip()]
+    if current:
+        blocks.append((start, "\n".join(current)))
+    return blocks
 
 
 def load_transcript(text: str) -> Conversation:

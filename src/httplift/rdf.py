@@ -4,6 +4,10 @@ datasets, property paths and blank-node-aware isomorphism.
 Graphs and datasets are immutable after construction; all operations here
 are pure functions and safe to use from multiple threads. A graph builds
 its triple indexes on its first lookup, not on construction.
+
+Isomorphism refines the colours of the blank nodes of both sides together
+and branches, on an explicit stack, only where colour classes stay tied. A
+bijection is accepted only after it has been checked against every tuple.
 """
 
 from __future__ import annotations
@@ -287,77 +291,177 @@ def path_lexicals(graph: Graph, start: Term, path: PathExpr) -> set:
 
 # --------------------------------------------------------------------------
 # Isomorphism
+#
+# Colour refinement with individualisation (A. Hogan, "Canonical Forms for
+# Isomorphic and Equivalent RDF Graphs", ACM TWEB 2017). The blank nodes of
+# both tuple lists are refined together as one disjoint union: nodes
+# 0 .. n_a - 1 are a's, the rest b's. Colour ids are then shared by the two
+# sides, and a colour class ("cell") holding more nodes of one side than of
+# the other refutes the isomorphism at once.
 
-def _is_ground(tup) -> bool:
-    return not any(isinstance(x, BlankNode) for x in tup)
+_BLANK = object()   # a blank node's place in the ground skeleton of a tuple
 
 
-def _skeleton(tup, node):
-    """Tuple with `node` marked and other blank nodes wildcarded."""
-    return tuple("SELF" if x == node
-                 else ("BNODE" if isinstance(x, BlankNode) else x)
-                 for x in tup)
+class _Colouring:
+    """A colouring of the blank nodes of two tuple lists. A node's
+    signature is the sorted list of the tuples it occurs in, each as its
+    skeleton id followed by the colours of its blank nodes, with -1 for
+    the node itself. Every node of a cell has the cell's signature once
+    `refine` returns True."""
 
+    __slots__ = ("occurrences", "neighbours", "n_a", "colour", "cells",
+                 "cell_sig")
 
-def _signature(tuples, node):
-    return tuple(sorted(repr(_skeleton(t, node)) for t in tuples
-                        if node in t))
+    def __init__(self, occurrences: list, neighbours: list, n_a: int):
+        self.occurrences = occurrences     # node -> [(skeleton id, nodes)]
+        self.neighbours = neighbours       # node -> nodes sharing a tuple
+        self.n_a = n_a
+        self.colour = [0] * len(occurrences)
+        self.cells = [set(range(len(occurrences)))]
+        self.cell_sig = [None]
+
+    def copy(self) -> "_Colouring":
+        c = object.__new__(_Colouring)
+        c.occurrences, c.neighbours, c.n_a = (self.occurrences,
+                                              self.neighbours, self.n_a)
+        c.colour = self.colour[:]
+        c.cells = [set(cell) for cell in self.cells]
+        c.cell_sig = self.cell_sig[:]
+        return c
+
+    def _signature(self, v: int) -> tuple:
+        colour = self.colour
+        return tuple(sorted((shape,) + tuple(-1 if u == v else colour[u]
+                                             for u in nodes)
+                            for shape, nodes in self.occurrences[v]))
+
+    def refine(self, dirty: set) -> bool:
+        """Split cells until they are equitable, recomputing only the
+        signatures of `dirty` nodes and of nodes whose neighbour changed
+        colour. The largest part of a split cell keeps its colour, so its
+        neighbours need no new signature. False as soon as a cell is
+        unbalanced between the two sides."""
+        colour, cells, cell_sig = self.colour, self.cells, self.cell_sig
+        neighbours, n_a = self.neighbours, self.n_a
+        while dirty:
+            by_cell = {}
+            for v in dirty:
+                by_cell.setdefault(colour[v], {}).setdefault(
+                    self._signature(v), []).append(v)
+            dirty = set()
+            for c, groups in by_cell.items():
+                # Nodes whose signature is the cell's stay where they are.
+                groups.pop(cell_sig[c], None)
+                if not groups:
+                    continue
+                rest = cells[c]
+                parts = []
+                for sig, nodes in groups.items():
+                    rest.difference_update(nodes)
+                    parts.append((sig, set(nodes)))
+                if rest:
+                    parts.append((cell_sig[c], rest))
+                keep = max(range(len(parts)), key=lambda i: len(parts[i][1]))
+                # The cell was balanced, so its kept part is balanced when
+                # every other part is.
+                for i, (sig, nodes) in enumerate(parts):
+                    if i == keep:
+                        cells[c], cell_sig[c] = nodes, sig
+                        continue
+                    if 2 * sum(v < n_a for v in nodes) != len(nodes):
+                        return False
+                    new = len(cells)
+                    cells.append(nodes)
+                    cell_sig.append(sig)
+                    for v in nodes:
+                        colour[v] = new
+                        dirty.update(neighbours[v])
+        return True
+
+    def individualise(self, x: int, y: int) -> bool:
+        """Give x (of a) and y (of b), two nodes of one cell, a colour of
+        their own, then refine."""
+        c = self.colour[x]
+        self.cells[c] -= {x, y}
+        self.colour[x] = self.colour[y] = len(self.cells)
+        self.cells.append({x, y})
+        self.cell_sig.append(self.cell_sig[c])
+        return self.refine(self.neighbours[x] | self.neighbours[y])
+
+    def smallest_tied_cell(self) -> Optional[set]:
+        tied = [cell for cell in self.cells if len(cell) > 2]
+        return min(tied, key=len) if tied else None
+
+    def bijection(self) -> dict:
+        """a's node -> b's node, for a colouring whose cells are pairs."""
+        return dict(sorted(cell) for cell in self.cells)
 
 
 def _tuples_isomorphic(a: list, b: list) -> bool:
-    """Backtracking bijection search between the blank nodes of two lists
-    of term tuples (triples or quads)."""
-    ground_a = {t for t in a if _is_ground(t)}
-    ground_b = {t for t in b if _is_ground(t)}
-    if ground_a != ground_b or len(a) != len(b):
+    """Whether one bijection between the blank nodes of two lists of
+    distinct term tuples (triples or quads) maps a exactly onto b."""
+    if len(a) != len(b):
         return False
-    var_a = [t for t in a if not _is_ground(t)]
-    var_b = {t for t in b if not _is_ground(t)}
-    nodes_a = sorted({x.label for t in var_a for x in t
-                      if isinstance(x, BlankNode)})
-    nodes_b = sorted({x.label for t in var_b for x in t
-                      if isinstance(x, BlankNode)})
-    if len(nodes_a) != len(nodes_b):
+    ground, forms, counts = [], [], []
+    for tuples in (a, b):
+        # Blank nodes become ids, a's from 0 and b's after them.
+        ids, offset, g, f = {}, sum(counts), set(), []
+        for t in tuples:
+            if BlankNode in map(type, t):
+                f.append(tuple(ids.setdefault(x.label, offset + len(ids))
+                               if type(x) is BlankNode else x for x in t))
+            else:
+                g.add(t)
+        ground.append(g)
+        forms.append(f)
+        counts.append(len(ids))
+    n_a, n_b = counts
+    if ground[0] != ground[1] or n_a != n_b:
         return False
+    if not n_a:
+        return True
 
-    sig_a = {n: _signature(var_a, BlankNode(n)) for n in nodes_a}
-    sig_b = {n: _signature(var_b, BlankNode(n)) for n in nodes_b}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
+    skeletons = {}
+    occurrences = [[] for _ in range(n_a + n_b)]
+    neighbours = [set() for _ in range(n_a + n_b)]
+    for form in chain(*forms):
+        nodes = tuple(x for x in form if type(x) is int)
+        shape = skeletons.setdefault(
+            tuple(_BLANK if type(x) is int else x for x in form),
+            len(skeletons))
+        for v in set(nodes):
+            occurrences[v].append((shape, nodes))
+            neighbours[v].update(nodes)
+    for v, near in enumerate(neighbours):
+        near.discard(v)
+
+    root = _Colouring(occurrences, neighbours, n_a)
+    if not root.refine(set(range(n_a + n_b))):
         return False
-
-    def substitute(t, mapping):
-        return tuple(BlankNode(mapping[x.label]) if isinstance(x, BlankNode)
-                     else x for x in t)
-
-    # Assign the most constrained (rarest signature) nodes first.
-    order = sorted(nodes_a, key=lambda n: (repr(sig_a[n]), n))
-
-    def backtrack(i, mapping, used):
-        if i == len(order):
-            return {substitute(t, mapping) for t in var_a} == var_b
-        n = order[i]
-        for cand in nodes_b:
-            if cand in used or sig_b[cand] != sig_a[n]:
+    # Depth-first search over individualisations, on an explicit stack of
+    # (colouring, a's node, b's candidate).
+    stack = [(root, None, None)]
+    target = set(forms[1])
+    while stack:
+        colouring, x, y = stack.pop()
+        if x is not None:
+            colouring = colouring.copy()
+            if not colouring.individualise(x, y):
                 continue
-            mapping[n] = cand
-            used.add(cand)
-            # Prune: every fully-mapped tuple touching n must exist in b.
-            ok = True
-            for t in var_a:
-                if BlankNode(n) not in t:
-                    continue
-                labels = [x.label for x in t if isinstance(x, BlankNode)]
-                if all(l in mapping for l in labels):
-                    if substitute(t, mapping) not in var_b:
-                        ok = False
-                        break
-            if ok and backtrack(i + 1, mapping, used):
+        cell = colouring.smallest_tied_cell()
+        if cell is None:
+            # Signatures decide the cells exactly, but the bijection is
+            # still checked against every tuple before it is accepted.
+            m = colouring.bijection()
+            if {tuple(m[x] if type(x) is int else x for x in form)
+                    for form in forms[0]} == target:
                 return True
-            del mapping[n]
-            used.discard(cand)
-        return False
-
-    return backtrack(0, {}, set())
+            continue
+        x = min(cell)
+        stack.extend((colouring, x, y)
+                     for y in sorted((v for v in cell if v >= n_a),
+                                     reverse=True))
+    return False
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:
@@ -367,15 +471,13 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     return _tuples_isomorphic(ta, tb)
 
 
-_DEFAULT_GRAPH_MARK = Iri("urn:x-httplift:default-graph")
-
-
 def isomorphic_datasets(a: Dataset, b: Dataset) -> bool:
     """Dataset isomorphism: one bijection over the blank nodes of the whole
     dataset (graph names included) mapping a onto b."""
 
     def quads(d: Dataset) -> list:
-        out = [(_DEFAULT_GRAPH_MARK, t.subject, t.predicate, t.object)
+        # None marks the default graph: no graph name can be None.
+        out = [(None, t.subject, t.predicate, t.object)
                for t in d.default_graph]
         for name, g in d.named_graphs.items():
             out.extend((name, t.subject, t.predicate, t.object) for t in g)

@@ -163,6 +163,25 @@ class TestTranscript:
         assert str(info.value) == ("transcript message 3 (line 8): "
                                    "bad Content-Length: 'x'")
 
+    def test_blank_lines_after_a_separator_are_skipped(self):
+        text = ("GET /a HTTP/1.1\nHost: h\n"
+                "---\n"
+                "\n"
+                "HTTP/1.1 200 OK\n"
+                "---\n"
+                "\n"
+                "  \n"
+                "POST /b HTTP/1.1\nHost: h\nContent-Length: 2\n\nhi\n")
+        c = load_transcript(text)
+        assert [i.final_response.status_code if i.final_response else None
+                for i in c.interactions] == [200, None]
+        assert c.interactions[1].request.body.octets == b"hi"
+        # Message 3 is counted from its request line, not the blank lines.
+        with pytest.raises(IngestError) as info:
+            load_transcript(text.replace("Length: 2", "Length: x"))
+        assert str(info.value) == ("transcript message 3 (line 9): "
+                                   "bad Content-Length: 'x'")
+
     def test_dangling_request_allowed(self):
         c = load_transcript("GET /p HTTP/1.1\nHost: h\n")
         (i,) = c.interactions

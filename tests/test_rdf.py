@@ -2,9 +2,10 @@
 
 import itertools
 import os
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from httplift import queries, rdf, vocab
 from httplift.ingest import load_transcript
@@ -187,6 +188,87 @@ class TestIsomorphism:
         b = Dataset(Graph(), {iri("g1"): Graph()})
         assert not isomorphic_datasets(a, b)
 
+    def test_default_graph_is_no_named_graph(self):
+        t = Triple(iri("s"), iri("p"), iri("o"))
+        default = Dataset(Graph([t]))
+        named = Dataset(Graph(),
+                        {Iri("urn:x-httplift:default-graph"): Graph([t])})
+        assert not isomorphic_datasets(default, named)
+        assert not isomorphic_datasets(named, default)
+
+
+# Cases that colour refinement cannot settle alone, or that are too deep or
+# too symmetric for a backtracking search.
+
+def _cycle(labels):
+    return [Triple(BlankNode(x), iri("p"), BlankNode(y))
+            for x, y in zip(labels, labels[1:] + labels[:1])]
+
+
+def _chain(labels, reversed_at=None):
+    """_:labels[0] :p _:labels[1] ..., one edge reversed if asked."""
+    return Graph(Triple(BlankNode(y), iri("p"), BlankNode(x))
+                 if i == reversed_at else
+                 Triple(BlankNode(x), iri("p"), BlankNode(y))
+                 for i, (x, y) in enumerate(zip(labels, labels[1:])))
+
+
+_CHAIN = ["n%d" % i for i in range(2000)]
+_RELABELLED_CHAIN = ["m%d" % i for i in random.Random(0).sample(range(2000),
+                                                                 2000)]
+
+
+def _registration_header_swap():
+    """The lifted registration fixture, and a copy in which two messages
+    exchange header nodes whose values differ. Every node keeps its
+    triples' shapes, so only the wider structure tells the copies apart."""
+    with open(os.path.join(FIXTURES, "registration.http")) as fh:
+        lifted = lift_conversation(load_transcript(fh.read()))
+    g = lifted.default_graph
+    links = sorted(g.match(None, vocab.HDR, None), key=repr)
+    x, y = next((x, y) for x, y in itertools.combinations(links, 2)
+                if x.subject != y.subject
+                and g.value(x.object, vocab.HDR_VALUE)
+                != g.value(y.object, vocab.HDR_VALUE))
+    swapped = (set(g) - {x, y}) | {Triple(x.subject, vocab.HDR, y.object),
+                                   Triple(y.subject, vocab.HDR, x.object)}
+    return lifted, Dataset(Graph(swapped), lifted.named_graphs)
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    pytest.param(Graph(_cycle(["a", "b", "c"]) + _cycle(["d", "e", "f"])),
+                 Graph(_cycle(["u", "v", "w", "x", "y", "z"])), False,
+                 id="two-triangles-vs-hexagon"),
+    pytest.param(Graph(_cycle(["a", "b", "c", "d", "e", "f"])),
+                 Graph(_cycle(["w", "u", "z", "x", "v", "y"])), True,
+                 id="hexagon-relabelled"),
+    pytest.param(_chain(_CHAIN), _chain(_RELABELLED_CHAIN), True,
+                 id="chain-2000-relabelled"),
+    pytest.param(_chain(_CHAIN), _chain(_CHAIN, reversed_at=1000), False,
+                 id="chain-2000-one-edge-reversed"),
+    pytest.param(*_registration_header_swap(), False,
+                 id="registration-header-nodes-swapped"),
+])
+def test_hard_isomorphism_cases(a, b, expected):
+    check = isomorphic_datasets if isinstance(a, Dataset) else isomorphic
+    assert check(a, b) is expected
+    assert check(b, a) is expected
+
+
+def test_search_backtracks_past_a_failed_branch():
+    # Refinement leaves all 12 nodes of a side tied. Individualising a
+    # triangle node against a hexagon node, or the reverse, fails once
+    # refined, and the search must go on to the next candidate. Which
+    # candidate comes first depends on iteration order, hence the many
+    # relabellings.
+    labels = ["n%d" % i for i in range(12)]
+    g = Graph(_cycle(labels[:3]) + _cycle(labels[3:6]) + _cycle(labels[6:]))
+    rng = random.Random(1)
+    for k in range(20):
+        new = ["r%d-%d" % (k, i) for i in rng.sample(range(12), 12)]
+        h = Graph(_cycle(new[:3]) + _cycle(new[3:6]) + _cycle(new[6:]))
+        assert isomorphic(g, h)
+
 
 # hypothesis: relabelling blank nodes never changes the isomorphism class
 
@@ -209,6 +291,75 @@ def test_blank_permutation_preserves_isomorphism(triples, perm):
     g = Graph(triples)
     h = Graph(rename(t) for t in triples)
     assert isomorphic(g, h)
+
+
+# hypothesis: isomorphism agrees with a search over every bijection
+
+def _blank_nodes(d: Dataset) -> set:
+    nodes = {name for name in d.named_graphs if isinstance(name, BlankNode)}
+    for g in [d.default_graph, *d.named_graphs.values()]:
+        nodes |= {x for t in g for x in (t.subject, t.object)
+                  if isinstance(x, BlankNode)}
+    return nodes
+
+
+def _isomorphic_by_brute_force(a: Dataset, b: Dataset) -> bool:
+    """Reference: try every bijection between the blank nodes of a and b."""
+    nodes_a = sorted(_blank_nodes(a), key=repr)
+    nodes_b = sorted(_blank_nodes(b), key=repr)
+    if len(nodes_a) != len(nodes_b):
+        return False
+    for image in itertools.permutations(nodes_b):
+        f = dict(zip(nodes_a, image))
+
+        def graph(g):
+            return Graph(Triple(f.get(t.subject, t.subject), t.predicate,
+                                f.get(t.object, t.object)) for t in g)
+
+        if graph(a.default_graph) == b.default_graph and b.named_graphs == {
+                f.get(name, name): graph(g)
+                for name, g in a.named_graphs.items()}:
+            return True
+    return False
+
+
+# Few terms, so that independent draws are often isomorphic.
+_few_terms_triple = st.builds(
+    Triple, _labels.map(BlankNode), st.just(iri("p")),
+    st.one_of(_labels.map(BlankNode), st.just(Literal("x"))))
+_few_triples = st.lists(_few_terms_triple, max_size=5)
+
+
+@settings(max_examples=300)
+@given(_few_triples, _few_triples)
+def test_isomorphic_agrees_with_brute_force(ta, tb):
+    expected = _isomorphic_by_brute_force(Dataset(Graph(ta)),
+                                          Dataset(Graph(tb)))
+    event("isomorphic" if expected else "not isomorphic")
+    assert isomorphic(Graph(ta), Graph(tb)) is expected
+
+
+def _dataset(quads) -> Dataset:
+    """Triples under None go to the default graph; the others are named
+    by their blank node, which may also occur in triples."""
+    named = {}
+    for name, t in quads:
+        named.setdefault(name, []).append(t)
+    return Dataset(Graph(named.pop(None, ())),
+                   {name: Graph(ts) for name, ts in named.items()})
+
+
+_few_quads = st.lists(st.tuples(st.one_of(st.none(), _labels.map(BlankNode)),
+                                _few_terms_triple), max_size=5)
+
+
+@settings(max_examples=300)
+@given(_few_quads, _few_quads)
+def test_isomorphic_datasets_agrees_with_brute_force(qa, qb):
+    a, b = _dataset(qa), _dataset(qb)
+    expected = _isomorphic_by_brute_force(a, b)
+    event("isomorphic" if expected else "not isomorphic")
+    assert isomorphic_datasets(a, b) is expected
 
 
 # hypothesis: every indexed lookup agrees with a scan over all triples
