@@ -4,7 +4,7 @@ questions."""
 
 from .ingest import load_har, load_transcript, parse_http_request, \
     parse_http_response
-from .lift import lift_conversation, lift_interaction, vocabulary_scan
+from .lift import lift_conversation, vocabulary_scan
 from .queries import (
     cq1_media_types, cq2_interaction_status, cq3_locations,
     cq4_conversation_status, cq5_negotiation, cq6_body_values,
@@ -16,7 +16,6 @@ from .rdf import (
 )
 from .turtle import parse_trig, parse_turtle, serialize_trig, serialize_turtle
 from .validate import ValidationReport, explain, validate
-from .vocab import embedded_ontology
 
 __all__ = [
     "BlankNode", "Dataset", "Graph", "Iri", "Literal", "Triple",
@@ -24,8 +23,8 @@ __all__ = [
     "cq1_media_types", "cq2_interaction_status", "cq3_locations",
     "cq4_conversation_status", "cq5_negotiation", "cq6_body_values",
     "cq7_query_param",
-    "embedded_ontology", "eval_path", "explain", "isomorphic",
-    "isomorphic_datasets", "lift_conversation", "lift_interaction",
+    "eval_path", "explain", "isomorphic", "isomorphic_datasets",
+    "lift_conversation",
     "load_har", "load_transcript", "parse_http_request",
     "parse_http_response", "parse_trig", "parse_turtle", "serialize_trig",
     "serialize_turtle", "validate", "vocabulary_scan",

@@ -39,14 +39,13 @@ def _guess_format(path: str) -> str:
 
 
 def _load_dataset(path: str, fmt: Optional[str],
-                  base: Optional[str]) -> Dataset:
+                  base: Optional[Iri]) -> Dataset:
     text = _read_input(path)
     fmt = fmt or _guess_format(path)
     if fmt == "trig":
         return parse_trig(text)
-    if fmt == "har":
-        return lift_conversation(load_har(text), base)
-    return lift_conversation(load_transcript(text), base)
+    conversation = load_har(text) if fmt == "har" else load_transcript(text)
+    return lift_conversation(conversation, base and base.value)
 
 
 def _write_output(text: str, out: Optional[str]):
@@ -61,7 +60,7 @@ def _add_input_args(sub):
     sub.add_argument("input", help="input file, or '-' for stdin")
     sub.add_argument("--format", choices=("transcript", "har", "trig"),
                      help="input format (default: by file extension)")
-    sub.add_argument("--base", metavar="IRI",
+    sub.add_argument("--base", metavar="IRI", type=Iri,
                      help="mint stable message IRIs under this base")
     sub.add_argument("--out", metavar="PATH", help="write output to PATH")
 
@@ -86,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("cq", help="competency question number (1-7)")
     _add_input_args(p_query)
     p_query.add_argument("--name", help="query parameter name (CQ7)")
-    p_query.add_argument("--prop", metavar="IRI",
+    p_query.add_argument("--prop", metavar="IRI", type=Iri,
                          help="body property IRI (CQ6)")
 
     p_onto = subs.add_parser("ontology", help="print the vendored ontology")
@@ -134,7 +133,7 @@ _CQS = {
     "3": (lambda d, args: queries.cq3_locations(d), None),
     "4": (lambda d, args: queries.cq4_conversation_status(d), None),
     "5": (_cq5_rows, None),
-    "6": (lambda d, args: queries.cq6_body_values(d, Iri(args.prop)), "prop"),
+    "6": (lambda d, args: queries.cq6_body_values(d, args.prop), "prop"),
     "7": (lambda d, args: queries.cq7_query_param(d, args.name), "name"),
 }
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import json
+from itertools import chain
 from typing import List, Optional, Tuple, Union
 
 from . import turtle
@@ -73,10 +74,8 @@ def _make_body(headers: List[Header], octets: bytes) -> Optional[Body]:
             try:
                 if base == "application/trig":
                     dataset = turtle.parse_trig(text)
-                    triples = set(dataset.default_graph)
-                    for g in dataset.named_graphs.values():
-                        triples |= set(g)
-                    rdf = Graph(triples)
+                    rdf = Graph(chain(dataset.default_graph,
+                                      *dataset.named_graphs.values()))
                 else:
                     rdf = turtle.parse_turtle(text)
             except turtle.ParseError as e:
@@ -102,8 +101,7 @@ def parse_http_request(raw: Union[bytes, str]) -> Request:
     headers = _parse_headers(lines[1:])
     try:
         method = Method(method_token)
-        uri = effective_request_uri(target, header_value(headers, "Host"),
-                                    "http")
+        uri = effective_request_uri(target, header_value(headers, "Host"))
     except (ValueError, UriError) as e:
         raise IngestError(str(e))
     octets = _frame_body(headers, rest)
@@ -134,29 +132,6 @@ def parse_http_response(raw: Union[bytes, str]) -> Response:
     octets = _frame_body(headers, rest)
     return Response(status_code=int(code_token), headers=tuple(headers),
                     body=_make_body(headers, octets), http_version=version)
-
-
-def render_request(request: Request) -> bytes:
-    """Serialize a request back to wire form (origin-form target)."""
-    target = request.uri.path or "/"
-    if request.uri.query is not None:
-        target += "?" + request.uri.query
-    version = request.http_version or "HTTP/1.1"
-    lines = ["%s %s %s" % (request.method.name, target, version)]
-    lines.extend("%s: %s" % (h.name, h.value) for h in request.headers)
-    head = "\r\n".join(lines) + "\r\n\r\n"
-    body = request.body.octets if request.body else b""
-    return head.encode("iso-8859-1") + body
-
-
-def render_response(response: Response) -> bytes:
-    """Serialize a response back to wire form (RFC status-line order)."""
-    version = response.http_version or "HTTP/1.1"
-    lines = ["%s %d" % (version, response.status_code)]
-    lines.extend("%s: %s" % (h.name, h.value) for h in response.headers)
-    head = "\r\n".join(lines) + "\r\n\r\n"
-    body = response.body.octets if response.body else b""
-    return head.encode("iso-8859-1") + body
 
 
 # --------------------------------------------------------------------------
@@ -265,30 +240,30 @@ def load_har(text: str) -> Conversation:
 _NO_WHITESPACE = str.maketrans("", "", " \t\n\r\x0b\x0c")
 
 
-def _har_headers(items) -> List[Header]:
-    return [Header(h["name"], h.get("value", "")) for h in (items or [])]
+def _har_headers(items, mime_type: Optional[str]) -> List[Header]:
+    """A HAR message's headers, plus a Content-Type of `mime_type` when
+    there is none."""
+    headers = [Header(h["name"], h.get("value", "")) for h in (items or [])]
+    if mime_type and not header_value(headers, "Content-Type"):
+        headers.append(Header("Content-Type", mime_type))
+    return headers
 
 
 def _har_interaction(entry: dict) -> Interaction:
     req = entry.get("request") or {}
     resp = entry.get("response") or {}
     uri = parse_uri(req["url"])
-    req_headers = _har_headers(req.get("headers"))
-    req_body = None
-    post = req.get("postData")
-    if post and post.get("text"):
-        octets = post["text"].encode("utf-8")
-        headers = list(req_headers)
-        if post.get("mimeType") and not header_value(headers, "Content-Type"):
-            headers.append(Header("Content-Type", post["mimeType"]))
-            req_headers = headers
-        req_body = _make_body(req_headers, octets)
+    post = req.get("postData") or {}
+    text = post.get("text")
+    req_headers = _har_headers(req.get("headers"),
+                               text and post.get("mimeType"))
+    req_body = _make_body(req_headers, text.encode("utf-8")) if text else None
     request = Request(method=Method(req["method"]), uri=uri,
                       headers=tuple(req_headers), body=req_body,
                       http_version=req.get("httpVersion") or "HTTP/1.1")
 
-    resp_headers = _har_headers(resp.get("headers"))
     content = resp.get("content") or {}
+    resp_headers = _har_headers(resp.get("headers"), content.get("mimeType"))
     octets = b""
     if content.get("text"):
         if content.get("encoding") == "base64":
@@ -298,10 +273,6 @@ def _har_interaction(entry: dict) -> Interaction:
                 content["text"].translate(_NO_WHITESPACE), validate=True)
         else:
             octets = content["text"].encode("utf-8")
-    headers = list(resp_headers)
-    if content.get("mimeType") and not header_value(headers, "Content-Type"):
-        headers.append(Header("Content-Type", content["mimeType"]))
-        resp_headers = headers
     status = int(resp["status"])
     response = Response(status_code=status, headers=tuple(resp_headers),
                         body=_make_body(resp_headers, octets),

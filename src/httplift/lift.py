@@ -6,12 +6,12 @@ reasoner."""
 from __future__ import annotations
 
 import urllib.parse
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Union
 
 from . import vocab
 from .model import (
-    Body, Conversation, Header, Interaction, Request, Response,
-    STANDARD_METHODS, standard_status_name,
+    STANDARD_METHODS, STATUS_NAMES, Body, Conversation, Header, Interaction,
+    Request, Response,
 )
 from .rdf import (
     RDF_TYPE, XSD_INTEGER, BlankNode, Dataset, Graph, Iri, Literal, Term,
@@ -47,9 +47,6 @@ class Lifter:
 
     def add(self, s: Term, p: Iri, o: Term):
         self.triples.add(Triple(s, p, o))
-
-    def dataset(self) -> Dataset:
-        return Dataset(Graph(self.triples), self.named)
 
     def _message_node(self, kind: str) -> Term:
         self._msg_index += 1
@@ -164,7 +161,7 @@ class Lifter:
         return node
 
     def _lift_status(self, code: int) -> Term:
-        name = standard_status_name(code)
+        name = STATUS_NAMES.get(code)
         if name is not None:
             node: Term = vocab.status_iri(name)
         else:
@@ -179,13 +176,7 @@ class Lifter:
         self.add(node, RDF_TYPE, vocab.REQUEST)
         self.add(node, vocab.MTHD_PROP, self._lift_method(r.method.name))
         self.add(node, vocab.URI_PROP, self.lift_uri(r.uri))
-        if r.http_version:
-            self.add(node, vocab.HTTP_VERSION, Literal(r.http_version))
-        for h in r.headers:
-            self.lift_header(h, node, r.uri)
-        if r.body is not None:
-            self.lift_body(r.body, node)
-        return node
+        return self._lift_message_parts(r, node, r.uri)
 
     def lift_response(self, r: Response, interim: bool,
                       request_uri: Optional[UriParts]) -> Term:
@@ -194,6 +185,11 @@ class Lifter:
         self.add(node, RDF_TYPE,
                  vocab.INTERIM_RESPONSE if interim else vocab.FINAL_RESPONSE)
         self.add(node, vocab.SC_PROP, self._lift_status(r.status_code))
+        return self._lift_message_parts(r, node, request_uri)
+
+    def _lift_message_parts(self, r: Union[Request, Response], node: Term,
+                            request_uri: Optional[UriParts]) -> Term:
+        """The HTTP version, headers and body of a request or response."""
         if r.http_version:
             self.add(node, vocab.HTTP_VERSION, Literal(r.http_version))
         for h in r.headers:
@@ -213,12 +209,6 @@ class Lifter:
         return qnode
 
 
-def lift_interaction(i: Interaction, base: Optional[str] = None) -> Dataset:
-    lifter = Lifter(base)
-    lifter.lift_interaction(i)
-    return lifter.dataset()
-
-
 def lift_conversation(c: Conversation, base: Optional[str] = None) -> Dataset:
     """Lift a whole conversation into one dataset. URI nodes are unified by
     their recomposed absolute URI, so a Location target and a later request
@@ -226,14 +216,7 @@ def lift_conversation(c: Conversation, base: Optional[str] = None) -> Dataset:
     lifter = Lifter(base)
     for i in c.interactions:
         lifter.lift_interaction(i)
-    return lifter.dataset()
-
-
-def lift_uri(u: UriParts, base: Optional[str] = None) -> Tuple[Term, Set[Triple]]:
-    """Lift a single URI value; returns its node and the asserted triples."""
-    lifter = Lifter(base)
-    node = lifter.lift_uri(u)
-    return node, lifter.triples
+    return Dataset(Graph(lifter.triples), lifter.named)
 
 
 def vocabulary_scan(dataset: Dataset) -> Set[Iri]:

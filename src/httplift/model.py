@@ -47,9 +47,6 @@ class Header:
             raise ValueError("header name must be a non-empty token: %r"
                              % self.name)
 
-    def named(self, name: str) -> bool:
-        return self.name.lower() == name.lower()
-
 
 @dataclass(frozen=True)
 class Body:
@@ -168,14 +165,11 @@ STATUS_NAMES = {
 STATUS_CODES = {name: code for code, name in STATUS_NAMES.items()}
 
 
-def standard_status_name(code: int) -> Optional[str]:
-    return STATUS_NAMES.get(code)
-
-
 def header_value(headers, name: str) -> Optional[str]:
     """First header value whose name matches case-insensitively."""
+    name = name.lower()
     for h in headers:
-        if h.named(name):
+        if h.name.lower() == name:
             return h.value
     return None
 

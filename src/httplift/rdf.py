@@ -12,6 +12,7 @@ bijection is accepted only after it has been checked against every tuple.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
@@ -20,16 +21,19 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 
+# One or more IRI reference characters (W3C RDF 1.1 Turtle section 6.5,
+# IRIREF): anything but controls, space, <>"{}|^` and the backslash.
+IRI_CHARS = r'[^<>"{}|^`\\\x00-\x20]+'
+_IRI = re.compile(IRI_CHARS)
+
 
 @dataclass(frozen=True, slots=True)
 class Iri:
     value: str
 
     def __post_init__(self):
-        if not self.value:
-            raise ValueError("IRI must be non-empty")
-        if any(c.isspace() for c in self.value):
-            raise ValueError("IRI must not contain whitespace: %r" % self.value)
+        if not _IRI.fullmatch(self.value):
+            raise ValueError("not an IRI: %r" % self.value)
 
     def __repr__(self):
         return "Iri(%r)" % self.value
@@ -50,7 +54,6 @@ class BlankNode:
 XSD_STRING = Iri(XSD + "string")
 XSD_INTEGER = Iri(XSD + "integer")
 XSD_BOOLEAN = Iri(XSD + "boolean")
-XSD_DATE = Iri(XSD + "date")
 
 RDF_TYPE = Iri(RDF + "type")
 RDF_FIRST = Iri(RDF + "first")
@@ -88,8 +91,6 @@ class Triple:
     object: Term
 
     def __post_init__(self):
-        if isinstance(self.subject, Literal):
-            raise ValueError("triple subject must not be a literal")
         if not isinstance(self.subject, (Iri, BlankNode)):
             raise ValueError("triple subject must be an IRI or blank node")
         if not isinstance(self.predicate, Iri):
@@ -130,13 +131,6 @@ class Graph:
                 raise TypeError("not a Triple: %r" % (t,))
         self._triples = triples
         self._index = None
-
-    def insert(self, triple: Triple) -> "Graph":
-        if not isinstance(triple, Triple):
-            raise TypeError("not a Triple: %r" % (triple,))
-        if triple in self._triples:
-            return self
-        return Graph(self._triples | {triple})
 
     def _indexes(self) -> tuple:
         index = self._index
@@ -476,10 +470,12 @@ def isomorphic_datasets(a: Dataset, b: Dataset) -> bool:
     dataset (graph names included) mapping a onto b."""
 
     def quads(d: Dataset) -> list:
-        # None marks the default graph: no graph name can be None.
+        # None marks the default graph: no graph name can be None. Each
+        # graph name also has a 1-tuple of its own, so empty graphs count.
         out = [(None, t.subject, t.predicate, t.object)
                for t in d.default_graph]
         for name, g in d.named_graphs.items():
+            out.append((name,))
             out.extend((name, t.subject, t.predicate, t.object) for t in g)
         return out
 

@@ -13,8 +13,9 @@ import re
 from typing import Dict, List, Optional
 
 from .rdf import (
-    RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER,
-    XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Term, Triple,
+    IRI_CHARS, RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN,
+    XSD_INTEGER, XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Term,
+    Triple,
 )
 
 
@@ -28,7 +29,7 @@ class ParseError(ValueError):
 # --------------------------------------------------------------------------
 # Tokenizer
 
-_IRIREF = re.compile(r'<([^<>"{}|^`\\\x00-\x20]*)>')
+_IRIREF = re.compile('<(%s)>' % IRI_CHARS)
 _BLANK = re.compile(r'_:([A-Za-z0-9][A-Za-z0-9_.-]*)')
 _INTEGER = re.compile(r'[+-]?[0-9]+')
 _PNAME = re.compile(r'([A-Za-z][A-Za-z0-9_-]*)?:([A-Za-z0-9_]'
@@ -105,10 +106,14 @@ def _tokenize(text: str) -> List[_Token]:
                     elif e == 'u' or e == 'U':
                         width = 4 if e == 'u' else 8
                         hexpart = text[i + 2:i + 2 + width]
-                        if len(hexpart) < width or not re.fullmatch(
-                                r'[0-9A-Fa-f]+', hexpart):
+                        code = (int(hexpart, 16) if len(hexpart) == width
+                                and re.fullmatch(r'[0-9A-Fa-f]+', hexpart)
+                                else -1)
+                        # Unicode scalar values only: no surrogates.
+                        if not 0 <= code <= 0x10FFFF \
+                                or 0xD800 <= code <= 0xDFFF:
                             err("bad unicode escape")
-                        buf.append(chr(int(hexpart, 16)))
+                        buf.append(chr(code))
                         i += 2 + width
                     else:
                         err("unknown string escape \\%s" % e)
@@ -250,13 +255,7 @@ class _Parser:
                 and self.peek(1).kind == '{')
 
     def graph_block(self):
-        tok = self.next()
-        if tok.kind == 'iri':
-            name: Term = Iri(tok.value)
-        elif tok.kind == 'pname':
-            name = self.resolve_pname(tok)
-        else:
-            name = BlankNode(tok.value)
+        name = self.node(self.next())
         self.expect('{')
         graph = self.named.setdefault(name, set())
         outer = self.sink
@@ -287,20 +286,24 @@ class _Parser:
 
     def subject(self) -> Term:
         tok = self.next()
+        term = self.node(tok)
+        if term is None:
+            self.error("expected subject", tok)
+        return term
+
+    def node(self, tok: _Token) -> Optional[Term]:
+        """The term of an IRI, prefixed-name or blank-node token, or None
+        for a token of any other kind."""
         if tok.kind == 'iri':
             return Iri(tok.value)
         if tok.kind == 'pname':
-            return self.resolve_pname(tok)
+            prefix, local = tok.value
+            if prefix not in self.prefixes:
+                self.error("unknown prefix %r" % (prefix + ':'), tok)
+            return Iri(self.prefixes[prefix] + local)
         if tok.kind == 'bnode':
             return BlankNode(tok.value)
-        self.error("expected subject", tok)
-
-    def resolve_pname(self, tok: _Token) -> Iri:
-        prefix, local = tok.value
-        if prefix not in self.prefixes:
-            raise ParseError("unknown prefix %r" % (prefix + ':'),
-                             tok.line, tok.col)
-        return Iri(self.prefixes[prefix] + local)
+        return None
 
     def predicate_object_list(self, subject: Term):
         while True:
@@ -320,11 +323,10 @@ class _Parser:
         tok = self.next()
         if tok.kind == 'a':
             return RDF_TYPE
-        if tok.kind == 'iri':
-            return Iri(tok.value)
-        if tok.kind == 'pname':
-            return self.resolve_pname(tok)
-        self.error("expected predicate", tok)
+        term = self.node(tok)
+        if not isinstance(term, Iri):
+            self.error("expected predicate", tok)
+        return term
 
     def object_list(self, subject: Term, predicate: Iri):
         while True:
@@ -342,12 +344,9 @@ class _Parser:
         if tok.kind == '(':
             return self.collection()
         tok = self.next()
-        if tok.kind == 'iri':
-            return Iri(tok.value)
-        if tok.kind == 'pname':
-            return self.resolve_pname(tok)
-        if tok.kind == 'bnode':
-            return BlankNode(tok.value)
+        term = self.node(tok)
+        if term is not None:
+            return term
         if tok.kind == 'integer':
             return Literal(tok.value, XSD_INTEGER)
         if tok.kind in ('true', 'false'):
@@ -359,11 +358,8 @@ class _Parser:
             if self.peek().kind == '^^':
                 self.next()
                 dt_tok = self.next()
-                if dt_tok.kind == 'iri':
-                    dt = Iri(dt_tok.value)
-                elif dt_tok.kind == 'pname':
-                    dt = self.resolve_pname(dt_tok)
-                else:
+                dt = self.node(dt_tok)
+                if not isinstance(dt, Iri):
                     self.error("expected datatype IRI", dt_tok)
                 return Literal(tok.value, dt)
             return Literal(tok.value)
@@ -414,20 +410,14 @@ def parse_trig(text: str) -> Dataset:
 _LOCAL_OK = re.compile(r'(?:[A-Za-z0-9_][A-Za-z0-9_.-]*)?$')
 _PLAIN_INT = re.compile(r'[+-]?[0-9]+$')
 
-_CHAR_ESCAPES = {'\\': '\\\\', '"': '\\"', '\n': '\\n', '\r': '\\r',
-                 '\t': '\\t'}
+# Control characters become \uXXXX, except those with a short escape.
+_STRING_ESCAPES = str.maketrans({
+    **{chr(c): '\\u%04X' % c for c in range(0x20)},
+    '\\': '\\\\', '"': '\\"', '\n': '\\n', '\r': '\\r', '\t': '\\t'})
 
 
 def _escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in _CHAR_ESCAPES:
-            out.append(_CHAR_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append('\\u%04X' % ord(ch))
-        else:
-            out.append(ch)
-    return ''.join(out)
+    return s.translate(_STRING_ESCAPES)
 
 
 def format_term(term: Term, prefixes: Optional[Dict[str, str]] = None) -> str:
@@ -479,34 +469,32 @@ def _prefix_header(prefixes: Dict[str, str]) -> List[str]:
             for label, ns in sorted(prefixes.items())]
 
 
-def serialize_turtle(graph: Graph, prefixes: Optional[Dict[str, str]] = None) -> str:
-    """Byte-stable Turtle: prefix header, then triples sorted by their
-    rendered form. Output reparses to a graph isomorphic to the input."""
+def _serialize(default: Graph, named: Dict[Term, Graph],
+               prefixes: Optional[Dict[str, str]]) -> str:
     prefixes = dict(prefixes or {})
     parts = _prefix_header(prefixes)
-    body = _triple_lines(graph, prefixes)
+    body = _triple_lines(default, prefixes)
     if parts and body:
         parts.append("")
     parts.extend(body)
-    return "\n".join(parts) + ("\n" if parts else "")
-
-
-def serialize_trig(dataset: Dataset,
-                   prefixes: Optional[Dict[str, str]] = None) -> str:
-    """Byte-stable TriG: default graph triples, then named-graph blocks
-    sorted by rendered graph name."""
-    prefixes = dict(prefixes or {})
-    parts = _prefix_header(prefixes)
-    body = _triple_lines(dataset.default_graph, prefixes)
-    if parts and body:
-        parts.append("")
-    parts.extend(body)
-    named = sorted(dataset.named_graphs.items(),
-                   key=lambda kv: format_term(kv[0], prefixes))
-    for name, graph in named:
+    for name, graph in sorted(named.items(),
+                              key=lambda kv: format_term(kv[0], prefixes)):
         if parts:
             parts.append("")
         parts.append("%s {" % format_term(name, prefixes))
         parts.extend(_triple_lines(graph, prefixes, indent="    "))
         parts.append("}")
     return "\n".join(parts) + ("\n" if parts else "")
+
+
+def serialize_turtle(graph: Graph, prefixes: Optional[Dict[str, str]] = None) -> str:
+    """Byte-stable Turtle: prefix header, then triples sorted by their
+    rendered form. Output reparses to a graph isomorphic to the input."""
+    return _serialize(graph, {}, prefixes)
+
+
+def serialize_trig(dataset: Dataset,
+                   prefixes: Optional[Dict[str, str]] = None) -> str:
+    """Byte-stable TriG: default graph triples, then named-graph blocks
+    sorted by rendered graph name."""
+    return _serialize(dataset.default_graph, dataset.named_graphs, prefixes)

@@ -36,11 +36,10 @@ _URI_RE = re.compile(
 _HEX = "0123456789abcdefABCDEF"
 
 
-def percent_decode(text: str, plus_as_space: bool = False,
-                   base_offset: int = 0) -> str:
-    """Decode %XX escapes (and optionally '+' as space, the form-encoding
-    rule). Escaped octets are interpreted as UTF-8. Raises UriError naming
-    the absolute offset of a malformed or truncated escape."""
+def percent_decode(text: str, base_offset: int = 0) -> str:
+    """Decode %XX escapes and '+' as space, the form-encoding rule. Escaped
+    octets are interpreted as UTF-8. Raises UriError naming the absolute
+    offset of a malformed or truncated escape."""
     out = bytearray()
     i = 0
     while i < len(text):
@@ -52,7 +51,7 @@ def percent_decode(text: str, plus_as_space: bool = False,
                                % (base_offset + i))
             out.append(int(hexpart, 16))
             i += 3
-        elif ch == '+' and plus_as_space:
+        elif ch == '+':
             out.append(0x20)
             i += 1
         else:
@@ -76,10 +75,8 @@ def decode_query_params(query: str) -> List[QueryParam]:
                 rawname, rawvalue = segment.split('=', 1)
             else:
                 rawname, rawvalue = segment, ''
-            name = percent_decode(rawname, plus_as_space=True,
-                                  base_offset=offset)
-            value = percent_decode(rawvalue, plus_as_space=True,
-                                   base_offset=offset + len(rawname) + 1)
+            name = percent_decode(rawname, offset)
+            value = percent_decode(rawvalue, offset + len(rawname) + 1)
             params.append(QueryParam(name, value))
         offset += len(segment) + 1
     return params
@@ -114,18 +111,15 @@ def id_res(u: UriParts) -> str:
     return "%s://%s%s" % (u.scheme, u.authority, u.path)
 
 
-def effective_request_uri(target: str, host: Optional[str],
-                          scheme: str = "http") -> UriParts:
-    """Combine a wire-level request target with the Host header and scheme
-    into an absolute URI. Supports origin-form and absolute-form targets."""
-    if scheme not in ("http", "https"):
-        raise UriError("unsupported scheme %r" % scheme)
+def effective_request_uri(target: str, host: Optional[str]) -> UriParts:
+    """Combine a wire-level request target with the Host header into an
+    absolute http URI. Supports origin-form and absolute-form targets."""
     if target == "*":
         raise UriError("asterisk-form request target is not supported")
     if target.startswith("/"):
         if not host:
             raise UriError("origin-form request target requires a Host header")
-        return parse_uri("%s://%s%s" % (scheme, host, target))
+        return parse_uri("http://%s%s" % (host, target))
     if "://" in target:
         return parse_uri(target)
     raise UriError("unsupported request-target form: %r" % target)

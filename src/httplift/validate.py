@@ -39,10 +39,6 @@ class ValidationReport:
     def violations(self) -> Tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.severity == VIOLATION)
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
     def to_text(self) -> str:
         if not self.findings:
             return "OK: %d rules checked, no findings\n" % len(self.checked_rules)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 from importlib import resources
 
-from .rdf import Graph, Iri, Pred, Seq
+from .rdf import RDF, XSD, Iri, Pred, Seq
 from . import turtle
 
 HTTP = "http://w3id.org/http#"
@@ -15,10 +15,8 @@ SC = "http://w3id.org/http/sc#"
 HDS = "http://w3id.org/http/headers#"
 CNT = "http://w3id.org/http/content#"
 SD = "http://www.w3.org/ns/sparql-service-description#"
-RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS = "http://www.w3.org/2000/01/rdf-schema#"
 OWL = "http://www.w3.org/2002/07/owl#"
-XSD = "http://www.w3.org/2001/XMLSchema#"
 
 PREFIXES = {
     "": HTTP,
@@ -34,7 +32,6 @@ PREFIXES = {
 }
 
 # Classes.
-MESSAGE = Iri(HTTP + "Message")
 REQUEST = Iri(HTTP + "Request")
 RESPONSE = Iri(HTTP + "Response")
 INTERIM_RESPONSE = Iri(HTTP + "InterimResponse")
@@ -107,12 +104,6 @@ def ontology_text(extensions: bool = False) -> str:
         ext = (resources.files(__package__) / "extensions.ttl").read_text("utf-8")
         text = text + "\n" + ext
     return text
-
-
-@functools.lru_cache(maxsize=None)
-def embedded_ontology() -> Graph:
-    """The vendored ontology parsed into a graph (cached)."""
-    return turtle.parse_turtle(ontology_text())
 
 
 @functools.lru_cache(maxsize=None)

@@ -114,8 +114,9 @@ def _mutations(g):
     r1 = pick(vocab.FINAL_RESPONSE, vocab.SC_PROP, Created)
     r2 = pick(vocab.FINAL_RESPONSE, vocab.SC_PROP, OK)
 
-    def drop(*triples):
-        return Graph(set(g) - set(triples))
+    def drop(t, *added):
+        """g without t, with the triples `added`."""
+        return Graph(set(g) - {t} | set(added))
 
     (t_q1m,) = g.match(q1, vocab.MTHD_PROP, None)
     (t_q2m,) = g.match(q2, vocab.MTHD_PROP, None)
@@ -129,23 +130,20 @@ def _mutations(g):
     bad = BlankNode("badmethod")
     head = vocab.method_iri("HEAD")
     return {
-        "R1": g.insert(Triple(q1, vocab.MTHD_PROP, GET)),
+        "R1": Graph([*g, Triple(q1, vocab.MTHD_PROP, GET)]),
         "R2": drop(t_q1m),
         "R3": drop(t_r1s),
-        "R4": drop(t_okn).insert(
-            Triple(OK, vocab.STATUS_CODE_NUMBER,
-                   Literal("201", datatype=XSD_INTEGER))),
-        "R5": g.insert(Triple(q1, vocab.RESP, r2)),
+        "R4": drop(t_okn, Triple(OK, vocab.STATUS_CODE_NUMBER,
+                                 Literal("201", datatype=XSD_INTEGER))),
+        "R5": Graph([*g, Triple(q1, vocab.RESP, r2)]),
         "R6": drop(t_ct),
-        "R7": drop(t_q2m).insert(Triple(q2, vocab.MTHD_PROP, head))
-                         .insert(Triple(head, RDF_TYPE, vocab.METHOD))
-                         .insert(Triple(head, vocab.METHOD_NAME,
-                                        Literal("HEAD"))),
-        "R8": drop(t_mt).insert(Triple(t_mt.subject, vocab.MEDIA_TYPE,
-                                       Literal("application/json"))),
-        "R9": drop(t_q1m).insert(Triple(q1, vocab.MTHD_PROP, bad))
-                         .insert(Triple(bad, vocab.METHOD_NAME,
-                                        Literal("BAD METHOD"))),
+        "R7": drop(t_q2m, Triple(q2, vocab.MTHD_PROP, head),
+                   Triple(head, RDF_TYPE, vocab.METHOD),
+                   Triple(head, vocab.METHOD_NAME, Literal("HEAD"))),
+        "R8": drop(t_mt, Triple(t_mt.subject, vocab.MEDIA_TYPE,
+                                Literal("application/json"))),
+        "R9": drop(t_q1m, Triple(q1, vocab.MTHD_PROP, bad),
+                   Triple(bad, vocab.METHOD_NAME, Literal("BAD METHOD"))),
         "R10": Graph(set(g) - {t_link}
                      - set(g.match(hdr, vocab.IS_LOCATION_HEADER, None))
                      - set(g.match(None, vocab.LOCATION, None))),

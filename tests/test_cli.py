@@ -92,6 +92,14 @@ class TestValidate:
         first = out.strip().splitlines()[0].split("\t")
         assert first[0].startswith("R") and first[1] == "violation"
 
+    def test_iri_with_a_no_break_space_validates(self, capsys, tmp_path):
+        # U+00A0 is whitespace to str.isspace(), but IRIREF allows it.
+        trig = tmp_path / "nbsp.trig"
+        trig.write_text("<http://x/a\u00a0b> <http://x/p> <http://x/o> .\n",
+                        encoding="utf-8")
+        assert run(capsys, "validate", str(trig)) == (
+            EXIT_OK, "OK: 10 rules checked, no findings\n", "")
+
     def test_lift_then_validate_composes(self, capsys, tmp_path):
         lifted = tmp_path / "lifted.trig"
         assert run(capsys, "lift", SAMPLE, "--out", str(lifted))[0] == EXIT_OK
@@ -198,24 +206,47 @@ class TestErrors:
         (".http", "Bad Header: x", "transcript message 1 (line 1): header "
          "name must be a non-empty token: 'Bad Header'"),
         (".http", "Content-Length: -5", "bad Content-Length: '-5'"),
+        (".trig", "<http://x/s> <http://x/p> <> .",
+         "malformed IRI reference (line 1, column 27)"),
+        (".trig", '<http://x/s> <http://x/p> "\\U00110000" .',
+         "bad unicode escape (line 1, column 28)"),
+        (".trig", '<http://x/s> <http://x/p> "\\uD800" .',
+         "bad unicode escape (line 1, column 28)"),
+        ("argv", ["query", "6", SAMPLE, "--prop", "a b"],
+         "argument --prop: invalid Iri value: 'a b'"),
+        ("argv", ["lift", SAMPLE, "--base", "http://x/<q>"],
+         "argument --base: invalid Iri value: 'http://x/<q>'"),
     ], ids=["har-status-abc", "har-status-1000", "har-method-space",
             "har-header-without-name", "har-log-not-object",
             "har-base64-padding", "har-base64-alphabet", "header-name-space",
-            "negative-content-length"])
+            "negative-content-length", "trig-empty-iri",
+            "trig-escape-above-10ffff", "trig-escape-surrogate",
+            "prop-not-an-iri", "base-not-an-iri"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
                                      message):
-        if suffix == ".har":
-            with open(HAR) as fh:
-                doc = json.load(fh)
-            mutate(doc)
-            text = json.dumps(doc)
+        # suffix "argv": `mutate` is the whole command line, and a bad
+        # option is a usage error.
+        if suffix == "argv":
+            argv = mutate
         else:
-            text = "POST /p HTTP/1.1\nHost: h\n%s\n\nhello\n" % mutate
-        bad = tmp_path / ("bad" + suffix)
-        bad.write_text(text)
-        code, out, err = run(capsys, "validate", str(bad))
+            if suffix == ".har":
+                with open(HAR) as fh:
+                    doc = json.load(fh)
+                mutate(doc)
+                text = json.dumps(doc)
+            elif suffix == ".http":
+                text = "POST /p HTTP/1.1\nHost: h\n%s\n\nhello\n" % mutate
+            else:
+                text = mutate
+            bad = tmp_path / ("bad" + suffix)
+            bad.write_text(text)
+            argv = ["validate", str(bad)]
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_ERROR and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if suffix == "argv":
+            assert err.startswith("usage: "), err
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err and "Traceback" not in err
 
     def test_console_script_installed(self, capsys):

@@ -5,12 +5,14 @@ import os
 from httplift.ingest import load_transcript, parse_http_request, \
     parse_http_response
 from httplift.lift import (
-    lift_interaction, lift_conversation, lift_uri, uri_node,
-    vocabulary_scan, DEFAULT_URI_NODE_BASE,
+    Lifter, lift_conversation, uri_node, vocabulary_scan,
+    DEFAULT_URI_NODE_BASE,
 )
-from httplift.model import Interaction, Method, Request, Response
+from httplift.model import (
+    Conversation, Interaction, Method, Request, Response,
+)
 from httplift.rdf import (
-    Iri, BlankNode, Literal, Triple, Graph, isomorphic_datasets,
+    Iri, BlankNode, Literal, Triple, Dataset, Graph, isomorphic_datasets,
     RDF_TYPE, XSD_INTEGER,
 )
 from httplift.turtle import parse_trig
@@ -29,6 +31,17 @@ def lift_fixture(name="registration.http", base=None):
     return lift_conversation(load_transcript(fixture(name)), base=base)
 
 
+def lift_uri(text):
+    """The node of one lifted URI and the graph of its triples."""
+    lifter = Lifter()
+    node = lifter.lift_uri(parse_uri(text))
+    return node, Graph(lifter.triples)
+
+
+def lift_interaction(i):
+    return lift_conversation(Conversation((i,)))
+
+
 class TestUriNodes:
     def test_deterministic_iri(self):
         u = parse_uri("http://example.org:8080/reg?count=5")
@@ -37,8 +50,7 @@ class TestUriNodes:
                            "http%3A%2F%2Fexample.org%3A8080%2Freg%3Fcount%3D5")
 
     def test_lift_uri_components(self):
-        node, triples = lift_uri(parse_uri("http://h:1/p?a=1#f"))
-        g = Graph(triples)
+        node, g = lift_uri("http://h:1/p?a=1#f")
         val = lambda p: g.value(node, p)
         assert val(RDF_TYPE) == vocab.URI
         assert val(vocab.SCHEME) == Literal("http")
@@ -49,14 +61,12 @@ class TestUriNodes:
         assert val(vocab.ID_RES) == Literal("http://h:1/p")
 
     def test_absent_query_and_fragment_not_asserted(self):
-        node, triples = lift_uri(parse_uri("http://h/p"))
-        g = Graph(triples)
+        node, g = lift_uri("http://h/p")
         assert g.value(node, vocab.QUERY) is None
         assert g.value(node, vocab.FRAGMENT) is None
 
     def test_query_params_lifted(self):
-        node, triples = lift_uri(parse_uri("http://h/p?a=1&b=2"))
-        g = Graph(triples)
+        node, g = lift_uri("http://h/p?a=1&b=2")
         params = g.objects(node, vocab.QUERY_PARAMS)
         assert len(params) == 2
         names = {g.value(p, vocab.PARAM_NAME) for p in params}
@@ -119,10 +129,9 @@ class TestConversationLift:
     def test_vocabulary_scan_flags_foreign_terms(self):
         d = lift_fixture()
         alien = Iri("http://example.org/alien")
-        g = d.default_graph.insert(
-            Triple(BlankNode("z"), alien, Literal("x")))
-        g = g.insert(Triple(BlankNode("z"), RDF_TYPE, alien))
-        from httplift.rdf import Dataset
+        g = Graph([*d.default_graph,
+                   Triple(BlankNode("z"), alien, Literal("x")),
+                   Triple(BlankNode("z"), RDF_TYPE, alien)])
         assert vocabulary_scan(Dataset(g, dict(d.named_graphs))) == {alien}
 
 

@@ -51,6 +51,17 @@ class TestTerms:
         with pytest.raises((TypeError, ValueError)):
             Triple(iri("s"), BlankNode("p"), iri("o"))
 
+    @pytest.mark.parametrize("text", [
+        "", "http://x/a b", "http://x/<q>", 'a"b', "a{b}", "a|b", "a^b",
+        "a`b", "a\\b", "a\nb", "a\x00b"])
+    def test_iri_rejects_what_iriref_excludes(self, text):
+        with pytest.raises(ValueError, match="not an IRI"):
+            Iri(text)
+
+    def test_iri_allows_non_ascii_whitespace(self):
+        text = "http://x/a\u00a0b\u2003c"
+        assert Iri(text).value == text
+
 
 class TestGraph:
     def setup_method(self):
@@ -61,12 +72,8 @@ class TestGraph:
         ])
 
     def test_set_semantics(self):
-        g = self.g.insert(Triple(iri("s"), iri("p"), iri("o")))
+        g = Graph([*self.g, Triple(iri("s"), iri("p"), iri("o"))])
         assert len(g) == 3
-
-    def test_insert_returns_new_graph(self):
-        g2 = self.g.insert(Triple(iri("x"), iri("p"), iri("y")))
-        assert len(self.g) == 3 and len(g2) == 4
 
     def test_match_wildcards(self):
         assert len(self.g.match(iri("s"), None, None)) == 3
@@ -141,7 +148,7 @@ class TestPaths:
                           for i in (1, 2, 3)}
 
     def test_star_terminates_on_cycle(self):
-        g = self.g.insert(Triple(iri("n3"), RDF_REST, iri("n1")))
+        g = Graph([*self.g, Triple(iri("n3"), RDF_REST, iri("n1"))])
         nodes = eval_path(g, iri("n1"), Star(Pred(RDF_REST)))
         assert iri("n3") in nodes
 
@@ -195,6 +202,13 @@ class TestIsomorphism:
                         {Iri("urn:x-httplift:default-graph"): Graph([t])})
         assert not isomorphic_datasets(default, named)
         assert not isomorphic_datasets(named, default)
+
+    @pytest.mark.parametrize("name", [BlankNode("g"), iri("g")])
+    def test_empty_named_graph_counts(self, name):
+        empty = Dataset(Graph(), {name: Graph()})
+        assert not isomorphic_datasets(empty, Dataset())
+        assert not isomorphic_datasets(Dataset(), empty)
+        assert isomorphic_datasets(empty, Dataset(Graph(), {name: Graph()}))
 
 
 # Cases that colour refinement cannot settle alone, or that are too deep or
@@ -341,16 +355,18 @@ def test_isomorphic_agrees_with_brute_force(ta, tb):
 
 def _dataset(quads) -> Dataset:
     """Triples under None go to the default graph; the others are named
-    by their blank node, which may also occur in triples."""
+    by their blank node, which may also occur in triples. A quad whose
+    triple is None only names its graph, which may then be empty."""
     named = {}
     for name, t in quads:
-        named.setdefault(name, []).append(t)
+        named.setdefault(name, []).extend([t] if t else [])
     return Dataset(Graph(named.pop(None, ())),
                    {name: Graph(ts) for name, ts in named.items()})
 
 
 _few_quads = st.lists(st.tuples(st.one_of(st.none(), _labels.map(BlankNode)),
-                                _few_terms_triple), max_size=5)
+                                st.one_of(st.none(), _few_terms_triple)),
+                      max_size=5)
 
 
 @settings(max_examples=300)

@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from httplift.rdf import (
-    Iri, BlankNode, Literal, Triple, Graph, isomorphic,
+    IRI_CHARS, Iri, BlankNode, Literal, Triple, Graph, isomorphic,
     isomorphic_datasets, XSD_INTEGER, XSD_BOOLEAN, RDF_TYPE,
 )
 from httplift.turtle import (
@@ -107,6 +107,18 @@ class TestParseTurtle:
         else:
             pytest.fail("no error raised")
 
+    # tests/test_cli.py checks \U00110000 and \uD800 end to end.
+    @pytest.mark.parametrize("escape", ["\\uDFFF", "\\U0000DC00"])
+    def test_unicode_escape_must_be_a_scalar_value(self, escape):
+        with pytest.raises(ParseError, match="bad unicode escape "
+                           r"\(line 1, column 49\)"):
+            parse_turtle('<%ss> <%sp> "a%s" .' % (EX, EX, escape))
+
+    def test_highest_scalar_values_parse(self):
+        g = parse_turtle('<%ss> <%sp> "\\U0010FFFF\\uD7FF\\uE000" .'
+                         % (EX, EX))
+        assert {t.object for t in g} == {Literal("\U0010FFFF\uD7FF\uE000")}
+
 
 class TestParseTrig:
     def test_default_and_named(self):
@@ -201,3 +213,15 @@ def test_randomized_round_trips():
 def test_any_string_literal_round_trips(s):
     g = Graph([Triple(Iri(EX + "s"), Iri(EX + "p"), Literal(s))])
     assert parse_turtle(serialize_turtle(g, {})) == g
+
+
+_iri_text = st.from_regex(IRI_CHARS, fullmatch=True)
+
+
+@settings(max_examples=300)
+@given(_iri_text, _iri_text)
+def test_any_iri_round_trips(a, b):
+    # Whole IRIs and local parts after a declared prefix, in every position.
+    g = Graph([Triple(Iri(a), Iri(EX + b), Iri(EX + a)),
+               Triple(Iri(EX + b), Iri(b), Literal("x", Iri(a)))])
+    assert parse_turtle(serialize_turtle(g, {"ex": EX})) == g

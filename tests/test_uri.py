@@ -118,10 +118,6 @@ class TestPercentDecode:
             percent_decode("ab%zz")
         assert "2" in str(exc.value)
 
-    def test_plus_untouched(self):
-        # plus-to-space is a form-encoding rule, not a percent-decoding one
-        assert percent_decode("a+b") == "a+b"
-
 
 class TestQueryParams:
     def test_plus_means_space(self):
