@@ -24,10 +24,26 @@ EXIT_ERROR = 2
 
 
 def _read_input(path: str) -> str:
+    """The text of a file, with universal newlines as in text mode, or of
+    stdin as it is. Both are read as bytes: a text-mode stdin under the C
+    locale turns bad UTF-8 into lone surrogates."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return _decode(sys.stdin.buffer.read())
+    with open(path, "rb") as fh:
+        text = _decode(fh.read())
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[:e.start].decode("utf-8")
+        raise IngestError("not UTF-8: byte 0x%02x (line %d, column %d)"
+                          % (data[e.start], before.count("\n") + 1,
+                             len(before) - before.rfind("\n")))
 
 
 def _guess_format(path: str) -> str:
@@ -182,8 +198,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if e.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (IngestError, ParseError, UriError, OSError,
-            UnicodeDecodeError) as e:
+    except (IngestError, ParseError, UriError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
 

@@ -70,21 +70,26 @@ def _make_body(headers: List[Header], octets: bytes) -> Optional[Body]:
     if media_type:
         base = media_type.split(";", 1)[0].strip().lower()
         if base in RDF_MEDIA_TYPES:
-            text = octets.decode("utf-8")
             try:
+                text = octets.decode("utf-8")
                 if base == "application/trig":
                     dataset = turtle.parse_trig(text)
                     rdf = Graph(chain(dataset.default_graph,
                                       *dataset.named_graphs.values()))
                 else:
                     rdf = turtle.parse_turtle(text)
-            except turtle.ParseError as e:
+            except (UnicodeDecodeError, turtle.ParseError) as e:
                 raise IngestError("unparseable RDF body: %s" % e)
     return Body(media_type=media_type, octets=octets, rdf=rdf)
 
 
 def _as_bytes(raw: Union[bytes, str]) -> bytes:
-    return raw.encode("utf-8") if isinstance(raw, str) else raw
+    if isinstance(raw, bytes):
+        return raw
+    try:
+        return raw.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise IngestError("lone surrogate at offset %d" % e.start)
 
 
 def parse_http_request(raw: Union[bytes, str]) -> Request:
@@ -240,19 +245,33 @@ def load_har(text: str) -> Conversation:
 _NO_WHITESPACE = str.maketrans("", "", " \t\n\r\x0b\x0c")
 
 
+def _har_text(text: str) -> str:
+    """`text`, if it is a string that UTF-8 can encode. JSON's "\\ud800"
+    escape gives a lone surrogate, which it cannot."""
+    if not isinstance(text, str):
+        raise TypeError("not a string: %r" % (text,))
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("lone surrogate in %r" % text)
+    return text
+
+
 def _har_headers(items, mime_type: Optional[str]) -> List[Header]:
     """A HAR message's headers, plus a Content-Type of `mime_type` when
     there is none."""
-    headers = [Header(h["name"], h.get("value", "")) for h in (items or [])]
+    headers = [Header(h["name"], _har_text(h.get("value", "")))
+               for h in (items or [])]
     if mime_type and not header_value(headers, "Content-Type"):
-        headers.append(Header("Content-Type", mime_type))
+        headers.append(Header("Content-Type", _har_text(mime_type)))
     return headers
 
 
 def _har_interaction(entry: dict) -> Interaction:
     req = entry.get("request") or {}
     resp = entry.get("response") or {}
-    uri = parse_uri(req["url"])
+    uri = parse_uri(_har_text(req["url"]))
     post = req.get("postData") or {}
     text = post.get("text")
     req_headers = _har_headers(req.get("headers"),
@@ -260,7 +279,8 @@ def _har_interaction(entry: dict) -> Interaction:
     req_body = _make_body(req_headers, text.encode("utf-8")) if text else None
     request = Request(method=Method(req["method"]), uri=uri,
                       headers=tuple(req_headers), body=req_body,
-                      http_version=req.get("httpVersion") or "HTTP/1.1")
+                      http_version=_har_text(req.get("httpVersion")
+                                             or "HTTP/1.1"))
 
     content = resp.get("content") or {}
     resp_headers = _har_headers(resp.get("headers"), content.get("mimeType"))
@@ -276,7 +296,8 @@ def _har_interaction(entry: dict) -> Interaction:
     status = int(resp["status"])
     response = Response(status_code=status, headers=tuple(resp_headers),
                         body=_make_body(resp_headers, octets),
-                        http_version=resp.get("httpVersion") or "HTTP/1.1")
+                        http_version=_har_text(resp.get("httpVersion")
+                                               or "HTTP/1.1"))
     if is_interim(response):
         # A lone 1xx entry: carried as an interim with no final response.
         return Interaction(request, (response,))

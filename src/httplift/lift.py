@@ -17,7 +17,9 @@ from .rdf import (
     RDF_TYPE, XSD_INTEGER, BlankNode, Dataset, Graph, Iri, Literal, Term,
     Triple,
 )
-from .uri import UriError, UriParts, id_res, parse_uri, recompose
+from .uri import (
+    UriError, UriParts, id_res, parse_uri, recompose, resolve_reference,
+)
 
 DEFAULT_URI_NODE_BASE = "urn:uri:"
 
@@ -81,7 +83,7 @@ class Lifter:
     # -- Headers ------------------------------------------------------------
 
     def lift_header(self, h: Header, msg_node: Term,
-                    request_uri: Optional[UriParts]):
+                    request_uri: UriParts):
         hnode = self.bnode()
         self.add(msg_node, vocab.HDR, hnode)
         self.add(hnode, RDF_TYPE, vocab.HEADER)
@@ -111,20 +113,14 @@ class Lifter:
                     self.add(anode, vocab.MEDIA_TYPE, Literal(media_range))
 
     def _resolve_location(self, value: str,
-                          request_uri: Optional[UriParts]) -> Optional[UriParts]:
-        """Resolve a Location value: absolute URIs as-is, absolute-path
-        references against the request URI. Other forms stay unresolved
-        (validation rule R10 reports them)."""
-        value = value.strip()
+                          request_uri: UriParts) -> Optional[UriParts]:
+        """The target of a Location value, resolved against the request
+        URI (RFC 3986 section 5.2), or None if it has no authority or does
+        not parse (validation rule R10 reports it)."""
         try:
-            if "://" in value:
-                return parse_uri(value)
-            if value.startswith("/") and request_uri is not None:
-                return parse_uri("%s://%s%s" % (request_uri.scheme,
-                                                request_uri.authority, value))
+            return parse_uri(resolve_reference(value.strip(), request_uri))
         except UriError:
             return None
-        return None
 
     # -- Bodies -------------------------------------------------------------
 
@@ -179,7 +175,7 @@ class Lifter:
         return self._lift_message_parts(r, node, r.uri)
 
     def lift_response(self, r: Response, interim: bool,
-                      request_uri: Optional[UriParts]) -> Term:
+                      request_uri: UriParts) -> Term:
         node = self._message_node("resp")
         self.add(node, RDF_TYPE, vocab.RESPONSE)
         self.add(node, RDF_TYPE,
@@ -188,7 +184,7 @@ class Lifter:
         return self._lift_message_parts(r, node, request_uri)
 
     def _lift_message_parts(self, r: Union[Request, Response], node: Term,
-                            request_uri: Optional[UriParts]) -> Term:
+                            request_uri: UriParts) -> Term:
         """The HTTP version, headers and body of a request or response."""
         if r.http_version:
             self.add(node, vocab.HTTP_VERSION, Literal(r.http_version))

@@ -26,17 +26,40 @@ class ParseError(ValueError):
         self.col = col
 
 
+def _error(message: str, text: str, pos: int) -> ParseError:
+    """A ParseError at offset `pos` of `text`, with its line and column."""
+    return ParseError(message, text.count('\n', 0, pos) + 1,
+                      pos - text.rfind('\n', 0, pos))
+
+
 # --------------------------------------------------------------------------
 # Tokenizer
 
-_IRIREF = re.compile('<(%s)>' % IRI_CHARS)
-_BLANK = re.compile(r'_:([A-Za-z0-9][A-Za-z0-9_.-]*)')
-_INTEGER = re.compile(r'[+-]?[0-9]+')
-_PNAME = re.compile(r'([A-Za-z][A-Za-z0-9_-]*)?:([A-Za-z0-9_]'
-                    r'[A-Za-z0-9_.-]*)?')
-_BAREWORD = re.compile(r'[A-Za-z]+')
-_LANGTAG = re.compile(r'@([A-Za-z]+(?:-[A-Za-z0-9]+)*)')
+# A local name or blank-node label may hold dots, but not end with one.
+_LOCAL = r'[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?'
 
+# Whitespace and comments. A comment runs to the end of its line, so a
+# failed token match cannot backtrack into it.
+_SKIP = re.compile(r'[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*')
+
+# Skipped text, then one token or the end of the text. The kind is the name
+# of the group that matched; a symbol is its own kind. No two groups start
+# with the same character, except @prefix before a language tag and a
+# prefixed name before a bare word.
+_TOKEN = re.compile(r"""%s
+    (?:
+      (?P<symbol>[.;,()\[\]{}]|@prefix|\^\^)
+    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:%s)?)
+    | (?P<bnode>_:[A-Za-z0-9](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)
+    | (?P<string>"(?P<body>(?:[^"\\\n]+|\\[\s\S])*)(?P<closed>")?)
+    | (?P<iri><%s>)
+    | (?P<word>[A-Za-z]+)
+    | (?P<integer>[+-]?[0-9]+)
+    | (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+    | (?P<eof>\Z)
+    )""" % (_SKIP.pattern, _LOCAL, IRI_CHARS), re.X)
+
+_ESCAPE = re.compile(r'\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|([\s\S]))')
 _ESCAPES = {'t': '\t', 'b': '\b', 'n': '\n', 'r': '\r', 'f': '\f',
             '"': '"', "'": "'", '\\': '\\'}
 
@@ -51,138 +74,79 @@ class _Token:
         self.col = col
 
 
+def _unescape(body: str, text: str, pos: int) -> str:
+    """The value of a string body that starts at offset `pos` of `text`."""
+    def decode(m):
+        hexpart, other = m.group(1) or m.group(2), m.group(3)
+        if hexpart:
+            code = int(hexpart, 16)
+            # Unicode scalar values only: no surrogates.
+            if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+                return chr(code)
+        elif other in _ESCAPES:
+            return _ESCAPES[other]
+        elif other not in 'uU':
+            raise _error("unknown string escape \\%s" % other, text,
+                         pos + m.start())
+        raise _error("bad unicode escape", text, pos + m.start())
+    return _ESCAPE.sub(decode, body)
+
+
+def _malformed(text: str, pos: int) -> str:
+    """Why no token starts at text[pos]."""
+    ch = text[pos]
+    if ch == '<':
+        return "malformed IRI reference"
+    if ch == '@':
+        return "malformed language tag"
+    if text.startswith('_:', pos):
+        return "malformed blank node label"
+    if ch in '+-' or ch.isdigit():
+        return "malformed numeric literal"
+    return "unexpected character %r" % ch
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens = []
-    i, line, linestart = 0, 1, 0
-    n = len(text)
-
-    def pos():
-        return line, i - linestart + 1
-
-    def err(msg):
-        l, c = pos()
-        raise ParseError(msg, l, c)
-
-    while i < n:
-        ch = text[i]
-        if ch == '\n':
-            line += 1
-            i += 1
-            linestart = i
-            continue
-        if ch in ' \t\r':
-            i += 1
-            continue
-        if ch == '#':
-            while i < n and text[i] != '\n':
-                i += 1
-            continue
-        l, c = pos()
-        if ch == '<':
-            m = _IRIREF.match(text, i)
-            if not m:
-                err("malformed IRI reference")
-            tokens.append(_Token('iri', m.group(1), l, c))
-            i = m.end()
-            continue
-        if ch == '"':
-            # Single-line double-quoted string with escapes.
-            i += 1
-            buf = []
-            while True:
-                if i >= n or text[i] == '\n':
-                    raise ParseError("unterminated string literal", l, c)
-                s = text[i]
-                if s == '"':
-                    i += 1
-                    break
-                if s == '\\':
-                    if i + 1 >= n:
-                        raise ParseError("unterminated string literal", l, c)
-                    e = text[i + 1]
-                    if e in _ESCAPES:
-                        buf.append(_ESCAPES[e])
-                        i += 2
-                    elif e == 'u' or e == 'U':
-                        width = 4 if e == 'u' else 8
-                        hexpart = text[i + 2:i + 2 + width]
-                        code = (int(hexpart, 16) if len(hexpart) == width
-                                and re.fullmatch(r'[0-9A-Fa-f]+', hexpart)
-                                else -1)
-                        # Unicode scalar values only: no surrogates.
-                        if not 0 <= code <= 0x10FFFF \
-                                or 0xD800 <= code <= 0xDFFF:
-                            err("bad unicode escape")
-                        buf.append(chr(code))
-                        i += 2 + width
-                    else:
-                        err("unknown string escape \\%s" % e)
-                else:
-                    buf.append(s)
-                    i += 1
-            tokens.append(_Token('string', ''.join(buf), l, c))
-            continue
-        if ch == '@':
-            if text.startswith('@prefix', i):
-                tokens.append(_Token('@prefix', '@prefix', l, c))
-                i += len('@prefix')
-                continue
-            m = _LANGTAG.match(text, i)
-            if not m:
-                err("malformed language tag")
-            tokens.append(_Token('langtag', m.group(1), l, c))
-            i = m.end()
-            continue
-        if ch == '_' and text.startswith('_:', i):
-            m = _BLANK.match(text, i)
-            if not m:
-                err("malformed blank node label")
-            label = m.group(1)
-            end = m.end()
-            while label.endswith('.'):
-                label = label[:-1]
-                end -= 1
-            tokens.append(_Token('bnode', label, l, c))
-            i = end
-            continue
-        if ch == '^' and text.startswith('^^', i):
-            tokens.append(_Token('^^', '^^', l, c))
-            i += 2
-            continue
-        if ch in '.;,()[]{}':
-            # A dot may start a number only in the unsupported decimal form;
-            # treat it as punctuation.
-            tokens.append(_Token(ch, ch, l, c))
-            i += 1
-            continue
-        if ch in '+-' or ch.isdigit():
-            m = _INTEGER.match(text, i)
-            if not m:
-                err("malformed numeric literal")
-            tokens.append(_Token('integer', m.group(0), l, c))
-            i = m.end()
-            continue
-        m = _PNAME.match(text, i)
-        if m and ':' in m.group(0):
-            local = m.group(2) or ''
-            end = m.end()
-            while local.endswith('.'):
-                local = local[:-1]
-                end -= 1
-            tokens.append(_Token('pname', (m.group(1) or '', local), l, c))
-            i = end
-            continue
-        m = _BAREWORD.match(text, i)
-        if m:
-            word = m.group(0)
-            if word in ('a', 'true', 'false'):
-                tokens.append(_Token(word, word, l, c))
-                i = m.end()
-                continue
-            err("unexpected token %r" % word)
-        err("unexpected character %r" % ch)
-    tokens.append(_Token('eof', '', line, n - linestart + 1))
-    return tokens
+    line, linestart, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if m.start() != end:
+            break
+        pos, end_of_token = m.span(kind)
+        # Count the newlines in the skipped text.
+        newlines = text.count('\n', end, pos)
+        if newlines:
+            line += newlines
+            linestart = text.rindex('\n', end, pos) + 1
+        end = end_of_token
+        value = m.group(kind)
+        if kind == 'symbol':
+            kind = value
+        elif kind == 'pname':
+            prefix, _, local = value.partition(':')
+            value = (prefix, local)
+        elif kind == 'bnode':
+            value = value[2:]
+        elif kind == 'string':
+            value = m.group('body')
+            if '\\' in value:
+                value = _unescape(value, text, pos + 1)
+            if m.group('closed') is None:
+                raise _error("unterminated string literal", text, pos)
+        elif kind == 'iri':
+            value = value[1:-1]
+        elif kind == 'word':
+            if value not in ('a', 'true', 'false'):
+                raise _error("unexpected token %r" % value, text, pos)
+            kind = value
+        elif kind == 'langtag':
+            value = value[1:]
+        tokens.append(_Token(kind, value, line, pos - linestart + 1))
+        if kind == 'eof':
+            return tokens
+    end = _SKIP.match(text, end).end()
+    raise _error(_malformed(text, end), text, end)
 
 
 # --------------------------------------------------------------------------
@@ -201,8 +165,8 @@ class _Parser:
 
     # token plumbing
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -252,7 +216,7 @@ class _Parser:
 
     def graph_block_ahead(self) -> bool:
         return (self.peek().kind in ('iri', 'pname', 'bnode')
-                and self.peek(1).kind == '{')
+                and self.tokens[self.pos + 1].kind == '{')
 
     def graph_block(self):
         name = self.node(self.next())
@@ -407,34 +371,56 @@ def parse_trig(text: str) -> Dataset:
 # --------------------------------------------------------------------------
 # Serializer
 
-_LOCAL_OK = re.compile(r'(?:[A-Za-z0-9_][A-Za-z0-9_.-]*)?$')
-_PLAIN_INT = re.compile(r'[+-]?[0-9]+$')
+_LOCAL_OK = re.compile('(?:%s)?' % _LOCAL)
+_PLAIN_INT = re.compile(r'[+-]?[0-9]+')
 
 # Control characters become \uXXXX, except those with a short escape.
 _STRING_ESCAPES = str.maketrans({
     **{chr(c): '\\u%04X' % c for c in range(0x20)},
     '\\': '\\\\', '"': '\\"', '\n': '\\n', '\r': '\\r', '\t': '\\t'})
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
 
 
 def _escape_string(s: str) -> str:
-    return s.translate(_STRING_ESCAPES)
+    return s.translate(_STRING_ESCAPES) if _NEEDS_ESCAPE.search(s) else s
+
+
+# The key of an IRI or namespace is its text up to the last '#' or '/'. A
+# local name holds neither, so an IRI has the key of every namespace that
+# can compact it. The table maps a key to [(namespace, label)], longest
+# namespace first, ties in mapping order. Only the last mapping's table is
+# kept, with a copy of the mapping and whether two labels share a
+# namespace; it is rebuilt whenever the mapping differs.
+_last_namespaces: tuple = ({}, {}, False)
+
+
+def _namespaces(prefixes: Dict[str, str]) -> Dict[str, list]:
+    global _last_namespaces
+    mapping, table, ties = _last_namespaces
+    # Equal dicts may differ in order, which only decides ties.
+    if mapping != prefixes or ties and list(mapping) != list(prefixes):
+        table = {}
+        for label, ns in prefixes.items():
+            key = ns[:max(ns.rfind('#'), ns.rfind('/')) + 1]
+            table.setdefault(key, []).append((ns, label))
+        for entries in table.values():
+            entries.sort(key=lambda entry: -len(entry[0]))
+        ties = len(set(prefixes.values())) < len(prefixes)
+        _last_namespaces = (dict(prefixes), table, ties)
+    return table
 
 
 def format_term(term: Term, prefixes: Optional[Dict[str, str]] = None) -> str:
-    """Render one term in Turtle syntax, compacting with `prefixes`
-    (a map from prefix label to namespace IRI) when possible."""
-    prefixes = prefixes or {}
+    """Render one term in Turtle syntax. An IRI becomes a prefixed name
+    with the longest namespace in `prefixes` (a map from prefix label to
+    namespace IRI) that leaves a legal local name, if there is one."""
     if isinstance(term, Iri):
-        best = None
-        for label, ns in prefixes.items():
-            if term.value.startswith(ns):
-                local = term.value[len(ns):]
-                if _LOCAL_OK.fullmatch(local) and not local.endswith('.'):
-                    if best is None or len(ns) > len(prefixes[best[0]]):
-                        best = (label, local)
-        if best is not None:
-            return "%s:%s" % best
-        return "<%s>" % term.value
+        iri = term.value
+        key = iri[:max(iri.rfind('#'), iri.rfind('/')) + 1]
+        for ns, label in _namespaces(prefixes or {}).get(key, ()):
+            if iri.startswith(ns) and _LOCAL_OK.fullmatch(iri, len(ns)):
+                return "%s:%s" % (label, iri[len(ns):])
+        return "<%s>" % iri
     if isinstance(term, BlankNode):
         return "_:%s" % term.label
     if isinstance(term, Literal):
@@ -451,16 +437,27 @@ def format_term(term: Term, prefixes: Optional[Dict[str, str]] = None) -> str:
     raise TypeError("not a term: %r" % (term,))
 
 
-def _triple_lines(graph: Graph, prefixes: Dict[str, str],
+class _Rendered(dict):
+    """Term -> Turtle text for one serialization: each term is rendered on
+    its first lookup only."""
+
+    def __init__(self, prefixes: Dict[str, str]):
+        self.prefixes = prefixes
+
+    def __missing__(self, term: Term) -> str:
+        text = self[term] = format_term(term, self.prefixes)
+        return text
+
+
+def _triple_lines(graph: Graph, text: _Rendered,
                   indent: str = "") -> List[str]:
+    rdf_type = text[RDF_TYPE]
     lines = []
     for t in graph:
-        pred = ("a" if t.predicate == RDF_TYPE
-                else format_term(t.predicate, prefixes))
-        lines.append("%s%s %s %s ." % (indent,
-                                       format_term(t.subject, prefixes),
-                                       pred,
-                                       format_term(t.object, prefixes)))
+        pred = text[t.predicate]
+        lines.append("%s%s %s %s ." % (indent, text[t.subject],
+                                       "a" if pred == rdf_type else pred,
+                                       text[t.object]))
     return sorted(lines)
 
 
@@ -472,18 +469,19 @@ def _prefix_header(prefixes: Dict[str, str]) -> List[str]:
 def _serialize(default: Graph, named: Dict[Term, Graph],
                prefixes: Optional[Dict[str, str]]) -> str:
     prefixes = dict(prefixes or {})
+    text = _Rendered(prefixes)
     parts = _prefix_header(prefixes)
-    body = _triple_lines(default, prefixes)
+    body = _triple_lines(default, text)
     if parts and body:
         parts.append("")
     parts.extend(body)
-    for name, graph in sorted(named.items(),
-                              key=lambda kv: format_term(kv[0], prefixes)):
+    for name, graph in sorted(named.items(), key=lambda kv: text[kv[0]]):
         if parts:
             parts.append("")
-        parts.append("%s {" % format_term(name, prefixes))
-        parts.extend(_triple_lines(graph, prefixes, indent="    "))
+        parts.append("%s {" % text[name])
+        parts.extend(_triple_lines(graph, text, indent="    "))
         parts.append("}")
+    text.clear()    # so that the memo and the output are never held at once
     return "\n".join(parts) + ("\n" if parts else "")
 
 

@@ -123,3 +123,53 @@ def effective_request_uri(target: str, host: Optional[str]) -> UriParts:
     if "://" in target:
         return parse_uri(target)
     raise UriError("unsupported request-target form: %r" % target)
+
+
+# RFC 3986 appendix B: any URI reference splits into these five parts.
+_REFERENCE_RE = re.compile(
+    r'(?:([^:/?#]+):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?', re.S)
+
+
+def remove_dot_segments(path: str) -> str:
+    """RFC 3986 section 5.2.4: interpret the "." and ".." segments."""
+    out: List[str] = []
+    while path:
+        if path.startswith(("../", "./")):
+            path = path[path.index("/") + 1:]
+        elif path.startswith("/./") or path == "/.":
+            path = "/" + path[3:]
+        elif path.startswith("/../") or path == "/..":
+            path = "/" + path[4:]
+            if out:
+                out.pop()
+        elif path in (".", ".."):
+            path = ""
+        else:
+            end = path.find("/", 1)
+            end = len(path) if end == -1 else end
+            out.append(path[:end])
+            path = path[end:]
+    return "".join(out)
+
+
+def resolve_reference(ref: str, base: UriParts) -> str:
+    """RFC 3986 section 5.2.2, strict: the target URI of the reference
+    `ref` against the absolute URI `base`, recomposed (section 5.3)."""
+    scheme, authority, path, query, fragment = \
+        _REFERENCE_RE.fullmatch(ref).groups()
+    relative = scheme is None and authority is None
+    if relative and not path:
+        path = base.path
+        query = base.query if query is None else query
+    else:
+        if relative and not path.startswith("/"):
+            # Section 5.2.3: merge with the base path.
+            path = (base.path[:base.path.rfind("/") + 1] or "/") + path
+        path = remove_dot_segments(path)
+    if scheme is None:
+        authority = base.authority if authority is None else authority
+        scheme = base.scheme
+    return "%s:%s%s%s%s" % (
+        scheme, "" if authority is None else "//" + authority, path,
+        "" if query is None else "?" + query,
+        "" if fragment is None else "#" + fragment)

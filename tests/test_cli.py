@@ -61,7 +61,9 @@ class TestLift:
                                    parse_trig(open(GOLDEN).read()))
 
     def test_stdin_dash(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(open(SAMPLE).read()))
+        with open(SAMPLE, "rb") as fh:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                io.BytesIO(fh.read())))
         code, out, _ = run(capsys, "lift", "-", "--format", "transcript")
         assert code == EXIT_OK and out
 
@@ -185,6 +187,13 @@ class TestErrors:
         code, _, err = run(capsys, "validate", str(bad))
         assert code == EXIT_ERROR and err
 
+    def test_stdin_that_is_not_utf_8(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"GET /a HTTP/1.1\r\nX: \xff\r\n")))
+        code, out, err = run(capsys, "lift", "-")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: not UTF-8: byte 0xff (line 2, column 4)\n"
+
     def test_no_command_errors(self, capsys):
         assert main([]) == EXIT_ERROR
 
@@ -212,6 +221,18 @@ class TestErrors:
          "bad unicode escape (line 1, column 28)"),
         (".trig", '<http://x/s> <http://x/p> "\\uD800" .',
          "bad unicode escape (line 1, column 28)"),
+        (".har", lambda d: d["log"]["entries"][0]["request"]["headers"][0]
+         .update(value="a\ud800"), "HAR entry 1: lone surrogate in "
+         "'a\\ud800'"),
+        (".har", lambda d: d["log"]["entries"][1]["request"].update(
+            url="http://h/\ud800"), "HAR entry 2: lone surrogate in "),
+        (".har", lambda d: d["log"]["entries"][1]["response"].update(
+            httpVersion="HTTP/1.1\udfff"), "HAR entry 2: lone surrogate in "),
+        (".har", lambda d: d["log"]["entries"][0]["request"]["headers"][0]
+         .update(value=None), "HAR entry 1: not a string: None"),
+        # "\udcff" is written as the byte 0xff.
+        (".http", "X: a\r\nY: \udcff", "not UTF-8: byte 0xff "
+         "(line 4, column 4)"),
         ("argv", ["query", "6", SAMPLE, "--prop", "a b"],
          "argument --prop: invalid Iri value: 'a b'"),
         ("argv", ["lift", SAMPLE, "--base", "http://x/<q>"],
@@ -221,6 +242,9 @@ class TestErrors:
             "har-base64-padding", "har-base64-alphabet", "header-name-space",
             "negative-content-length", "trig-empty-iri",
             "trig-escape-above-10ffff", "trig-escape-surrogate",
+            "har-header-surrogate", "har-url-surrogate",
+            "har-version-surrogate", "har-header-value-null",
+            "transcript-not-utf-8",
             "prop-not-an-iri", "base-not-an-iri"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
                                      message):
@@ -239,7 +263,7 @@ class TestErrors:
             else:
                 text = mutate
             bad = tmp_path / ("bad" + suffix)
-            bad.write_text(text)
+            bad.write_bytes(text.encode("utf-8", "surrogateescape"))
             argv = ["validate", str(bad)]
         code, out, err = run(capsys, *argv)
         assert code == EXIT_ERROR and out == ""

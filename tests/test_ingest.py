@@ -2,15 +2,22 @@
 
 import base64
 import json
+import os
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from httplift.ingest import (
     parse_http_request, parse_http_response, load_transcript, load_har,
     IngestError, RDF_MEDIA_TYPES,
 )
+from httplift.lift import lift_conversation
 from httplift.model import Method, header_value
+from httplift.rdf import isomorphic_datasets
+from httplift.turtle import parse_trig, serialize_trig
 from httplift.uri import parse_uri, recompose
+from httplift.vocab import PREFIXES
 
 
 REQ = ("POST /reg?count=5 HTTP/1.1\r\n"
@@ -268,3 +275,69 @@ class TestHar:
         with pytest.raises(IngestError):
             load_har(json.dumps(
                 {"log": {"entries": [{"request": {}, "response": {}}]}}))
+
+
+# Mutation fuzzing: any text gives a Conversation or an IngestError, and
+# whatever loads survives lift -> serialize_trig -> parse_trig.
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _fixture(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+# Lone surrogates, raw and as JSON escapes; the byte 0xff as a
+# surrogate-escaped, a Latin-1 and a JSON-escaped character; and pieces of
+# HTTP, Turtle and JSON syntax.
+_INSERTS = ["\ud800", "\\ud800", "\\udfff", "\udcff", "\xff", "\\u00ff",
+            "\r\n", "\n", "\n---\n", ":", " ", "\"", "\\", "{", "}", "[",
+            ",", "0", "-1", "../", "#", "<", ">", "@prefix", "HTTP/1.1 ",
+            "Content-Length: 3\n", "Content-Type: text/turtle\n",
+            "Location: ../x\n", "Transfer-Encoding: chunked\n"]
+
+
+@st.composite
+def _mutated(draw, names, spans=r'\A([\s\S]*)'):
+    """A fixture with one to four edits: an insert, a delete or a
+    replacement, each at a random place inside group 1 of a random match
+    of `spans` (by default, anywhere)."""
+    text = draw(st.sampled_from([_fixture(n) for n in names]))
+    rnd = draw(st.randoms(use_true_random=False))
+    for _ in range(rnd.randint(1, 4)):
+        span = rnd.choice(list(re.finditer(spans, text)))
+        i = rnd.randint(span.start(1), span.end(1))
+        op = rnd.choice(["insert", "insert", "delete", "replace"])
+        cut = i + rnd.randint(1, 8) if op != "insert" else i
+        new = "" if op == "delete" else rnd.choice(_INSERTS)
+        text = text[:i] + new + text[cut:]
+    return text
+
+
+def _loads_and_round_trips(load, text):
+    try:
+        conversation = load(text)
+    except IngestError:
+        return
+    lifted = lift_conversation(conversation)
+    # Written as UTF-8, as the CLI does, which fails on a lone surrogate.
+    trig = serialize_trig(lifted, PREFIXES).encode("utf-8")
+    assert isomorphic_datasets(parse_trig(trig.decode("utf-8")), lifted)
+
+
+_FUZZ = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@_FUZZ
+@given(_mutated(["registration.http", "findings.http",
+                 "registration_json.http"]))
+def test_mutated_transcripts_load_or_raise_ingest_error(text):
+    _loads_and_round_trips(load_transcript, text)
+
+
+@_FUZZ
+@given(_mutated(["registration.har"], spans=r'"([^"\\\n]*)"'))
+def test_mutated_har_loads_or_raises_ingest_error(text):
+    _loads_and_round_trips(load_har, text)

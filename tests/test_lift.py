@@ -17,6 +17,7 @@ from httplift.rdf import (
 )
 from httplift.turtle import parse_trig
 from httplift.uri import parse_uri
+from httplift.validate import validate
 from httplift import vocab
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -87,6 +88,15 @@ class TestConversationLift:
         assert g.subjects(vocab.LOCATION, target)
         # ... is the very node interaction 2's request points at
         assert g.subjects(vocab.URI_PROP, target)
+
+    def test_relative_location_is_resolved(self):
+        # RFC 3986 section 5.2 against the request URI; R10 used to flag it.
+        d = lift_conversation(load_transcript(
+            "POST /a/b/c HTTP/1.1\nHost: h\n---\n"
+            "HTTP/1.1 201 Created\nLocation: ../d?x=1\n"))
+        target = uri_node(parse_uri("http://h/a/d?x=1"))
+        assert d.default_graph.subjects(vocab.LOCATION, target)
+        assert validate(d).findings == ()
 
     def test_location_chain_materialised(self):
         d = lift_fixture()

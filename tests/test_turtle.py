@@ -9,6 +9,7 @@ from httplift.rdf import (
     IRI_CHARS, Iri, BlankNode, Literal, Triple, Graph, isomorphic,
     isomorphic_datasets, XSD_INTEGER, XSD_BOOLEAN, RDF_TYPE,
 )
+from httplift import turtle
 from httplift.turtle import (
     parse_turtle, parse_trig, serialize_turtle, serialize_trig,
     format_term, ParseError,
@@ -225,3 +226,135 @@ def test_any_iri_round_trips(a, b):
     g = Graph([Triple(Iri(a), Iri(EX + b), Iri(EX + a)),
                Triple(Iri(EX + b), Iri(b), Literal("x", Iri(a)))])
     assert parse_turtle(serialize_turtle(g, {"ex": EX})) == g
+
+
+# Every tokenizer error kind, with its exact message and position. The
+# position is the token's first character, or the escape's backslash.
+_S = '<http://x/s> <http://x/p> '
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    (_S + '<a b> .', "malformed IRI reference", 1, 27),
+    (_S + '<http://x/o .', "malformed IRI reference", 1, 27),
+    (_S + '"abc\n<http://x/o> .', "unterminated string literal", 1, 27),
+    (_S + '"abc', "unterminated string literal", 1, 27),
+    (_S + '"abc\\', "unterminated string literal", 1, 27),
+    (_S + '"a\\"', "unterminated string literal", 1, 27),
+    (_S + '"a\\qb" .', "unknown string escape \\q", 1, 29),
+    (_S + '"a\\\nb" .', "unknown string escape \\\n", 1, 29),
+    (_S + '"\\q\n', "unknown string escape \\q", 1, 28),
+    (_S + '"\\t\\u12G4" .', "bad unicode escape", 1, 30),
+    (_S + '"\\u00\n" .', "bad unicode escape", 1, 28),
+    (_S + '"\\u00', "bad unicode escape", 1, 28),
+    (_S + '"ok" , "\\U00110000" .', "bad unicode escape", 1, 35),
+    (_S + '"x"@-en .', "malformed language tag", 1, 30),
+    (_S + '"x"@ en .', "malformed language tag", 1, 30),
+    ('_:-a <http://x/p> <http://x/o> .', "malformed blank node label", 1, 1),
+    (_S + '_: .', "malformed blank node label", 1, 27),
+    (_S + '+x .', "malformed numeric literal", 1, 27),
+    (_S + '- .', "malformed numeric literal", 1, 27),
+    (_S + '\u0663 .', "malformed numeric literal", 1, 27),
+    (_S + 'foo .', "unexpected token 'foo'", 1, 27),
+    ('@prefix ex: <http://x/> .\nex:s ex:p ex:a. ex:b.\n\t@prefixes',
+     "unexpected token 'es'", 3, 9),
+    (_S + '^x .', "unexpected character '^'", 1, 27),
+    (_S + '_x .', "unexpected character '_'", 1, 27),
+    (_S + "'x' .", "unexpected character \"'\"", 1, 27),
+    (_S[:-1] + '\u00a0<http://x/o> .', "unexpected character '\\xa0'", 1, 26),
+    ('# one\n# two "\n\t' + _S + '"a\\q" .', "unknown string escape \\q",
+     3, 30),
+    (_S + '"a\\nb" . # c\r\n\r\n  ' + _S + '$ .',
+     "unexpected character '$'", 3, 29),
+    (_S + '<http://x/o> . # no x\n$', "unexpected character '$'", 2, 1),
+    (_S + '<http://x/o> # "a\\q', "expected '.', found 'eof'", 1, 46),
+], ids=["iri-space", "iri-unclosed", "string-mid-line", "string-at-eof",
+        "string-backslash-at-eof", "string-escaped-quote-at-eof",
+        "unknown-escape", "escaped-newline", "escape-before-newline",
+        "unicode-not-hex", "unicode-short-before-newline",
+        "unicode-short-at-eof", "unicode-above-10ffff", "langtag-dash",
+        "langtag-space", "blank-label-dash", "blank-label-empty",
+        "number-sign-only", "number-minus", "number-non-ascii-digit",
+        "token-word", "token-after-prefix", "char-caret", "char-underscore",
+        "char-single-quote", "char-no-break-space", "after-comments",
+        "after-crlf-lines", "after-a-word-in-a-comment",
+        "comment-at-eof"])
+def test_tokenizer_errors_are_located(text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_trig(text)
+    assert (str(info.value), info.value.line, info.value.col) == (
+        "%s (line %d, column %d)" % (message, line, col), line, col)
+
+
+# format_term against a brute-force reference: every namespace that starts
+# the IRI and leaves a legal local name is a candidate; the longest wins,
+# and among equal namespaces the label that comes first in the mapping.
+
+def _legal_local(local):
+    return local == "" or (local[0] not in ".-"
+                           and local[-1] != "."
+                           and all(c.isascii() and (c.isalnum() or c in "_.-")
+                                   for c in local))
+
+
+def _reference_format(term, prefixes):
+    if isinstance(term, Literal):
+        return '"%s"^^%s' % (term.lexical,
+                             _reference_format(term.datatype, prefixes))
+    best = None
+    for label, ns in prefixes.items():
+        local = term.value[len(ns):]
+        if term.value.startswith(ns) and _legal_local(local) \
+                and (best is None or len(ns) > len(best[1])):
+            best = (label, ns, local)
+    return "<%s>" % term.value if best is None else "%s:%s" % (best[0],
+                                                              best[2])
+
+
+_bases = st.sampled_from(["http://x/", "http://x/a", "urn:x", "urn:x:"])
+_namespaces = st.builds(lambda b, s: b + s, _bases,
+                        st.text("ab1/#.-_", max_size=4))
+_prefix_maps = st.dictionaries(st.sampled_from(["", "p", "q", "r", "s"]),
+                               _namespaces, max_size=5)
+_iris = st.builds(lambda b, s: Iri(b + s), _bases,
+                  st.text("ab1/#.-_:", max_size=7))
+
+
+@settings(max_examples=500)
+@given(_prefix_maps, _iris, _iris)
+def test_format_term_agrees_with_brute_force(prefixes, iri, datatype):
+    assert format_term(iri, prefixes) == _reference_format(iri, prefixes)
+    literal = Literal("v", datatype)
+    assert format_term(literal, prefixes) == _reference_format(literal,
+                                                               prefixes)
+
+
+def test_equal_namespaces_tie_in_mapping_order():
+    # The two mappings are equal as dicts; only their order differs.
+    iri = Iri(EX + "a")
+    assert format_term(iri, {"p": EX, "q": EX}) == "p:a"
+    assert format_term(iri, {"q": EX, "p": EX}) == "q:a"
+    assert format_term(iri, {"q": EX, "p": EX, "r": EX + "a"}) == "r:"
+
+
+def test_serializer_renders_each_term_once(monkeypatch):
+    rendered = []
+    missing = turtle._Rendered.__missing__
+
+    def counting(self, term):
+        rendered.append(term)
+        return missing(self, term)
+
+    monkeypatch.setattr(turtle._Rendered, "__missing__", counting)
+    g = parse_trig('@prefix ex: <%s> .\n'
+                   'ex:s a ex:C ; ex:p ex:o, "x", "y"^^ex:dt, 5, _:b .\n'
+                   '_:b ex:p ex:s .\n'
+                   'ex:g { ex:s ex:p ex:o, "y"^^ex:dt . }\n'
+                   '_:g { ex:o ex:p ex:dt . }\n' % EX)
+    text = serialize_trig(g, {"ex": EX})
+    terms = set(g.named_graphs)
+    for graph in [g.default_graph, *g.named_graphs.values()]:
+        terms |= {term for t in graph
+                  for term in (t.subject, t.predicate, t.object)}
+    # ex:dt is an object too, so the datatype adds no term of its own.
+    assert sorted(map(repr, rendered)) == sorted(map(repr, terms))
+    assert parse_trig(text) == g

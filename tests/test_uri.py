@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from httplift.uri import (
     QueryParam, parse_uri, recompose, id_res, percent_decode,
     decode_query_params, effective_request_uri, UriError,
+    remove_dot_segments, resolve_reference,
 )
 
 
@@ -160,3 +161,79 @@ class TestEffectiveRequestUri:
     def test_authority_form_rejected(self):
         with pytest.raises(UriError):
             effective_request_uri("example.org:443", host="h")
+
+
+class TestResolveReference:
+    """RFC 3986 section 5.4, against the base URI http://a/b/c/d;p?q."""
+
+    BASE = parse_uri("http://a/b/c/d;p?q")
+
+    # Section 5.4.1, normal examples.
+    @pytest.mark.parametrize("ref, target", [
+        ("g:h", "g:h"),
+        ("g", "http://a/b/c/g"),
+        ("./g", "http://a/b/c/g"),
+        ("g/", "http://a/b/c/g/"),
+        ("/g", "http://a/g"),
+        ("//g", "http://g"),
+        ("?y", "http://a/b/c/d;p?y"),
+        ("g?y", "http://a/b/c/g?y"),
+        ("#s", "http://a/b/c/d;p?q#s"),
+        ("g#s", "http://a/b/c/g#s"),
+        ("g?y#s", "http://a/b/c/g?y#s"),
+        (";x", "http://a/b/c/;x"),
+        ("g;x", "http://a/b/c/g;x"),
+        ("g;x?y#s", "http://a/b/c/g;x?y#s"),
+        ("", "http://a/b/c/d;p?q"),
+        (".", "http://a/b/c/"),
+        ("./", "http://a/b/c/"),
+        ("..", "http://a/b/"),
+        ("../", "http://a/b/"),
+        ("../g", "http://a/b/g"),
+        ("../..", "http://a/"),
+        ("../../", "http://a/"),
+        ("../../g", "http://a/g"),
+    ])
+    def test_normal_examples(self, ref, target):
+        assert resolve_reference(ref, self.BASE) == target
+
+    # Section 5.4.2, abnormal examples; "http:g" by the strict parser.
+    @pytest.mark.parametrize("ref, target", [
+        ("../../../g", "http://a/g"),
+        ("../../../../g", "http://a/g"),
+        ("/./g", "http://a/g"),
+        ("/../g", "http://a/g"),
+        ("g.", "http://a/b/c/g."),
+        (".g", "http://a/b/c/.g"),
+        ("g..", "http://a/b/c/g.."),
+        ("..g", "http://a/b/c/..g"),
+        ("./../g", "http://a/b/g"),
+        ("./g/.", "http://a/b/c/g/"),
+        ("g/./h", "http://a/b/c/g/h"),
+        ("g/../h", "http://a/b/c/h"),
+        ("g;x=1/./y", "http://a/b/c/g;x=1/y"),
+        ("g;x=1/../y", "http://a/b/c/y"),
+        ("g?y/./x", "http://a/b/c/g?y/./x"),
+        ("g?y/../x", "http://a/b/c/g?y/../x"),
+        ("g#s/./x", "http://a/b/c/g#s/./x"),
+        ("g#s/../x", "http://a/b/c/g#s/../x"),
+        ("http:g", "http:g"),
+    ])
+    def test_abnormal_examples(self, ref, target):
+        assert resolve_reference(ref, self.BASE) == target
+
+    def test_empty_base_path_merges_under_the_root(self):
+        assert resolve_reference("g", parse_uri("http://a")) == "http://a/g"
+
+    def test_same_document_reference_keeps_the_base_path(self):
+        # Section 5.2.2: T.path = Base.path, without removing dot segments.
+        base = parse_uri("http://a/b/../c?q")
+        assert resolve_reference("#f", base) == "http://a/b/../c?q#f"
+
+    # Section 5.2.4's worked examples.
+    @pytest.mark.parametrize("path, result", [
+        ("/a/b/c/./../../g", "/a/g"),
+        ("mid/content=5/../6", "mid/6"),
+    ])
+    def test_remove_dot_segments(self, path, result):
+        assert remove_dot_segments(path) == result
