@@ -14,7 +14,7 @@ from . import queries, turtle, vocab
 from .validate import validate as _run_rules
 from .ingest import IngestError, load_har, load_transcript
 from .lift import lift_conversation
-from .rdf import Dataset, Iri
+from .rdf import BlankNode, Dataset, Iri, Literal
 from .turtle import ParseError, format_term, parse_trig
 from .uri import UriError
 
@@ -156,9 +156,10 @@ _CQS = {
 
 def _format_row(row) -> str:
     """A dict row's values, a tuple's items or a single term, tab-separated;
-    strings are printed as they are."""
-    cells = row.values() if isinstance(row, dict) \
-        else row if isinstance(row, tuple) else (row,)
+    strings are printed as they are. Terms are tuples too, so they are
+    tested for first."""
+    cells = (row,) if isinstance(row, (Iri, BlankNode, Literal)) \
+        else row.values() if isinstance(row, dict) else row
     return "\t".join(c if isinstance(c, str) else _fmt(c) for c in cells)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from itertools import chain
 from typing import List, Optional, Tuple, Union
 
@@ -25,12 +26,16 @@ class IngestError(ValueError):
 RDF_MEDIA_TYPES = ("text/turtle", "application/trig")
 
 
+# The empty line that ends the header section, after the line end of the
+# last field line. Either line end may be LF alone (RFC 9112 section 2.2).
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+
+
 def _split_head_body(raw: bytes) -> Tuple[str, bytes]:
-    for sep in (b"\r\n\r\n", b"\n\n"):
-        idx = raw.find(sep)
-        if idx != -1:
-            return raw[:idx].decode("iso-8859-1"), raw[idx + len(sep):]
-    return raw.decode("iso-8859-1"), b""
+    m = _HEAD_END.search(raw)
+    if m is None:
+        return raw.decode("iso-8859-1"), b""
+    return raw[:m.start()].decode("iso-8859-1"), raw[m.end():]
 
 
 def _parse_headers(lines: List[str]) -> List[Header]:
@@ -49,8 +54,50 @@ def _parse_headers(lines: List[str]) -> List[Header]:
     return headers
 
 
+# A chunk-size line (RFC 9112 section 7.1): hex digits and extensions,
+# which are ignored. Transcripts may end lines with LF alone, and the last
+# line of a message with nothing.
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?(?:\r?\n|\Z)")
+_LINE_END = re.compile(rb"\r?\n")
+
+
+def _dechunk(data: bytes) -> bytes:
+    """The content of a chunked body; the trailer section is dropped."""
+    def error(message: str, pos: int) -> IngestError:
+        return IngestError("%s (body line %d)"
+                           % (message, data.count(b"\n", 0, pos) + 1))
+
+    chunks, pos = [], 0
+    while True:
+        m = _CHUNK_SIZE.match(data, pos)
+        if m is None:
+            if pos == len(data):
+                raise error("truncated chunked body: no last chunk", pos)
+            line = data[pos:].split(b"\n", 1)[0].rstrip(b"\r")
+            raise error("bad chunk size: %r" % line.decode("iso-8859-1"), pos)
+        size, pos = int(m.group(1), 16), m.end()
+        if not size:
+            return b"".join(chunks)
+        chunk = data[pos:pos + size]
+        if len(chunk) < size:
+            raise error("truncated chunk: %d of %d bytes"
+                        % (len(chunk), size), pos)
+        end = _LINE_END.match(data, pos + size)
+        if end is None:
+            raise error("chunk of %d bytes not followed by a line end"
+                        % size, pos + size)
+        chunks.append(chunk)
+        pos = end.end()
+
+
 def _frame_body(headers: List[Header], rest: bytes) -> bytes:
-    coding = header_value(headers, "Transfer-Encoding")
+    # Field lines of one name make one comma-separated list (RFC 9110
+    # section 5.3), so a second Transfer-Encoding line is not overlooked.
+    coding = ", ".join(h.value for h in headers
+                       if h.name.lower() == "transfer-encoding")
+    if coding.strip().lower() == "chunked":
+        # RFC 9112 section 6.3: Transfer-Encoding overrides Content-Length.
+        return _dechunk(rest)
     if coding and coding.lower() != "identity":
         raise IngestError("transfer-coding %r is not supported" % coding)
     length = header_value(headers, "Content-Length")

@@ -3,11 +3,13 @@ datasets, property paths and blank-node-aware isomorphism.
 
 Graphs and datasets are immutable after construction; all operations here
 are pure functions and safe to use from multiple threads. A graph builds
-its triple indexes on its first lookup, not on construction.
+each of its triple indexes on the first lookup that needs it, not on
+construction.
 
 Isomorphism refines the colours of the blank nodes of both sides together
-and branches, on an explicit stack, only where colour classes stay tied. A
-bijection is accepted only after it has been checked against every tuple.
+and branches, on an explicit stack, only where colour classes stay tied; a
+failed branch is undone from a trail. A bijection is accepted only after it
+has been checked against every tuple.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -27,25 +30,42 @@ IRI_CHARS = r'[^<>"{}|^`\\\x00-\x20]+'
 _IRI = re.compile(IRI_CHARS)
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    value: str
+# Terms are tuples, so that hash and == run in C. Each kind has a length of
+# its own, so terms of different kinds never compare equal: an IRI is
+# (value,), a blank node (None, label) and a literal (lexical, datatype,
+# language). A triple's first item is a term, never a str, so no triple
+# equals a literal.
 
-    def __post_init__(self):
-        if not _IRI.fullmatch(self.value):
-            raise ValueError("not an IRI: %r" % self.value)
+_tuple_new = tuple.__new__
+
+
+class Iri(tuple):
+    __slots__ = ()
+    value = property(itemgetter(0))
+
+    def __new__(cls, value: str):
+        if not _IRI.fullmatch(value):
+            raise ValueError("not an IRI: %r" % value)
+        return _tuple_new(cls, (value,))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
         return "Iri(%r)" % self.value
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    label: str
+class BlankNode(tuple):
+    __slots__ = ()
+    label = property(itemgetter(1))
 
-    def __post_init__(self):
-        if not self.label:
+    def __new__(cls, label: str):
+        if not label:
             raise ValueError("blank node label must be non-empty")
+        return _tuple_new(cls, (None, label))
+
+    def __getnewargs__(self):
+        return (self[1],)
 
     def __repr__(self):
         return "BlankNode(%r)" % self.label
@@ -62,67 +82,82 @@ RDF_NIL = Iri(RDF + "nil")
 RDF_LANG_STRING = Iri(RDF + "langString")
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    lexical: str
-    datatype: Iri = XSD_STRING
-    language: Optional[str] = None
+class Literal(tuple):
+    __slots__ = ()
+    lexical = property(itemgetter(0))
+    datatype = property(itemgetter(1))
+    language = property(itemgetter(2))
 
-    def __post_init__(self):
+    def __new__(cls, lexical: str, datatype: Iri = XSD_STRING,
+                language: Optional[str] = None):
         # A language-tagged literal always carries the langString datatype.
-        if self.language is not None:
-            object.__setattr__(self, "datatype", RDF_LANG_STRING)
+        if language is not None:
+            datatype = RDF_LANG_STRING
+        return _tuple_new(cls, (lexical, datatype, language))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
-        if self.language is not None:
-            return "Literal(%r, lang=%r)" % (self.lexical, self.language)
-        if self.datatype == XSD_STRING:
-            return "Literal(%r)" % self.lexical
-        return "Literal(%r, %r)" % (self.lexical, self.datatype.value)
+        lexical, datatype, language = self
+        if language is not None:
+            return "Literal(%r, lang=%r)" % (lexical, language)
+        if datatype == XSD_STRING:
+            return "Literal(%r)" % lexical
+        return "Literal(%r, %r)" % (lexical, datatype.value)
 
 
 Term = Union[Iri, BlankNode, Literal]
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    subject: Term
-    predicate: Term
-    object: Term
+class Triple(tuple):
+    __slots__ = ()
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
 
-    def __post_init__(self):
-        if not isinstance(self.subject, (Iri, BlankNode)):
+    def __new__(cls, subject: Term, predicate: Term, object: Term):
+        if not isinstance(subject, (Iri, BlankNode)):
             raise ValueError("triple subject must be an IRI or blank node")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise ValueError("triple predicate must be an IRI")
-        if not isinstance(self.object, (Iri, BlankNode, Literal)):
+        if not isinstance(object, (Iri, BlankNode, Literal)):
             raise ValueError("triple object must be a term")
+        return _tuple_new(cls, (subject, predicate, object))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return "Triple(subject=%r, predicate=%r, object=%r)" % self
 
 
 _NO_KEYS: Mapping = MappingProxyType({})
 
 
-def _build_index(triples: Iterable[Triple]) -> tuple:
-    """SPO, POS and OSP indexes, each `term -> term -> [Triple]`. Every list
+def _build_index(triples: Iterable[Triple], first: int, second: int) -> dict:
+    """The index `t[first] -> t[second] -> [t]` of `triples`. Every list
     keeps the order in which `triples` yields its members."""
-    spo, pos, osp = {}, {}, {}
+    index = {}
     for t in triples:
-        s, p, o = t.subject, t.predicate, t.object
-        spo.setdefault(s, {}).setdefault(p, []).append(t)
-        pos.setdefault(p, {}).setdefault(o, []).append(t)
-        osp.setdefault(o, {}).setdefault(s, []).append(t)
-    return spo, pos, osp
+        index.setdefault(t[first], {}).setdefault(t[second], []).append(t)
+    return index
+
+
+# The key positions of each index, by the slot that holds it.
+_ORDERS = {"_spo": (0, 1), "_pos": (1, 2), "_osp": (2, 0)}
 
 
 class Graph:
     """An immutable, duplicate-free set of triples.
 
     Lookups are answered from SPO, POS and OSP hash indexes (Weiss, Karras &
-    Bernstein, "Hexastore", VLDB 2008), built on the first lookup rather
-    than on construction. They live in one slot assigned once, so threads
-    racing on that first lookup each see either no index or a whole one."""
+    Bernstein, "Hexastore", VLDB 2008), each built on the first lookup that
+    needs it rather than on construction. Each lives in a slot assigned
+    once, so threads racing on that first lookup each see either no index
+    or a whole one."""
 
-    __slots__ = ("_triples", "_index")
+    __slots__ = ("_triples", "_spo", "_pos", "_osp")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         triples = frozenset(triples)
@@ -130,34 +165,37 @@ class Graph:
             if not isinstance(t, Triple):
                 raise TypeError("not a Triple: %r" % (t,))
         self._triples = triples
-        self._index = None
+        self._spo = self._pos = self._osp = None
 
-    def _indexes(self) -> tuple:
-        index = self._index
+    def _index(self, slot: str) -> dict:
+        index = getattr(self, slot)
         if index is None:
-            index = self._index = _build_index(self._triples)
+            index = _build_index(self._triples, *_ORDERS[slot])
+            setattr(self, slot, index)
         return index
 
     def _lookup(self, s: Optional[Term], p: Optional[Term],
                 o: Optional[Term]) -> Iterable[Triple]:
         """The triples matching a pattern, None being a wildcard. The result
         may be an internal container: callers copy it, never hand it out."""
-        if s is None and p is None and o is None:
-            return self._triples
-        spo, pos, osp = self._indexes()
         if s is not None:
             if p is not None:
-                found = spo.get(s, _NO_KEYS).get(p, ())
+                found = self._index("_spo").get(s, _NO_KEYS).get(p, ())
                 return found if o is None else [t for t in found
                                                 if t.object == o]
             if o is not None:
-                return osp.get(o, _NO_KEYS).get(s, ())
-            return chain.from_iterable(spo.get(s, _NO_KEYS).values())
+                return self._index("_osp").get(o, _NO_KEYS).get(s, ())
+            return chain.from_iterable(
+                self._index("_spo").get(s, _NO_KEYS).values())
         if p is not None:
             if o is not None:
-                return pos.get(p, _NO_KEYS).get(o, ())
-            return chain.from_iterable(pos.get(p, _NO_KEYS).values())
-        return chain.from_iterable(osp.get(o, _NO_KEYS).values())
+                return self._index("_pos").get(p, _NO_KEYS).get(o, ())
+            return chain.from_iterable(
+                self._index("_pos").get(p, _NO_KEYS).values())
+        if o is not None:
+            return chain.from_iterable(
+                self._index("_osp").get(o, _NO_KEYS).values())
+        return self._triples
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> set:
@@ -171,7 +209,7 @@ class Graph:
 
     def value(self, s: Term, p: Iri) -> Optional[Term]:
         """A single object of (s, p, ·), or None. Arbitrary pick on >1."""
-        found = self._indexes()[0].get(s, _NO_KEYS).get(p)
+        found = self._index("_spo").get(s, _NO_KEYS).get(p)
         return found[0].object if found else None
 
     def __len__(self):
@@ -301,10 +339,14 @@ class _Colouring:
     signature is the sorted list of the tuples it occurs in, each as its
     skeleton id followed by the colours of its blank nodes, with -1 for
     the node itself. Every node of a cell has the cell's signature once
-    `refine` returns True."""
+    `refine` returns True.
+
+    Every change is recorded on a trail, so that `undo` returns to any
+    earlier `mark`: a node that leaves a cell always goes to a new cell,
+    so undoing means putting nodes back and dropping the newer cells."""
 
     __slots__ = ("occurrences", "neighbours", "n_a", "colour", "cells",
-                 "cell_sig")
+                 "cell_sig", "moves", "sigs")
 
     def __init__(self, occurrences: list, neighbours: list, n_a: int):
         self.occurrences = occurrences     # node -> [(skeleton id, nodes)]
@@ -313,15 +355,37 @@ class _Colouring:
         self.colour = [0] * len(occurrences)
         self.cells = [set(range(len(occurrences)))]
         self.cell_sig = [None]
+        self.moves = []                    # (node, colour it left)
+        self.sigs = []                     # (cell, signature it had)
 
-    def copy(self) -> "_Colouring":
-        c = object.__new__(_Colouring)
-        c.occurrences, c.neighbours, c.n_a = (self.occurrences,
-                                              self.neighbours, self.n_a)
-        c.colour = self.colour[:]
-        c.cells = [set(cell) for cell in self.cells]
-        c.cell_sig = self.cell_sig[:]
-        return c
+    def mark(self) -> tuple:
+        return len(self.moves), len(self.sigs), len(self.cells)
+
+    def undo(self, mark: tuple):
+        n_moves, n_sigs, n_cells = mark
+        colour, cells, moves, sigs = (self.colour, self.cells, self.moves,
+                                      self.sigs)
+        while len(moves) > n_moves:
+            v, c = moves.pop()
+            cells[c].add(v)
+            colour[v] = c
+        while len(sigs) > n_sigs:
+            c, sig = sigs.pop()
+            self.cell_sig[c] = sig
+        del cells[n_cells:], self.cell_sig[n_cells:]
+
+    def _split_off(self, c: int, nodes, sig, dirty: set):
+        """Move `nodes` from cell c to a new cell with signature `sig`,
+        and add their neighbours to `dirty`."""
+        colour, cell, neighbours = self.colour, self.cells[c], self.neighbours
+        new = len(self.cells)
+        self.cells.append(set(nodes))
+        self.cell_sig.append(sig)
+        for v in nodes:
+            cell.discard(v)
+            colour[v] = new
+            self.moves.append((v, c))
+            dirty.update(neighbours[v])
 
     def _signature(self, v: int) -> tuple:
         colour = self.colour
@@ -335,8 +399,8 @@ class _Colouring:
         colour. The largest part of a split cell keeps its colour, so its
         neighbours need no new signature. False as soon as a cell is
         unbalanced between the two sides."""
-        colour, cells, cell_sig = self.colour, self.cells, self.cell_sig
-        neighbours, n_a = self.neighbours, self.n_a
+        colour, cells, cell_sig, n_a = (self.colour, self.cells,
+                                        self.cell_sig, self.n_a)
         while dirty:
             by_cell = {}
             for v in dirty:
@@ -348,39 +412,34 @@ class _Colouring:
                 groups.pop(cell_sig[c], None)
                 if not groups:
                     continue
-                rest = cells[c]
-                parts = []
-                for sig, nodes in groups.items():
-                    rest.difference_update(nodes)
-                    parts.append((sig, set(nodes)))
-                if rest:
-                    parts.append((cell_sig[c], rest))
-                keep = max(range(len(parts)), key=lambda i: len(parts[i][1]))
-                # The cell was balanced, so its kept part is balanced when
-                # every other part is.
-                for i, (sig, nodes) in enumerate(parts):
-                    if i == keep:
-                        cells[c], cell_sig[c] = nodes, sig
-                        continue
+                parts = list(groups.items())
+                staying = len(cells[c]) - sum(len(nodes) for _, nodes in parts)
+                big = max(range(len(parts)), key=lambda i: len(parts[i][1]))
+                if len(parts[big][1]) > staying:
+                    # The largest group keeps the cell; the nodes that would
+                    # have stayed leave it instead.
+                    sig = parts[big][0]
+                    moving = set(chain.from_iterable(groups.values()))
+                    parts[big] = (cell_sig[c],
+                                  [v for v in cells[c] if v not in moving])
+                    self.sigs.append((c, cell_sig[c]))
+                    cell_sig[c] = sig
+                # The cell was balanced, so the part that keeps it is
+                # balanced when every other part is.
+                for sig, nodes in parts:
                     if 2 * sum(v < n_a for v in nodes) != len(nodes):
                         return False
-                    new = len(cells)
-                    cells.append(nodes)
-                    cell_sig.append(sig)
-                    for v in nodes:
-                        colour[v] = new
-                        dirty.update(neighbours[v])
+                    if nodes:
+                        self._split_off(c, nodes, sig, dirty)
         return True
 
     def individualise(self, x: int, y: int) -> bool:
         """Give x (of a) and y (of b), two nodes of one cell, a colour of
         their own, then refine."""
         c = self.colour[x]
-        self.cells[c] -= {x, y}
-        self.colour[x] = self.colour[y] = len(self.cells)
-        self.cells.append({x, y})
-        self.cell_sig.append(self.cell_sig[c])
-        return self.refine(self.neighbours[x] | self.neighbours[y])
+        dirty = set()
+        self._split_off(c, (x, y), self.cell_sig[c], dirty)
+        return self.refine(dirty)
 
     def smallest_tied_cell(self) -> Optional[set]:
         tied = [cell for cell in self.cells if len(cell) > 2]
@@ -402,7 +461,7 @@ def _tuples_isomorphic(a: list, b: list) -> bool:
         ids, offset, g, f = {}, sum(counts), set(), []
         for t in tuples:
             if BlankNode in map(type, t):
-                f.append(tuple(ids.setdefault(x.label, offset + len(ids))
+                f.append(tuple(ids.setdefault(x, offset + len(ids))
                                if type(x) is BlankNode else x for x in t))
             else:
                 g.add(t)
@@ -429,19 +488,15 @@ def _tuples_isomorphic(a: list, b: list) -> bool:
     for v, near in enumerate(neighbours):
         near.discard(v)
 
-    root = _Colouring(occurrences, neighbours, n_a)
-    if not root.refine(set(range(n_a + n_b))):
+    colouring = _Colouring(occurrences, neighbours, n_a)
+    if not colouring.refine(set(range(n_a + n_b))):
         return False
-    # Depth-first search over individualisations, on an explicit stack of
-    # (colouring, a's node, b's candidate).
-    stack = [(root, None, None)]
+    # Depth-first search over individualisations. Each level of the stack
+    # holds the mark to undo to, a's node of a tied cell and b's nodes of
+    # that cell still to try against it, the next one last.
+    stack = []
     target = set(forms[1])
-    while stack:
-        colouring, x, y = stack.pop()
-        if x is not None:
-            colouring = colouring.copy()
-            if not colouring.individualise(x, y):
-                continue
+    while True:
         cell = colouring.smallest_tied_cell()
         if cell is None:
             # Signatures decide the cells exactly, but the bijection is
@@ -450,19 +505,26 @@ def _tuples_isomorphic(a: list, b: list) -> bool:
             if {tuple(m[x] if type(x) is int else x for x in form)
                     for form in forms[0]} == target:
                 return True
-            continue
-        x = min(cell)
-        stack.extend((colouring, x, y)
-                     for y in sorted((v for v in cell if v >= n_a),
-                                     reverse=True))
-    return False
+        else:
+            # A tied cell is balanced, and a's nodes come before b's.
+            nodes = sorted(cell)
+            candidates = nodes[len(nodes) // 2:]
+            candidates.reverse()
+            stack.append((colouring.mark(), nodes[0], candidates))
+        while stack:
+            mark, x, candidates = stack[-1]
+            colouring.undo(mark)
+            if not candidates:
+                stack.pop()
+            elif colouring.individualise(x, candidates.pop()):
+                break
+        else:
+            return False
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:
     """True iff some blank-node bijection maps graph a exactly onto b."""
-    ta = [(t.subject, t.predicate, t.object) for t in a]
-    tb = [(t.subject, t.predicate, t.object) for t in b]
-    return _tuples_isomorphic(ta, tb)
+    return _tuples_isomorphic(list(a), list(b))
 
 
 def isomorphic_datasets(a: Dataset, b: Dataset) -> bool:
@@ -472,11 +534,10 @@ def isomorphic_datasets(a: Dataset, b: Dataset) -> bool:
     def quads(d: Dataset) -> list:
         # None marks the default graph: no graph name can be None. Each
         # graph name also has a 1-tuple of its own, so empty graphs count.
-        out = [(None, t.subject, t.predicate, t.object)
-               for t in d.default_graph]
+        out = [(None, *t) for t in d.default_graph]
         for name, g in d.named_graphs.items():
             out.append((name,))
-            out.extend((name, t.subject, t.predicate, t.object) for t in g)
+            out.extend((name, *t) for t in g)
         return out
 
     return _tuples_isomorphic(quads(a), quads(b))

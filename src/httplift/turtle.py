@@ -162,6 +162,10 @@ class _Parser:
         self.named: Dict[Term, set] = {}
         self.sink = self.default
         self._anon = 0
+        # One object per distinct term for the call: an IRI's text maps to
+        # its Iri, so a repeated IRI is checked once; a blank node or a
+        # literal maps to itself.
+        self.terms: dict = {}
 
     # token plumbing
 
@@ -259,15 +263,24 @@ class _Parser:
         """The term of an IRI, prefixed-name or blank-node token, or None
         for a token of any other kind."""
         if tok.kind == 'iri':
-            return Iri(tok.value)
+            return self.iri(tok.value)
         if tok.kind == 'pname':
             prefix, local = tok.value
             if prefix not in self.prefixes:
                 self.error("unknown prefix %r" % (prefix + ':'), tok)
-            return Iri(self.prefixes[prefix] + local)
+            return self.iri(self.prefixes[prefix] + local)
         if tok.kind == 'bnode':
-            return BlankNode(tok.value)
+            return self.shared(BlankNode(tok.value))
         return None
+
+    def iri(self, text: str) -> Iri:
+        term = self.terms.get(text)
+        if term is None:
+            term = self.terms[text] = Iri(text)
+        return term
+
+    def shared(self, term: Term) -> Term:
+        return self.terms.setdefault(term, term)
 
     def predicate_object_list(self, subject: Term):
         while True:
@@ -312,21 +325,21 @@ class _Parser:
         if term is not None:
             return term
         if tok.kind == 'integer':
-            return Literal(tok.value, XSD_INTEGER)
+            return self.shared(Literal(tok.value, XSD_INTEGER))
         if tok.kind in ('true', 'false'):
-            return Literal(tok.kind, XSD_BOOLEAN)
+            return self.shared(Literal(tok.kind, XSD_BOOLEAN))
         if tok.kind == 'string':
             if self.peek().kind == 'langtag':
                 lang = self.next().value
-                return Literal(tok.value, language=lang)
+                return self.shared(Literal(tok.value, language=lang))
             if self.peek().kind == '^^':
                 self.next()
                 dt_tok = self.next()
                 dt = self.node(dt_tok)
                 if not isinstance(dt, Iri):
                     self.error("expected datatype IRI", dt_tok)
-                return Literal(tok.value, dt)
-            return Literal(tok.value)
+                return self.shared(Literal(tok.value, dt))
+            return self.shared(Literal(tok.value))
         self.error("expected object", tok)
 
     def bnode_property_list(self) -> BlankNode:

@@ -233,6 +233,10 @@ class TestErrors:
         # "\udcff" is written as the byte 0xff.
         (".http", "X: a\r\nY: \udcff", "not UTF-8: byte 0xff "
          "(line 4, column 4)"),
+        (".http", "Transfer-Encoding: chunked", "transcript message 1 "
+         "(line 1): bad chunk size: 'hello' (body line 1)"),
+        (".http", "Transfer-Encoding: chunked\n\n20", "transcript message "
+         "1 (line 1): truncated chunk: 7 of 32 bytes (body line 2)"),
         ("argv", ["query", "6", SAMPLE, "--prop", "a b"],
          "argument --prop: invalid Iri value: 'a b'"),
         ("argv", ["lift", SAMPLE, "--base", "http://x/<q>"],
@@ -244,7 +248,7 @@ class TestErrors:
             "trig-escape-above-10ffff", "trig-escape-surrogate",
             "har-header-surrogate", "har-url-surrogate",
             "har-version-surrogate", "har-header-value-null",
-            "transcript-not-utf-8",
+            "transcript-not-utf-8", "chunk-size-not-hex", "chunk-truncated",
             "prop-not-an-iri", "base-not-an-iri"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
                                      message):

@@ -67,11 +67,83 @@ class TestParseRequest:
         with pytest.raises(IngestError, match="bad Content-Length: '-5'"):
             parse_http_request(text)
 
-    def test_chunked_rejected(self):
-        text = ("POST /p HTTP/1.1\nHost: h\n"
-                "Transfer-Encoding: chunked\n\n0\r\n\r\n")
-        with pytest.raises(IngestError):
+    def test_head_ends_at_the_first_empty_line(self):
+        # LF line ends in the head, CRLF ones in the body.
+        r = parse_http_request("POST /p HTTP/1.1\nHost: h\n"
+                               "Content-Length: 6\n\na\r\n\r\nb")
+        assert r.body.octets == b"a\r\n\r\nb"
+        assert [h.name for h in r.headers] == ["Host", "Content-Length"]
+
+    @pytest.mark.parametrize("fields", [
+        "Transfer-Encoding: gzip, chunked",
+        "Transfer-Encoding: chunked\nTransfer-Encoding: gzip"])
+    def test_unknown_transfer_coding_rejected(self, fields):
+        text = "POST /p HTTP/1.1\nHost: h\n%s\n\n0\r\n\r\n" % fields
+        with pytest.raises(IngestError, match="transfer-coding '(gzip, "
+                           "chunked|chunked, gzip)' is not supported"):
             parse_http_request(text)
+
+
+CHUNKED = ("POST /p HTTP/1.1\r\nHost: h\r\nContent-Type: text/plain\r\n"
+           "Transfer-Encoding: chunked\r\n\r\n")
+
+
+class TestChunkedBody:
+    """RFC 9112 section 7.1."""
+
+    @pytest.mark.parametrize("body", [
+        "4\r\nWiki\r\n7\r\npedia i\r\nB\r\nn \r\nchunks.\r\n0\r\n\r\n",
+        # Chunk extensions are ignored, with or without a value.
+        "4;a=1\r\nWiki\r\n7 ; b\r\npedia i\r\nb;c=\"x;y\"\r\nn \r\nchunks."
+        "\r\n000;end\r\n\r\n",
+        # The trailer section is dropped.
+        "4\r\nWiki\r\n12\r\npedia in \r\nchunks.\r\n0\r\nExpires: never\r\n"
+        "X-Sum: 1\r\n\r\n",
+        # A transcript may end lines with LF alone, and its last line with
+        # nothing.
+        "4\nWiki\n12\npedia in \r\nchunks.\n0",
+    ], ids=["plain", "extensions", "trailers", "lf-lines"])
+    def test_decoded(self, body):
+        r = parse_http_request(CHUNKED + body)
+        assert r.body.octets == b"Wikipedia in \r\nchunks."
+        assert r.body.media_type == "text/plain"
+
+    def test_overrides_content_length(self):
+        text = CHUNKED.replace("\r\n\r\n", "\r\nContent-Length: 2\r\n\r\n")
+        r = parse_http_request(text + "5\r\nhello\r\n0\r\n\r\n")
+        assert r.body.octets == b"hello"
+
+    def test_empty(self):
+        assert parse_http_response("HTTP/1.1 200 OK\nTransfer-Encoding: "
+                                   "Chunked\n\n0\n\n").body is None
+
+    @pytest.mark.parametrize("body, message", [
+        ("4\r\nWiki\r\nzz\r\nab\r\n0\r\n\r\n",
+         "bad chunk size: 'zz' (body line 3)"),
+        ("-1\r\n\r\n", "bad chunk size: '-1' (body line 1)"),
+        ("\r\n0\r\n\r\n", "bad chunk size: '' (body line 1)"),
+        ("4\r\nWiki\r\n9\r\npedia\r\n",
+         "truncated chunk: 7 of 9 bytes (body line 4)"),
+        ("4\r\nWiki\r\n", "truncated chunked body: no last chunk "
+         "(body line 3)"),
+        ("", "truncated chunked body: no last chunk (body line 1)"),
+        ("4\r\nWikipedia\r\n0\r\n\r\n",
+         "chunk of 4 bytes not followed by a line end (body line 2)"),
+    ], ids=["bad-size", "negative-size", "empty-size", "truncated-chunk",
+            "no-last-chunk", "no-chunk", "overlong-chunk"])
+    def test_malformed(self, body, message):
+        with pytest.raises(IngestError) as info:
+            parse_http_request(CHUNKED + body)
+        assert str(info.value) == message
+
+    def test_error_names_the_message(self):
+        text = "GET /a HTTP/1.1\nHost: h\n---\nHTTP/1.1 200 OK\n" \
+               "Transfer-Encoding: chunked\n\n4\nab\n"
+        with pytest.raises(IngestError) as info:
+            load_transcript(text)
+        assert str(info.value) == ("transcript message 2 (line 4): "
+                                   "truncated chunk: 3 of 4 bytes "
+                                   "(body line 2)")
 
 
 class TestParseResponse:

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import pickle
 import random
 
 import pytest
@@ -61,6 +62,39 @@ class TestTerms:
     def test_iri_allows_non_ascii_whitespace(self):
         text = "http://x/a\u00a0b\u2003c"
         assert Iri(text).value == text
+
+
+# hypothesis: terms compare and hash by kind and value, also when one text
+# is an IRI, a blank node label and a literal's lexical form at once
+
+_texts = st.sampled_from(["a", "b", "http://x/a"])
+_any_term = st.one_of(
+    _texts.map(Iri), _texts.map(BlankNode),
+    st.builds(Literal, _texts, st.sampled_from([XSD_STRING, XSD_INTEGER,
+                                                Iri("a")])),
+    st.builds(Literal, _texts, language=st.sampled_from(["a", "en"])))
+_FIELDS = {Iri: ("value",), BlankNode: ("label",),
+           Literal: ("lexical", "datatype", "language")}
+
+
+def _kind_and_fields(term):
+    return (type(term),) + tuple(getattr(term, f) for f in _FIELDS[type(term)])
+
+
+@given(_any_term, _any_term, st.data())
+def test_terms_are_equal_exactly_when_kind_and_fields_are(a, b, data):
+    same = _kind_and_fields(a) == _kind_and_fields(b)
+    assert (a == b) is same and (a != b) is not same
+    assert (b in {a}) is same
+    if same:
+        assert hash(a) == hash(b)
+    assert pickle.loads(pickle.dumps(a)) == a
+    subject = data.draw(st.sampled_from([x for x in (a, b)
+                                         if not isinstance(x, Literal)]
+                                        or [iri("s")]))
+    t = Triple(subject, iri("p"), b)
+    assert all(t != x and x != t for x in (a, b, subject, t.predicate))
+    assert t not in {a, b} and pickle.loads(pickle.dumps(t)) == t
 
 
 class TestGraph:
@@ -232,6 +266,12 @@ _RELABELLED_CHAIN = ["m%d" % i for i in random.Random(0).sample(range(2000),
                                                                  2000)]
 
 
+def _lone_nodes(numbers, prefix):
+    """Blank nodes that each carry only :p "x"."""
+    return Graph(Triple(BlankNode("%s%d" % (prefix, i)), iri("p"),
+                        Literal("x")) for i in numbers)
+
+
 def _registration_header_swap():
     """The lifted registration fixture, and a copy in which two messages
     exchange header nodes whose values differ. Every node keeps its
@@ -262,6 +302,10 @@ def _registration_header_swap():
                  id="chain-2000-one-edge-reversed"),
     pytest.param(*_registration_header_swap(), False,
                  id="registration-header-nodes-swapped"),
+    # One cell of 2000 tied nodes: 999 individualisations deep.
+    pytest.param(_lone_nodes(range(1000), "n"),
+                 _lone_nodes(random.Random(2).sample(range(1000), 1000), "m"),
+                 True, id="lone-nodes-1000-relabelled"),
 ])
 def test_hard_isomorphism_cases(a, b, expected):
     check = isomorphic_datasets if isinstance(a, Dataset) else isomorphic
@@ -282,6 +326,36 @@ def test_search_backtracks_past_a_failed_branch():
         new = ["r%d-%d" % (k, i) for i in rng.sample(range(12), 12)]
         h = Graph(_cycle(new[:3]) + _cycle(new[3:6]) + _cycle(new[6:]))
         assert isomorphic(g, h)
+
+
+def test_undo_restores_the_colouring_at_its_mark(monkeypatch):
+    snapshots, undone = {}, []
+    mark, undo = rdf._Colouring.mark, rdf._Colouring.undo
+
+    def state(c):
+        return c.colour[:], [set(cell) for cell in c.cells], c.cell_sig[:]
+
+    def checked_mark(c):
+        m = mark(c)
+        snapshots[m] = state(c)
+        return m
+
+    def checked_undo(c, m):
+        undo(c, m)
+        assert state(c) == snapshots[m]
+        undone.append(m)
+
+    monkeypatch.setattr(rdf._Colouring, "mark", checked_mark)
+    monkeypatch.setattr(rdf._Colouring, "undo", checked_undo)
+    # Symmetric and not isomorphic, so every branch is tried and undone. The
+    # hub's cell is a pair before the search, and changes its signature on
+    # each individualisation.
+    labels = ["n%d" % i for i in range(6)]
+    hub = [Triple(BlankNode("hub"), iri("q"), BlankNode(x)) for x in labels]
+    g = Graph(hub + _cycle(labels[:3]) + _cycle(labels[3:]))
+    h = Graph(hub + _cycle(labels))
+    assert not isomorphic(g, h)
+    assert len(undone) > 3
 
 
 # hypothesis: relabelling blank nodes never changes the isomorphism class
@@ -447,13 +521,13 @@ def test_lookups_agree_with_a_scan(triples, data):
 class TestIndexBuilds:
     @pytest.fixture
     def built(self, monkeypatch):
-        """The triples of every graph whose index gets built."""
+        """(triples, key positions) of every index that gets built."""
         calls = []
         original = rdf._build_index
 
-        def counting(triples):
-            calls.append(frozenset(triples))
-            return original(triples)
+        def counting(triples, first, second):
+            calls.append((frozenset(triples), (first, second)))
+            return original(triples, first, second)
 
         monkeypatch.setattr(rdf, "_build_index", counting)
         return calls
@@ -475,7 +549,22 @@ class TestIndexBuilds:
             queries.cq5_negotiation(d, request)
         assert queries.cq6_body_values(d, Iri("http://example.org/ns#ids"))
         queries.cq7_query_param(d, "count")
-        assert built.count(frozenset(g)) == 1
+        # SPO and POS once each; no lookup of theirs needs OSP.
+        assert sorted(order for triples, order in built
+                      if triples == frozenset(g)) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("pattern, order", [
+        ("spo", (0, 1)), ("sp-", (0, 1)), ("s--", (0, 1)),
+        ("-po", (1, 2)), ("-p-", (1, 2)),
+        ("s-o", (2, 0)), ("--o", (2, 0)), ("---", None)])
+    def test_a_lookup_builds_only_the_index_it_reads(self, built, pattern,
+                                                     order):
+        t = Triple(iri("s"), iri("p"), iri("o"))
+        g = Graph([t])
+        s, p, o = (x if c != "-" else None for x, c in zip(t, pattern))
+        for _ in range(2):
+            assert g.match(s, p, o) == {t}
+        assert [key for _, key in built] == ([order] if order else [])
 
     def test_lift_and_serialize_build_no_index(self, built):
         d = lift_conversation(self.conversation())

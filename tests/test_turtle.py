@@ -143,6 +143,24 @@ class TestParseTrig:
         (t2,) = list(d.graph(Iri(EX + "g")))
         assert t1.subject == t2.subject
 
+    def test_one_object_per_distinct_term(self):
+        # ex:x and <...x> spell one IRI; it is also a graph name and a
+        # datatype. _:b and "v" recur in the default and the named graph.
+        x = "<%sx>" % EX
+        text = ('@prefix ex: <%s> .\n' % EX
+                + "".join('ex:s%d %s _:b , "v" , "v"^^ex:x , ex:x .\n'
+                          % (i, x) for i in range(3))
+                + '%s { _:b ex:x "v" , %s . }\n' % (x, x))
+        d = parse_trig(text)
+        graphs = [d.default_graph, *d.named_graphs.values()]
+        terms = [x for g in graphs for t in g for x in t] + list(d.named_graphs)
+        terms += [t.object.datatype for g in graphs for t in g
+                  if isinstance(t.object, Literal)]
+        for term in (Iri(EX + "x"), BlankNode("b"), Literal("v"),
+                     Literal("v", Iri(EX + "x"))):
+            found = [x for x in terms if x == term]
+            assert len(found) >= 3 and len(set(map(id, found))) == 1, term
+
 
 class TestSerialize:
     def test_deterministic_output(self):
