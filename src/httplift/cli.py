@@ -24,13 +24,14 @@ EXIT_ERROR = 2
 
 
 def _read_input(path: str) -> str:
-    """The text of a file, with universal newlines as in text mode, or of
-    stdin as it is. Both are read as bytes: a text-mode stdin under the C
-    locale turns bad UTF-8 into lone surrogates."""
+    """The text of a file or of stdin ('-'), with universal newlines as in
+    text mode. Both are read as bytes: a text-mode stdin under the C locale
+    turns bad UTF-8 into lone surrogates."""
     if path == "-":
-        return _decode(sys.stdin.buffer.read())
-    with open(path, "rb") as fh:
-        text = _decode(fh.read())
+        text = _decode(sys.stdin.buffer.read())
+    else:
+        with open(path, "rb") as fh:
+            text = _decode(fh.read())
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

@@ -31,11 +31,20 @@ RDF_MEDIA_TYPES = ("text/turtle", "application/trig")
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
 
 
-def _split_head_body(raw: bytes) -> Tuple[str, bytes]:
-    m = _HEAD_END.search(raw)
+def _split_head_body(raw: Union[bytes, str]) -> Tuple[str, bytes]:
+    """The header section as text and the rest as bytes. Wire bytes are
+    read as ISO-8859-1 (RFC 9110 section 5.5); a str keeps its text, and
+    its body is encoded as UTF-8."""
+    data, charset = raw, "iso-8859-1"
+    if isinstance(raw, str):
+        try:
+            data, charset = raw.encode("utf-8"), "utf-8"
+        except UnicodeEncodeError as e:
+            raise IngestError("lone surrogate at offset %d" % e.start)
+    m = _HEAD_END.search(data)
     if m is None:
-        return raw.decode("iso-8859-1"), b""
-    return raw[:m.start()].decode("iso-8859-1"), raw[m.end():]
+        return data.decode(charset), b""
+    return data[:m.start()].decode(charset), data[m.end():]
 
 
 def _parse_headers(lines: List[str]) -> List[Header]:
@@ -48,7 +57,8 @@ def _parse_headers(lines: List[str]) -> List[Header]:
             raise IngestError("malformed header line: %r" % line)
         name, value = line.split(":", 1)
         try:
-            headers.append(Header(name.strip(), value.strip()))
+            # RFC 9110 section 5.5: OWS around a value is SP or HTAB.
+            headers.append(Header(name.strip(), value.strip(" \t")))
         except ValueError as e:
             raise IngestError(str(e))
     return headers
@@ -95,18 +105,23 @@ def _frame_body(headers: List[Header], rest: bytes) -> bytes:
     # section 5.3), so a second Transfer-Encoding line is not overlooked.
     coding = ", ".join(h.value for h in headers
                        if h.name.lower() == "transfer-encoding")
-    if coding.strip().lower() == "chunked":
+    if coding.isascii() and coding.strip().lower() == "chunked":
         # RFC 9112 section 6.3: Transfer-Encoding overrides Content-Length.
         return _dechunk(rest)
     if coding and coding.lower() != "identity":
         raise IngestError("transfer-coding %r is not supported" % coding)
-    length = header_value(headers, "Content-Length")
-    if length is not None:
-        # RFC 9112 section 6.3: Content-Length = 1*DIGIT.
-        if not length.isdecimal():
-            raise IngestError("bad Content-Length: %r" % length)
-        return rest[:int(length)]
-    return rest
+    # RFC 9112 section 6.3: Content-Length = 1*DIGIT, and field lines
+    # with differing values are an error; identical ones count as one.
+    lengths = [h.value for h in headers
+               if h.name.lower() == "content-length"]
+    if not lengths:
+        return rest
+    if len(set(lengths)) > 1:
+        raise IngestError("differing Content-Length values: %s"
+                          % ", ".join(map(repr, dict.fromkeys(lengths))))
+    if not (lengths[0].isascii() and lengths[0].isdecimal()):
+        raise IngestError("bad Content-Length: %r" % lengths[0])
+    return rest[:int(lengths[0])]
 
 
 def _make_body(headers: List[Header], octets: bytes) -> Optional[Body]:
@@ -130,19 +145,10 @@ def _make_body(headers: List[Header], octets: bytes) -> Optional[Body]:
     return Body(media_type=media_type, octets=octets, rdf=rdf)
 
 
-def _as_bytes(raw: Union[bytes, str]) -> bytes:
-    if isinstance(raw, bytes):
-        return raw
-    try:
-        return raw.encode("utf-8")
-    except UnicodeEncodeError as e:
-        raise IngestError("lone surrogate at offset %d" % e.start)
-
-
 def parse_http_request(raw: Union[bytes, str]) -> Request:
     """Parse a raw HTTP/1.1 request. The effective URI is computed from the
     request target and (for origin-form targets) the Host header."""
-    head, rest = _split_head_body(_as_bytes(raw))
+    head, rest = _split_head_body(raw)
     lines = head.split("\n")
     parts = lines[0].rstrip("\r").split()
     if len(parts) != 3:
@@ -164,7 +170,7 @@ def parse_http_request(raw: Union[bytes, str]) -> Request:
 def parse_http_response(raw: Union[bytes, str]) -> Response:
     """Parse a raw HTTP/1.1 response. Both status-line orders are accepted:
     'HTTP/1.1 201 Created' and the inverted '201 Created HTTP/1.1'."""
-    head, rest = _split_head_body(_as_bytes(raw))
+    head, rest = _split_head_body(raw)
     lines = head.split("\n")
     parts = lines[0].rstrip("\r").split()
     if len(parts) < 2:
@@ -175,7 +181,7 @@ def parse_http_response(raw: Union[bytes, str]) -> Response:
         version, code_token = parts[-1], parts[0]
     else:
         raise IngestError("malformed status line: %r" % lines[0])
-    if not code_token.isdigit():
+    if not (code_token.isascii() and code_token.isdigit()):
         raise IngestError("non-numeric status code: %r" % code_token)
     if len(code_token) != 3:
         raise IngestError("status code must have exactly 3 digits: %r"

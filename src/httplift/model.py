@@ -4,21 +4,19 @@ responses, status classification, interactions and conversations."""
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .rdf import Graph
 from .uri import UriParts
 
-# RFC 7230 token characters.
-_TCHAR = set("!#$%&'*+-.^_`|~"
-             "0123456789"
-             "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-             "abcdefghijklmnopqrstuvwxyz")
+# RFC 9110 section 5.6.2: token = 1*tchar.
+_TOKEN_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 
 
 def is_token(text: str) -> bool:
-    return bool(text) and all(c in _TCHAR for c in text)
+    return bool(text) and _TOKEN_RE.fullmatch(text) is not None
 
 
 @dataclass(frozen=True)

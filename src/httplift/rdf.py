@@ -3,7 +3,7 @@ datasets, property paths and blank-node-aware isomorphism.
 
 Graphs and datasets are immutable after construction; all operations here
 are pure functions and safe to use from multiple threads. A graph builds
-each of its triple indexes on the first lookup that needs it, not on
+its SPO and POS indexes together on its first lookup, not on
 construction.
 
 Isomorphism refines the colours of the blank nodes of both sides together
@@ -135,29 +135,29 @@ class Triple(tuple):
 _NO_KEYS: Mapping = MappingProxyType({})
 
 
-def _build_index(triples: Iterable[Triple], first: int, second: int) -> dict:
-    """The index `t[first] -> t[second] -> [t]` of `triples`. Every list
-    keeps the order in which `triples` yields its members."""
-    index = {}
+def _build_index(triples: Iterable[Triple]) -> tuple:
+    """The SPO index `s -> p -> [t]` and the POS index `p -> o -> [t]` of
+    `triples`, built in one pass. Every list keeps the order in which
+    `triples` yields its members."""
+    spo, pos = {}, {}
     for t in triples:
-        index.setdefault(t[first], {}).setdefault(t[second], []).append(t)
-    return index
-
-
-# The key positions of each index, by the slot that holds it.
-_ORDERS = {"_spo": (0, 1), "_pos": (1, 2), "_osp": (2, 0)}
+        s, p, o = t
+        spo.setdefault(s, {}).setdefault(p, []).append(t)
+        pos.setdefault(p, {}).setdefault(o, []).append(t)
+    return spo, pos
 
 
 class Graph:
     """An immutable, duplicate-free set of triples.
 
-    Lookups are answered from SPO, POS and OSP hash indexes (Weiss, Karras &
-    Bernstein, "Hexastore", VLDB 2008), each built on the first lookup that
-    needs it rather than on construction. Each lives in a slot assigned
-    once, so threads racing on that first lookup each see either no index
-    or a whole one."""
+    Lookups are answered from an SPO and a POS hash index (Weiss, Karras &
+    Bernstein, "Hexastore", VLDB 2008), both built on the first lookup
+    rather than on construction. `(s,·,o)` filters the triples of s, and
+    `(·,·,o)` visits o under every predicate. The pair lives in one slot
+    assigned once, so threads racing on that first lookup each see either
+    no index or a whole pair."""
 
-    __slots__ = ("_triples", "_spo", "_pos", "_osp")
+    __slots__ = ("_triples", "_index")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         triples = frozenset(triples)
@@ -165,37 +165,31 @@ class Graph:
             if not isinstance(t, Triple):
                 raise TypeError("not a Triple: %r" % (t,))
         self._triples = triples
-        self._spo = self._pos = self._osp = None
+        self._index = None
 
-    def _index(self, slot: str) -> dict:
-        index = getattr(self, slot)
-        if index is None:
-            index = _build_index(self._triples, *_ORDERS[slot])
-            setattr(self, slot, index)
-        return index
+    def _indexes(self) -> tuple:
+        if self._index is None:
+            self._index = _build_index(self._triples)
+        return self._index
 
     def _lookup(self, s: Optional[Term], p: Optional[Term],
                 o: Optional[Term]) -> Iterable[Triple]:
         """The triples matching a pattern, None being a wildcard. The result
         may be an internal container: callers copy it, never hand it out."""
+        if s is None and p is None and o is None:
+            return self._triples
+        spo, pos = self._indexes()
         if s is not None:
-            if p is not None:
-                found = self._index("_spo").get(s, _NO_KEYS).get(p, ())
-                return found if o is None else [t for t in found
-                                                if t.object == o]
-            if o is not None:
-                return self._index("_osp").get(o, _NO_KEYS).get(s, ())
-            return chain.from_iterable(
-                self._index("_spo").get(s, _NO_KEYS).values())
-        if p is not None:
-            if o is not None:
-                return self._index("_pos").get(p, _NO_KEYS).get(o, ())
-            return chain.from_iterable(
-                self._index("_pos").get(p, _NO_KEYS).values())
-        if o is not None:
-            return chain.from_iterable(
-                self._index("_osp").get(o, _NO_KEYS).values())
-        return self._triples
+            by_p = spo.get(s, _NO_KEYS)
+            found = (chain.from_iterable(by_p.values()) if p is None
+                     else by_p.get(p, ()))
+            return found if o is None else [t for t in found if t[2] == o]
+        if p is None:
+            return chain.from_iterable(by_o.get(o, ())
+                                       for by_o in pos.values())
+        by_o = pos.get(p, _NO_KEYS)
+        return (chain.from_iterable(by_o.values()) if o is None
+                else by_o.get(o, ()))
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> set:
@@ -209,7 +203,7 @@ class Graph:
 
     def value(self, s: Term, p: Iri) -> Optional[Term]:
         """A single object of (s, p, ·), or None. Arbitrary pick on >1."""
-        found = self._index("_spo").get(s, _NO_KEYS).get(p)
+        found = self._indexes()[0].get(s, _NO_KEYS).get(p)
         return found[0].object if found else None
 
     def __len__(self):

@@ -50,14 +50,14 @@ _TOKEN = re.compile(r"""%s
     (?:
       (?P<symbol>[.;,()\[\]{}]|@prefix|\^\^)
     | (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:%s)?)
-    | (?P<bnode>_:[A-Za-z0-9](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)
+    | (?P<bnode>_:%s)
     | (?P<string>"(?P<body>(?:[^"\\\n]+|\\[\s\S])*)(?P<closed>")?)
     | (?P<iri><%s>)
     | (?P<word>[A-Za-z]+)
     | (?P<integer>[+-]?[0-9]+)
     | (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
     | (?P<eof>\Z)
-    )""" % (_SKIP.pattern, _LOCAL, IRI_CHARS), re.X)
+    )""" % (_SKIP.pattern, _LOCAL, _LOCAL, IRI_CHARS), re.X)
 
 _ESCAPE = re.compile(r'\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|([\s\S]))')
 _ESCAPES = {'t': '\t', 'b': '\b', 'n': '\n', 'r': '\r', 'f': '\f',

@@ -6,6 +6,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
+from urllib.parse import unquote_to_bytes
 
 
 class UriError(ValueError):
@@ -28,37 +29,25 @@ class UriParts:
     params: Tuple[QueryParam, ...] = ()
 
 
-# Absolute URI with an authority component; the query keeps its raw text.
-_URI_RE = re.compile(
-    r'^([A-Za-z][A-Za-z0-9+.-]*)://([^/?#]*)([^?#]*)'
-    r'(?:\?([^#]*))?(?:#(.*))?$', re.S)
+# RFC 3986 appendix B: any URI reference splits into these five parts.
+_REFERENCE_RE = re.compile(
+    r'(?:([^:/?#]+):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?', re.S)
+_SCHEME_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*')
 
-_HEX = "0123456789abcdefABCDEF"
+# A '%' not followed by two hex digits.
+_BAD_ESCAPE_RE = re.compile(r'%(?![0-9A-Fa-f]{2})')
 
 
 def percent_decode(text: str, base_offset: int = 0) -> str:
     """Decode %XX escapes and '+' as space, the form-encoding rule. Escaped
     octets are interpreted as UTF-8. Raises UriError naming the absolute
     offset of a malformed or truncated escape."""
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == '%':
-            hexpart = text[i + 1:i + 3]
-            if len(hexpart) < 2 or hexpart[0] not in _HEX or hexpart[1] not in _HEX:
-                raise UriError("malformed percent escape at offset %d"
-                               % (base_offset + i))
-            out.append(int(hexpart, 16))
-            i += 3
-        elif ch == '+':
-            out.append(0x20)
-            i += 1
-        else:
-            out.extend(ch.encode('utf-8'))
-            i += 1
+    bad = _BAD_ESCAPE_RE.search(text)
+    if bad:
+        raise UriError("malformed percent escape at offset %d"
+                       % (base_offset + bad.start()))
     try:
-        return out.decode('utf-8')
+        return unquote_to_bytes(text.replace('+', ' ')).decode('utf-8')
     except UnicodeDecodeError:
         raise UriError("percent escapes do not decode as UTF-8 at offset %d"
                        % base_offset)
@@ -87,10 +76,10 @@ def parse_uri(text: str) -> UriParts:
     exactly partition the input: recompose(parse_uri(s)) == s."""
     if not text:
         raise UriError("empty URI")
-    m = _URI_RE.match(text)
-    if not m:
+    scheme, authority, path, query, fragment = \
+        _REFERENCE_RE.fullmatch(text).groups()
+    if authority is None or not _SCHEME_RE.fullmatch(scheme or ""):
         raise UriError("not an absolute URI with authority: %r" % text)
-    scheme, authority, path, query, fragment = m.groups()
     params = tuple(decode_query_params(query)) if query is not None else ()
     return UriParts(scheme=scheme, authority=authority, path=path,
                     query=query, fragment=fragment, params=params)
@@ -123,11 +112,6 @@ def effective_request_uri(target: str, host: Optional[str]) -> UriParts:
     if "://" in target:
         return parse_uri(target)
     raise UriError("unsupported request-target form: %r" % target)
-
-
-# RFC 3986 appendix B: any URI reference splits into these five parts.
-_REFERENCE_RE = re.compile(
-    r'(?:([^:/?#]+):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?', re.S)
 
 
 def remove_dot_segments(path: str) -> str:

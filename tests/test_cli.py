@@ -67,6 +67,20 @@ class TestLift:
         code, out, _ = run(capsys, "lift", "-", "--format", "transcript")
         assert code == EXIT_OK and out
 
+    def test_stdin_reads_as_a_file_does(self, capsys, monkeypatch, tmp_path):
+        # CRLF lines, and a Content-Length that counts LF line ends.
+        body = "".join('<http://x/s> <http://x/p> "%d" .\n' % i
+                       for i in range(5))
+        data = ("POST /p HTTP/1.1\r\nHost: h\r\nContent-Type: text/turtle"
+                "\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(body), body.replace("\n", "\r\n"))).encode("utf-8")
+        path = tmp_path / "x.http"
+        path.write_bytes(data)
+        from_file = run(capsys, "lift", str(path))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run(capsys, "lift", "-") == from_file
+        assert from_file[0] == EXIT_OK
+
 
 class TestValidate:
     def test_clean_input_exits_zero(self, capsys):
@@ -233,6 +247,8 @@ class TestErrors:
         # "\udcff" is written as the byte 0xff.
         (".http", "X: a\r\nY: \udcff", "not UTF-8: byte 0xff "
          "(line 4, column 4)"),
+        (".http", "Content-Length: 5\nContent-Length: 2", "transcript "
+         "message 1 (line 1): differing Content-Length values: '5', '2'"),
         (".http", "Transfer-Encoding: chunked", "transcript message 1 "
          "(line 1): bad chunk size: 'hello' (body line 1)"),
         (".http", "Transfer-Encoding: chunked\n\n20", "transcript message "
@@ -248,7 +264,8 @@ class TestErrors:
             "trig-escape-above-10ffff", "trig-escape-surrogate",
             "har-header-surrogate", "har-url-surrogate",
             "har-version-surrogate", "har-header-value-null",
-            "transcript-not-utf-8", "chunk-size-not-hex", "chunk-truncated",
+            "transcript-not-utf-8", "differing-content-lengths",
+            "chunk-size-not-hex", "chunk-truncated",
             "prop-not-an-iri", "base-not-an-iri"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
                                      message):

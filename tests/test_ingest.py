@@ -14,7 +14,7 @@ from httplift.ingest import (
 )
 from httplift.lift import lift_conversation
 from httplift.model import Method, header_value
-from httplift.rdf import isomorphic_datasets
+from httplift.rdf import Literal, isomorphic_datasets
 from httplift.turtle import parse_trig, serialize_trig
 from httplift.uri import parse_uri, recompose
 from httplift.vocab import PREFIXES
@@ -67,6 +67,23 @@ class TestParseRequest:
         with pytest.raises(IngestError, match="bad Content-Length: '-5'"):
             parse_http_request(text)
 
+    def test_identical_content_lengths_count_as_one(self):
+        text = ("POST /p HTTP/1.1\nHost: h\nContent-Length: 5\n"
+                "Content-Length: 5\n\nhello world")
+        assert parse_http_request(text).body.octets == b"hello"
+
+    @pytest.mark.parametrize("lengths, message", [
+        (("5", "2"), "differing Content-Length values: '5', '2'"),
+        (("5", "5", "05"), "differing Content-Length values: '5', '05'"),
+        (("-5", "-5"), "bad Content-Length: '-5'"),
+        (("\u0663",), "bad Content-Length: '\u0663'"),
+    ])
+    def test_content_length_rules(self, lengths, message):
+        text = ("POST /p HTTP/1.1\nHost: h\n%s\nhello world"
+                % "".join("Content-Length: %s\n" % n for n in lengths))
+        with pytest.raises(IngestError, match=re.escape(message)):
+            parse_http_request(text)
+
     def test_head_ends_at_the_first_empty_line(self):
         # LF line ends in the head, CRLF ones in the body.
         r = parse_http_request("POST /p HTTP/1.1\nHost: h\n"
@@ -76,11 +93,14 @@ class TestParseRequest:
 
     @pytest.mark.parametrize("fields", [
         "Transfer-Encoding: gzip, chunked",
-        "Transfer-Encoding: chunked\nTransfer-Encoding: gzip"])
+        "Transfer-Encoding: chunked\nTransfer-Encoding: gzip",
+        # A Kelvin sign, which str.lower() maps to "k".
+        "Transfer-Encoding: chun\u212aed"])
     def test_unknown_transfer_coding_rejected(self, fields):
         text = "POST /p HTTP/1.1\nHost: h\n%s\n\n0\r\n\r\n" % fields
         with pytest.raises(IngestError, match="transfer-coding '(gzip, "
-                           "chunked|chunked, gzip)' is not supported"):
+                           "chunked|chunked, gzip|chun\u212aed)' is not "
+                           "supported"):
             parse_http_request(text)
 
 
@@ -174,7 +194,8 @@ class TestParseResponse:
         assert r.body.rdf is None and r.body.octets == b"{}"
 
     def test_bad_status_codes(self):
-        for line in ("HTTP/1.1 20 OK", "HTTP/1.1 2000 OK", "HTTP/1.1 abc OK"):
+        for line in ("HTTP/1.1 20 OK", "HTTP/1.1 2000 OK", "HTTP/1.1 abc OK",
+                     "HTTP/1.1 \xb201 OK", "\u0662\u0660\u0660 OK HTTP/1.1"):
             with pytest.raises(IngestError):
                 parse_http_response(line + "\n\n")
 
@@ -206,6 +227,38 @@ class TestRender:
 
 
 SAMPLE_TRANSCRIPT = open(__file__.rsplit("/", 1)[0] + "/fixtures/registration.http").read()
+
+
+class TestCharset:
+    # One exchange with non-ASCII text in its request target and headers,
+    # among it Unicode spaces that are not OWS.
+    TRANSCRIPT = ("GET /caf%C3%A9/\xe9?q=\xe9 HTTP/1.1\nHost: h\n"
+                  "X-Name: caf\xe9\xa0\n\n---\nHTTP/1.1 200 OK\n"
+                  "X-Name: \u2003na\xefve\n\n")
+    HAR = json.dumps({"log": {"entries": [{
+        "request": {"method": "GET", "url": "http://h/caf%C3%A9/\xe9?q=\xe9",
+                    "httpVersion": "HTTP/1.1",
+                    "headers": [{"name": "Host", "value": "h"},
+                                {"name": "X-Name",
+                                 "value": "caf\xe9\xa0"}]},
+        "response": {"status": 200, "httpVersion": "HTTP/1.1",
+                     "headers": [{"name": "X-Name",
+                                  "value": "\u2003na\xefve"}]}}]}})
+
+    def test_transcript_and_har_lift_alike(self):
+        transcript = lift_conversation(load_transcript(self.TRANSCRIPT))
+        har = lift_conversation(load_har(self.HAR))
+        assert isomorphic_datasets(transcript, har)
+        lexicals = {t.object.lexical for t in transcript.default_graph
+                    if isinstance(t.object, Literal)}
+        assert {"caf\xe9\xa0", "\u2003na\xefve", "/caf%C3%A9/\xe9", "q=\xe9",
+                "\xe9"} <= lexicals
+
+    def test_wire_bytes_are_iso_8859_1(self):
+        r = parse_http_request(b"GET /caf\xe9 HTTP/1.1\r\nHost: h\r\n"
+                               b"X-Name: caf\xe9\r\n\r\n")
+        assert r.uri.path == "/caf\xe9"
+        assert header_value(r.headers, "X-Name") == "caf\xe9"
 
 
 class TestTranscript:
@@ -361,13 +414,14 @@ def _fixture(name):
 
 
 # Lone surrogates, raw and as JSON escapes; the byte 0xff as a
-# surrogate-escaped, a Latin-1 and a JSON-escaped character; and pieces of
-# HTTP, Turtle and JSON syntax.
+# surrogate-escaped, a Latin-1 and a JSON-escaped character; pieces of
+# HTTP, Turtle and JSON syntax; and non-ASCII letters and digits.
 _INSERTS = ["\ud800", "\\ud800", "\\udfff", "\udcff", "\xff", "\\u00ff",
             "\r\n", "\n", "\n---\n", ":", " ", "\"", "\\", "{", "}", "[",
             ",", "0", "-1", "../", "#", "<", ">", "@prefix", "HTTP/1.1 ",
             "Content-Length: 3\n", "Content-Type: text/turtle\n",
-            "Location: ../x\n", "Transfer-Encoding: chunked\n"]
+            "Location: ../x\n", "Transfer-Encoding: chunked\n", "\xe9",
+            "\xb2", "\u0663"]
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """HTTP message model: status classes, registry, headers, interactions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from httplift.model import (
     Method, Header, Request, Response, Interaction, Conversation,
@@ -113,3 +114,20 @@ class TestMessages:
         req = Request(method=Method("GET"), uri=parse_uri("http://h/p"))
         c = Conversation((Interaction(req, (), Response(status_code=200)),))
         assert len(c.interactions) == 1
+
+
+# The character set that is_token replaced, kept as a reference.
+_OLD_TCHAR = set("!#$%&'*+-.^_`|~"
+                 "0123456789"
+                 "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                 "abcdefghijklmnopqrstuvwxyz")
+
+
+@settings(max_examples=300)
+@given(st.text(st.one_of(
+    st.sampled_from("%+0aF:/?#\n\r\t ,;\"()[]{}@\\=GET-~|^`"),
+    st.characters(min_codepoint=0x80, exclude_categories=("Cs",))),
+    max_size=12))
+def test_is_token_agrees_with_the_old_character_set(text):
+    assert is_token(text) == (bool(text)
+                              and all(c in _OLD_TCHAR for c in text))

@@ -65,6 +65,13 @@ class TestParseTurtle:
         assert isinstance(t.object, BlankNode)
         assert t.subject != t.object
 
+    # RDF 1.1 Turtle section 6.5, BLANK_NODE_LABEL: the first character
+    # may be '_' or a digit, and dots may not end the label.
+    @pytest.mark.parametrize("label", ["x", "_x", "_", "0", "a.b", "a-b_"])
+    def test_blank_node_labels_accepted(self, label):
+        (t,) = parse_turtle('_:%s <%sp> "v" .' % (label, EX))
+        assert t.subject == BlankNode(label)
+
     def test_anonymous_blank_node(self):
         g = parse_turtle('[] <%sp> [] .' % EX)
         (t,) = list(g)

@@ -1,12 +1,13 @@
 """URI decomposition, recomposition, resource identity and query params."""
 
+import re
 import urllib.parse
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from httplift.uri import (
-    QueryParam, parse_uri, recompose, id_res, percent_decode,
+    QueryParam, UriParts, parse_uri, recompose, id_res, percent_decode,
     decode_query_params, effective_request_uri, UriError,
     remove_dot_segments, resolve_reference,
 )
@@ -237,3 +238,79 @@ class TestResolveReference:
     ])
     def test_remove_dot_segments(self, path, result):
         assert remove_dot_segments(path) == result
+
+
+# The split and the decoder that parse_uri and percent_decode replaced,
+# kept as reference implementations.
+_OLD_URI_RE = re.compile(
+    r'^([A-Za-z][A-Za-z0-9+.-]*)://([^/?#]*)([^?#]*)'
+    r'(?:\?([^#]*))?(?:#(.*))?$', re.S)
+
+_HEX = "0123456789abcdefABCDEF"
+
+
+def _old_percent_decode(text, base_offset=0):
+    out = bytearray()
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == '%':
+            hexpart = text[i + 1:i + 3]
+            if len(hexpart) < 2 or hexpart[0] not in _HEX or hexpart[1] not in _HEX:
+                raise UriError("malformed percent escape at offset %d"
+                               % (base_offset + i))
+            out.append(int(hexpart, 16))
+            i += 3
+        elif ch == '+':
+            out.append(0x20)
+            i += 1
+        else:
+            out.extend(ch.encode('utf-8'))
+            i += 1
+    try:
+        return out.decode('utf-8')
+    except UnicodeDecodeError:
+        raise UriError("percent escapes do not decode as UTF-8 at offset %d"
+                       % base_offset)
+
+
+def _old_parse_uri(text):
+    if not text:
+        raise UriError("empty URI")
+    m = _OLD_URI_RE.match(text)
+    if not m:
+        raise UriError("not an absolute URI with authority: %r" % text)
+    scheme, authority, path, query, fragment = m.groups()
+    params = tuple(decode_query_params(query)) if query is not None else ()
+    return UriParts(scheme, authority, path, query, fragment, params)
+
+
+def _outcome(f, *args):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+# Text weighted toward the characters these grammars care about. Lone
+# surrogates are left out: ingest rejects them before any URI is parsed.
+_uri_text = st.text(st.one_of(
+    st.sampled_from("%%%+++0123456789abcdefABCDEFgG:/?#&=\n\r. @[]"),
+    st.characters(min_codepoint=0x80, exclude_categories=("Cs",))),
+    max_size=40)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(["", "http://", "h:", "a+b.c-d://", "1a://", "//",
+                        "é://", "http:/"]), _uri_text)
+def test_parse_uri_agrees_with_the_old_split(head, tail):
+    text = head + tail
+    assert _outcome(parse_uri, text) == _outcome(_old_parse_uri, text)
+
+
+@settings(max_examples=400)
+@given(_uri_text, st.integers(0, 99))
+def test_percent_decode_agrees_with_the_old_loop(text, offset):
+    assert _outcome(percent_decode, text, offset) \
+        == _outcome(_old_percent_decode, text, offset)
