@@ -4,7 +4,6 @@ bytes, plain-text transcripts or HAR 1.2 archives."""
 from __future__ import annotations
 
 import base64
-import json
 import re
 from itertools import chain
 from typing import List, Optional, Tuple, Union
@@ -47,7 +46,12 @@ def _split_head_body(raw: Union[bytes, str]) -> Tuple[str, bytes]:
     return data[:m.start()].decode(charset), data[m.end():]
 
 
-def _parse_headers(lines: List[str]) -> List[Header]:
+# RFC 9112 section 3: the words of a start line are separated by SP, HTAB,
+# VT, FF or a bare CR, and no other character.
+_START_LINE_WORD = re.compile(r"[^ \t\x0b\x0c\r]+")
+
+
+def _parse_headers(lines: List[str], request: bool) -> List[Header]:
     headers = []
     for line in lines:
         line = line.rstrip("\r")
@@ -56,9 +60,16 @@ def _parse_headers(lines: List[str]) -> List[Header]:
         if ":" not in line:
             raise IngestError("malformed header line: %r" % line)
         name, value = line.split(":", 1)
+        if name.endswith((" ", "\t")):
+            # RFC 9112 section 5.1: a server rejects whitespace between a
+            # field name and the colon; a proxy removes it from a response.
+            if request:
+                raise IngestError("whitespace before the colon in header "
+                                  "line: %r" % line)
+            name = name.rstrip(" \t")
         try:
             # RFC 9110 section 5.5: OWS around a value is SP or HTAB.
-            headers.append(Header(name.strip(), value.strip(" \t")))
+            headers.append(Header(name, value.strip(" \t")))
         except ValueError as e:
             raise IngestError(str(e))
     return headers
@@ -150,13 +161,13 @@ def parse_http_request(raw: Union[bytes, str]) -> Request:
     request target and (for origin-form targets) the Host header."""
     head, rest = _split_head_body(raw)
     lines = head.split("\n")
-    parts = lines[0].rstrip("\r").split()
+    parts = _START_LINE_WORD.findall(lines[0])
     if len(parts) != 3:
         raise IngestError("malformed request line: %r" % lines[0])
     method_token, target, version = parts
     if not version.startswith("HTTP/"):
         raise IngestError("malformed request line: %r" % lines[0])
-    headers = _parse_headers(lines[1:])
+    headers = _parse_headers(lines[1:], request=True)
     try:
         method = Method(method_token)
         uri = effective_request_uri(target, header_value(headers, "Host"))
@@ -172,7 +183,7 @@ def parse_http_response(raw: Union[bytes, str]) -> Response:
     'HTTP/1.1 201 Created' and the inverted '201 Created HTTP/1.1'."""
     head, rest = _split_head_body(raw)
     lines = head.split("\n")
-    parts = lines[0].rstrip("\r").split()
+    parts = _START_LINE_WORD.findall(lines[0])
     if len(parts) < 2:
         raise IngestError("malformed status line: %r" % lines[0])
     if parts[0].startswith("HTTP/"):
@@ -186,7 +197,7 @@ def parse_http_response(raw: Union[bytes, str]) -> Response:
     if len(code_token) != 3:
         raise IngestError("status code must have exactly 3 digits: %r"
                           % code_token)
-    headers = _parse_headers(lines[1:])
+    headers = _parse_headers(lines[1:], request=False)
     octets = _frame_body(headers, rest)
     return Response(status_code=int(code_token), headers=tuple(headers),
                     body=_make_body(headers, octets), http_version=version)
@@ -196,8 +207,8 @@ def parse_http_response(raw: Union[bytes, str]) -> Response:
 # Transcript format: message blocks separated by lines of exactly "---".
 
 def _is_response_block(block: str) -> bool:
-    first = block.split("\n", 1)[0].strip()
-    token = first.split()[0] if first.split() else ""
+    first = _START_LINE_WORD.search(block.split("\n", 1)[0])
+    token = first.group() if first else ""
     return token.startswith("HTTP/") or token.isdigit()
 
 
@@ -268,6 +279,8 @@ def load_har(text: str) -> Conversation:
     are ordered by startedDateTime, falling back to file order. A malformed
     entry raises IngestError naming the entry by its position in the file,
     counted from 1."""
+    # Imported here, as only HAR input is JSON.
+    import json
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -33,12 +33,14 @@ def uri_node(u: UriParts, base: Optional[str] = None) -> Iri:
 
 class Lifter:
     """One lifting run: a monotonic blank-node counter plus a URI-node cache
-    so identical URIs share one node across the whole conversation."""
+    so identical URIs share one node across the whole conversation, and
+    one xsd:string literal per lexical form."""
 
     def __init__(self, base: Optional[str] = None):
         self.base = base
         self._counter = 0
         self._lifted_uris: Set[Iri] = set()
+        self._literals: Dict[str, Literal] = {}
         self.triples: Set[Triple] = set()
         self.named: Dict[Term, Graph] = {}
         self._msg_index = 0
@@ -49,6 +51,12 @@ class Lifter:
 
     def add(self, s: Term, p: Iri, o: Term):
         self.triples.add(Triple(s, p, o))
+
+    def literal(self, lexical: str) -> Literal:
+        term = self._literals.get(lexical)
+        if term is None:
+            term = self._literals[lexical] = Literal(lexical)
+        return term
 
     def _message_node(self, kind: str) -> Term:
         self._msg_index += 1
@@ -64,20 +72,20 @@ class Lifter:
             return node
         self._lifted_uris.add(node)
         self.add(node, RDF_TYPE, vocab.URI)
-        self.add(node, vocab.SCHEME, Literal(u.scheme))
-        self.add(node, vocab.AUTHORITY, Literal(u.authority))
-        self.add(node, vocab.PATH, Literal(u.path))
+        self.add(node, vocab.SCHEME, self.literal(u.scheme))
+        self.add(node, vocab.AUTHORITY, self.literal(u.authority))
+        self.add(node, vocab.PATH, self.literal(u.path))
         if u.query is not None:
-            self.add(node, vocab.QUERY, Literal(u.query))
+            self.add(node, vocab.QUERY, self.literal(u.query))
         if u.fragment is not None:
-            self.add(node, vocab.FRAGMENT, Literal(u.fragment))
-        self.add(node, vocab.ID_RES, Literal(id_res(u)))
+            self.add(node, vocab.FRAGMENT, self.literal(u.fragment))
+        self.add(node, vocab.ID_RES, self.literal(id_res(u)))
         for param in u.params:
             pnode = self.bnode()
             self.add(node, vocab.QUERY_PARAMS, pnode)
             self.add(pnode, RDF_TYPE, vocab.QUERY_PARAM)
-            self.add(pnode, vocab.PARAM_NAME, Literal(param.name))
-            self.add(pnode, vocab.PARAM_VALUE, Literal(param.value))
+            self.add(pnode, vocab.PARAM_NAME, self.literal(param.name))
+            self.add(pnode, vocab.PARAM_VALUE, self.literal(param.value))
         return node
 
     # -- Headers ------------------------------------------------------------
@@ -87,8 +95,8 @@ class Lifter:
         hnode = self.bnode()
         self.add(msg_node, vocab.HDR, hnode)
         self.add(hnode, RDF_TYPE, vocab.HEADER)
-        self.add(hnode, vocab.HDR_NAME, Literal(h.name))
-        self.add(hnode, vocab.HDR_VALUE, Literal(h.value))
+        self.add(hnode, vocab.HDR_NAME, self.literal(h.name))
+        self.add(hnode, vocab.HDR_VALUE, self.literal(h.value))
         lname = h.name.lower()
         if lname == "location":
             self.add(hnode, RDF_TYPE, vocab.LOCATION_HEADER)
@@ -102,7 +110,7 @@ class Lifter:
                 self.add(msg_node, vocab.LOCATION, unode)
         elif lname == "content-type":
             self.add(hnode, RDF_TYPE, vocab.CONTENT_TYPE_HEADER)
-            self.add(msg_node, vocab.CONTENT_TYPE, Literal(h.value))
+            self.add(msg_node, vocab.CONTENT_TYPE, self.literal(h.value))
         elif lname == "accept":
             self.add(hnode, RDF_TYPE, vocab.ACCEPT_HEADER)
             anode = self.bnode()
@@ -110,7 +118,8 @@ class Lifter:
             for media_range in h.value.split(","):
                 media_range = media_range.strip()
                 if media_range:
-                    self.add(anode, vocab.MEDIA_TYPE, Literal(media_range))
+                    self.add(anode, vocab.MEDIA_TYPE,
+                             self.literal(media_range))
 
     def _resolve_location(self, value: str,
                           request_uri: UriParts) -> Optional[UriParts]:
@@ -135,13 +144,14 @@ class Lifter:
             else:
                 gname = self.bnode()
             # Blank-node labels are dataset-scoped: keep the body graph's
-            # labels out of the lifter's namespace.
+            # labels out of the lifter's namespace, one node per label.
             tag = len(self.named) + 1
+            nodes = {x for t in b.rdf for x in (t.subject, t.object)
+                     if isinstance(x, BlankNode)}
+            renamed = {x: BlankNode("body%d-%s" % (tag, x.label))
+                       for x in nodes}
             self.named[gname] = Graph(
-                Triple(*(BlankNode("body%d-%s" % (tag, x.label))
-                         if isinstance(x, BlankNode) else x
-                         for x in (t.subject, t.predicate, t.object)))
-                for t in b.rdf)
+                Triple(*(renamed.get(x, x) for x in t)) for t in b.rdf)
             self.add(gname, RDF_TYPE, vocab.SD_GRAPH)
             self.add(cnode, vocab.ABOUT, gname)
 
@@ -153,7 +163,7 @@ class Lifter:
         else:
             node = self.bnode()
         self.add(node, RDF_TYPE, vocab.METHOD)
-        self.add(node, vocab.METHOD_NAME, Literal(name))
+        self.add(node, vocab.METHOD_NAME, self.literal(name))
         return node
 
     def _lift_status(self, code: int) -> Term:
@@ -187,7 +197,7 @@ class Lifter:
                             request_uri: UriParts) -> Term:
         """The HTTP version, headers and body of a request or response."""
         if r.http_version:
-            self.add(node, vocab.HTTP_VERSION, Literal(r.http_version))
+            self.add(node, vocab.HTTP_VERSION, self.literal(r.http_version))
         for h in r.headers:
             self.lift_header(h, node, request_uri)
         if r.body is not None:

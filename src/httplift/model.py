@@ -5,11 +5,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Optional, Tuple
-
-from .rdf import Graph
-from .uri import UriParts
 
 # RFC 9110 section 5.6.2: token = 1*tchar.
 _TOKEN_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
@@ -19,60 +16,55 @@ def is_token(text: str) -> bool:
     return bool(text) and _TOKEN_RE.fullmatch(text) is not None
 
 
-@dataclass(frozen=True)
-class Method:
-    name: str
+# Value records are namedtuples; those with a check subclass one, with
+# empty __slots__ so that instances stay immutable.
 
-    def __post_init__(self):
-        if not is_token(self.name):
+class Method(namedtuple("Method", "name")):
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        if not is_token(name):
             raise ValueError("method name must be a non-empty token: %r"
-                             % self.name)
+                             % name)
+        return tuple.__new__(cls, (name,))
 
 
 STANDARD_METHODS = ("GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT",
                     "OPTIONS", "TRACE", "PATCH")
 
 
-@dataclass(frozen=True)
-class Header:
-    """A header field. Names compare case-insensitively, values exactly;
-    the original name casing is preserved."""
-    name: str
-    value: str
+class Header(namedtuple("Header", "name value")):
+    """A header field, its name in its original casing; `header_value`
+    looks names up case-insensitively."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_token(self.name):
+    def __new__(cls, name: str, value: str):
+        if not is_token(name):
             raise ValueError("header name must be a non-empty token: %r"
-                             % self.name)
+                             % name)
+        return tuple.__new__(cls, (name, value))
 
 
-@dataclass(frozen=True)
-class Body:
-    media_type: Optional[str] = None
-    octets: bytes = b""
-    rdf: Optional[Graph] = None
+# A body: its media type, its octets and, for an RDF media type, the parsed
+# rdf.Graph.
+Body = namedtuple("Body", "media_type octets rdf", defaults=(None, b"", None))
+
+# A request: a Method, a uri.UriParts and a tuple of Headers.
+Request = namedtuple("Request", "method uri headers body http_version",
+                     defaults=((), None, None))
 
 
-@dataclass(frozen=True)
-class Request:
-    method: Method
-    uri: UriParts
-    headers: Tuple[Header, ...] = ()
-    body: Optional[Body] = None
-    http_version: Optional[str] = None
+class Response(namedtuple("Response",
+                          "status_code headers body http_version")):
+    __slots__ = ()
 
-
-@dataclass(frozen=True)
-class Response:
-    status_code: int
-    headers: Tuple[Header, ...] = ()
-    body: Optional[Body] = None
-    http_version: Optional[str] = None
-
-    def __post_init__(self):
-        if not (0 <= self.status_code <= 999):
+    def __new__(cls, status_code: int, headers: Tuple[Header, ...] = (),
+                body: Optional[Body] = None,
+                http_version: Optional[str] = None):
+        if not (0 <= status_code <= 999):
             raise ValueError("status code must have at most 3 digits: %r"
-                             % self.status_code)
+                             % status_code)
+        return tuple.__new__(cls, (status_code, headers, body, http_version))
 
 
 class StatusClass(enum.Enum):
@@ -172,21 +164,22 @@ def header_value(headers, name: str) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class Interaction:
+class Interaction(namedtuple("Interaction",
+                             "request interim_responses final_response")):
     """One request with its interim (1xx) responses and at most one final
     response."""
-    request: Request
-    interim_responses: Tuple[Response, ...] = ()
-    final_response: Optional[Response] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for r in self.interim_responses:
+    def __new__(cls, request: Request,
+                interim_responses: Tuple[Response, ...] = (),
+                final_response: Optional[Response] = None):
+        for r in interim_responses:
             if not is_interim(r):
                 raise ValueError("interim response must have a 1xx status, "
                                  "got %d" % r.status_code)
-        if self.final_response is not None and is_interim(self.final_response):
+        if final_response is not None and is_interim(final_response):
             raise ValueError("final response must not have a 1xx status")
+        return tuple.__new__(cls, (request, interim_responses, final_response))
 
     @property
     def responses(self) -> Tuple[Response, ...]:
@@ -195,6 +188,4 @@ class Interaction:
         return self.interim_responses + (self.final_response,)
 
 
-@dataclass(frozen=True)
-class Conversation:
-    interactions: Tuple[Interaction, ...] = ()
+Conversation = namedtuple("Conversation", "interactions", defaults=((),))

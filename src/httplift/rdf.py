@@ -15,7 +15,7 @@ has been checked against every tuple.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
@@ -267,20 +267,9 @@ class Dataset:
 # --------------------------------------------------------------------------
 # Property paths
 
-@dataclass(frozen=True, slots=True)
-class Pred:
-    iri: Iri
-
-
-@dataclass(frozen=True, slots=True)
-class Seq:
-    left: "PathExpr"
-    right: "PathExpr"
-
-
-@dataclass(frozen=True, slots=True)
-class Star:
-    inner: "PathExpr"
+Pred = namedtuple("Pred", "iri")
+Seq = namedtuple("Seq", "left right")
+Star = namedtuple("Star", "inner")
 
 
 PathExpr = Union[Pred, Seq, Star]

@@ -4,8 +4,8 @@ effective request URI computation."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from collections import namedtuple
+from typing import List, Optional
 from urllib.parse import unquote_to_bytes
 
 
@@ -13,20 +13,13 @@ class UriError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QueryParam:
-    name: str
-    value: str
+QueryParam = namedtuple("QueryParam", "name value")
 
-
-@dataclass(frozen=True)
-class UriParts:
-    scheme: str
-    authority: str
-    path: str
-    query: Optional[str] = None
-    fragment: Optional[str] = None
-    params: Tuple[QueryParam, ...] = ()
+# The five components of an absolute URI (query and fragment None when
+# absent) and the decoded query parameters, a tuple of QueryParams.
+UriParts = namedtuple("UriParts",
+                      "scheme authority path query fragment params",
+                      defaults=(None, None, ()))
 
 
 # RFC 3986 appendix B: any URI reference splits into these five parts.

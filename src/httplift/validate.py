@@ -6,7 +6,7 @@ cannot express; every problem is reported as a finding, never an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import List, Optional, Tuple
 
 from . import vocab
@@ -22,18 +22,13 @@ def _fmt(term: Term) -> str:
     return format_term(term, vocab.PREFIXES)
 
 
-@dataclass(frozen=True)
-class Finding:
-    rule_id: str
-    severity: str
-    focus: Term
-    message: str
+Finding = namedtuple("Finding", "rule_id severity focus message")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: Tuple[Finding, ...]
-    checked_rules: Tuple[str, ...]
+class ValidationReport(namedtuple("ValidationReport",
+                                  "findings checked_rules")):
+    """A tuple of Findings and the ids of the rules checked."""
+    __slots__ = ()
 
     @property
     def violations(self) -> Tuple[Finding, ...]:

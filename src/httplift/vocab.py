@@ -4,7 +4,6 @@ ontology graph and the documented extension terms."""
 from __future__ import annotations
 
 import functools
-from importlib import resources
 
 from .rdf import RDF, XSD, Iri, Pred, Seq
 from . import turtle
@@ -99,6 +98,9 @@ def status_iri(local_name: str) -> Iri:
 
 def ontology_text(extensions: bool = False) -> str:
     """The vendored ontology Turtle, optionally with the extension block."""
+    # Imported here: only the ontology command and the vocabulary scan
+    # read the vendored files.
+    from importlib import resources
     text = (resources.files(__package__) / "ontology.ttl").read_text("utf-8")
     if extensions:
         ext = (resources.files(__package__) / "extensions.ttl").read_text("utf-8")

@@ -294,6 +294,41 @@ class TestErrors:
             assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err and "Traceback" not in err
 
+    # RFC 9112 whitespace: only SP, HTAB, VT, FF and bare CR separate the
+    # words of a start line, and field names are never trimmed.
+    @pytest.mark.parametrize("text, message", [
+        ("GET /a\xa0HTTP/1.1\nHost: h\n", "transcript message 1 (line 1): "
+         "malformed request line: 'GET /a\\xa0HTTP/1.1'"),
+        ("GET /a HTTP/1.1\nHost: h\n---\nHTTP/1.1\xa0200 OK\n",
+         "transcript message 2 (line 4): non-numeric status code: 'OK'"),
+        ("GET /a HTTP/1.1\nHost: h\nX\xa0: v\n", "transcript message 1 "
+         "(line 1): header name must be a non-empty token: 'X\\xa0'"),
+        ("GET /a HTTP/1.1\nHost: h\nX : v\n", "transcript message 1 "
+         "(line 1): whitespace before the colon in header line: 'X : v'"),
+        ("GET /a HTTP/1.1\nHost: h\n X: v\n", "transcript message 1 "
+         "(line 1): header name must be a non-empty token: ' X'"),
+        ("GET /a HTTP/1.1\nHost: h\n---\nHTTP/1.1 200 OK\nX\xa0: v\n",
+         "transcript message 2 (line 4): header name must be a non-empty "
+         "token: 'X\\xa0'"),
+    ], ids=["request-line-nbsp", "status-line-nbsp", "request-name-nbsp",
+            "request-name-space", "request-name-leading-space",
+            "response-name-nbsp"])
+    def test_wire_whitespace_exits_2(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.http"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "lift", str(bad))
+        assert (code, out, err) == (EXIT_ERROR, "", "error: %s\n" % message)
+
+    def test_wire_whitespace_accepted(self, capsys, tmp_path):
+        # HTAB separates start-line words; SP before a response field
+        # name's colon is dropped.
+        good = tmp_path / "good.http"
+        good.write_text("GET\t/a\tHTTP/1.1\nHost: h\n---\n"
+                        "HTTP/1.1\t200\tOK\nX-A : v\n", encoding="utf-8")
+        code, out, _ = run(capsys, "lift", str(good))
+        assert code == EXIT_OK
+        assert '"X-A"' in out and '"X-A "' not in out
+
     def test_console_script_installed(self, capsys):
         # The suite runs from a checkout, where no wrapper script exists, so
         # check the declared entry and run its target as a wrapper would.
@@ -330,3 +365,19 @@ def check_console_script(capsys, command, env):
     no_args = subprocess.run(command, capture_output=True, env=env,
                              timeout=60)
     assert no_args.returncode == EXIT_ERROR, no_args.stderr
+
+
+class TestStartup:
+    def test_import_leaves_unused_modules_out(self):
+        # Only HAR input needs json and only the ontology command needs
+        # importlib.resources; the records are namedtuples, not dataclasses.
+        unused = ["dataclasses", "inspect", "json", "importlib.resources"]
+        package_root = os.path.dirname(os.path.dirname(httplift.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import httplift.cli, httplift; "
+                "print(*[m for m in sys.argv[2:] if m in sys.modules])")
+        result = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code, package_root, *unused],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []

@@ -13,7 +13,7 @@ from httplift.ingest import (
     IngestError, RDF_MEDIA_TYPES,
 )
 from httplift.lift import lift_conversation
-from httplift.model import Method, header_value
+from httplift.model import Header, Method, header_value
 from httplift.rdf import Literal, isomorphic_datasets
 from httplift.turtle import parse_trig, serialize_trig
 from httplift.uri import parse_uri, recompose
@@ -202,6 +202,66 @@ class TestParseResponse:
     def test_rdf_media_types(self):
         assert "text/turtle" in RDF_MEDIA_TYPES
         assert "application/trig" in RDF_MEDIA_TYPES
+
+
+class TestWireWhitespace:
+    """RFC 9112: start-line words are separated by SP, HTAB, VT, FF or a
+    bare CR only (section 3), and a field name is never trimmed: a request
+    with whitespace before the colon is rejected, a response loses the SP
+    and HTAB there (section 5.1)."""
+
+    @pytest.mark.parametrize("sep", [" ", "\t", "\x0b", "\x0c", "\r", " \t "])
+    def test_request_line_separators(self, sep):
+        r = parse_http_request("GET%s/a%sHTTP/1.1\nHost: h\n\n" % (sep, sep))
+        assert (r.method, recompose(r.uri), r.http_version) == \
+            (Method("GET"), "http://h/a", "HTTP/1.1")
+
+    @pytest.mark.parametrize("sep", ["\xa0", "\x1c", "\x85", "\u2003",
+                                     "\u3000"])
+    def test_other_whitespace_is_not_a_separator(self, sep):
+        with pytest.raises(IngestError, match="malformed request line"):
+            parse_http_request("GET /a%sHTTP/1.1\nHost: h\n\n" % sep)
+        with pytest.raises(IngestError, match="non-numeric status code"):
+            parse_http_response("HTTP/1.1%s200 OK\n\n" % sep)
+
+    def test_status_line_separators(self):
+        r = parse_http_response("HTTP/1.1\t204\x0cNo Content\n\n")
+        assert (r.http_version, r.status_code) == ("HTTP/1.1", 204)
+
+    @pytest.mark.parametrize("name", ["X ", "X\t", "X \t "])
+    def test_request_rejects_whitespace_before_the_colon(self, name):
+        with pytest.raises(IngestError) as e:
+            parse_http_request("GET /a HTTP/1.1\nHost: h\n%s: v\n\n" % name)
+        assert str(e.value) == ("whitespace before the colon in header "
+                                "line: %r" % (name + ": v"))
+
+    @pytest.mark.parametrize("name", ["X ", "X\t", "X \t "])
+    def test_response_drops_sp_and_htab_before_the_colon(self, name):
+        r = parse_http_response("HTTP/1.1 200 OK\n%s: v\n\n" % name)
+        assert r.headers == (Header("X", "v"),)
+
+    @pytest.mark.parametrize("line, name", [
+        ("X\xa0: v", "X\xa0"), ("X\x0b: v", "X\x0b"), (" X: v", " X"),
+        ("\tX: v", "\tX")])
+    def test_field_names_are_not_stripped(self, line, name):
+        message = "header name must be a non-empty token: %r" % name
+        with pytest.raises(IngestError) as e:
+            parse_http_request("GET /a HTTP/1.1\nHost: h\n%s\n\n" % line)
+        assert str(e.value) == message
+        with pytest.raises(IngestError) as e:
+            parse_http_response("HTTP/1.1 200 OK\n%s\n\n" % line)
+        assert str(e.value) == message
+
+    def test_transcript_response_block_by_the_same_rule(self):
+        # "\xa0HTTP/1.1" is one word, so the block is read as a request.
+        text = "GET /a HTTP/1.1\nHost: h\n---\n\xa0HTTP/1.1 200 OK\n"
+        with pytest.raises(IngestError) as e:
+            load_transcript(text)
+        assert str(e.value) == ("transcript message 2 (line 4): malformed "
+                                "request line: '\\xa0HTTP/1.1 200 OK'")
+        text = "GET /a HTTP/1.1\nHost: h\n---\n\tHTTP/1.1\t200 OK\n"
+        [i] = load_transcript(text).interactions
+        assert i.final_response.status_code == 200
 
 
 def render(start_line, message) -> bytes:

@@ -89,6 +89,17 @@ class TestConversationLift:
         # ... is the very node interaction 2's request points at
         assert g.subjects(vocab.URI_PROP, target)
 
+    def test_one_object_per_literal_and_body_blank_node(self):
+        d = lift_fixture()
+        for g, kind in [(d.default_graph, Literal),
+                        *[(g, BlankNode) for g in d.named_graphs.values()]]:
+            ids = {}
+            for t in g:
+                for x in (t.subject, t.object):
+                    if isinstance(x, kind):
+                        ids.setdefault(x, set()).add(id(x))
+            assert ids and all(len(same) == 1 for same in ids.values())
+
     def test_relative_location_is_resolved(self):
         # RFC 3986 section 5.2 against the request URI; R10 used to flag it.
         d = lift_conversation(load_transcript(

@@ -1,14 +1,17 @@
-"""HTTP message model: status classes, registry, headers, interactions."""
+"""HTTP message model: status classes, registry, headers, interactions,
+and the value semantics of every record type."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from httplift.model import (
-    Method, Header, Request, Response, Interaction, Conversation,
+    Method, Header, Body, Request, Response, Interaction, Conversation,
     StatusClass, status_class, is_interim, is_token,
     STATUS_NAMES, STATUS_CODES, header_value,
 )
-from httplift.uri import parse_uri
+from httplift.rdf import Graph, Iri, Pred, Seq, Star
+from httplift.uri import QueryParam, UriParts, parse_uri
+from httplift.validate import Finding, ValidationReport
 
 
 class TestStatusClass:
@@ -114,6 +117,72 @@ class TestMessages:
         req = Request(method=Method("GET"), uri=parse_uri("http://h/p"))
         c = Conversation((Interaction(req, (), Response(status_code=200)),))
         assert len(c.interactions) == 1
+
+
+_URI = UriParts("http", "h", "/p", "a=1", None, (QueryParam("a", "1"),))
+_GET = Request(Method("GET"), _URI)
+_P = Pred(Iri("http://x/p"))
+
+# One field list per record type, every field given, in declaration order.
+RECORDS = [
+    (Method, {"name": "GET"}),
+    (Header, {"name": "A", "value": "b"}),
+    (Body, {"media_type": "text/plain", "octets": b"hi", "rdf": Graph()}),
+    (Request, {"method": Method("GET"), "uri": _URI,
+               "headers": (Header("Host", "h"),), "body": None,
+               "http_version": "HTTP/1.1"}),
+    (Response, {"status_code": 201, "headers": (), "body": Body(),
+                "http_version": None}),
+    (Interaction, {"request": _GET, "interim_responses": (Response(100),),
+                   "final_response": Response(200)}),
+    (Conversation, {"interactions": (Interaction(_GET),)}),
+    (QueryParam, {"name": "a", "value": "1"}),
+    (UriParts, {"scheme": "http", "authority": "h", "path": "/",
+                "query": None, "fragment": None, "params": ()}),
+    (Finding, {"rule_id": "R6", "severity": "violation",
+               "focus": Iri("http://x/m"), "message": "no type"}),
+    (ValidationReport, {"findings": (), "checked_rules": ("R1",)}),
+    (Pred, {"iri": Iri("http://x/p")}),
+    (Seq, {"left": _P, "right": _P}),
+    (Star, {"inner": _P}),
+]
+
+
+class TestValueRecords:
+    @pytest.mark.parametrize("cls, fields", RECORDS,
+                             ids=[cls.__name__ for cls, _ in RECORDS])
+    def test_value_semantics(self, cls, fields):
+        a, b = cls(**fields), cls(*fields.values())
+        assert a == b and hash(a) == hash(b)
+        for name, value in fields.items():
+            assert getattr(a, name) is value
+        first = next(iter(fields))
+        with pytest.raises(AttributeError):
+            setattr(a, first, fields[first])
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert repr(a) == "%s(%s)" % (cls.__name__, ", ".join(
+            "%s=%r" % item for item in fields.items()))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Method("G T"),
+         "method name must be a non-empty token: 'G T'"),
+        (lambda: Method(""), "method name must be a non-empty token: ''"),
+        (lambda: Header("A B", "v"),
+         "header name must be a non-empty token: 'A B'"),
+        (lambda: Response(1000),
+         "status code must have at most 3 digits: 1000"),
+        (lambda: Response(status_code=-1),
+         "status code must have at most 3 digits: -1"),
+        (lambda: Interaction(_GET, (Response(200),)),
+         "interim response must have a 1xx status, got 200"),
+        (lambda: Interaction(request=_GET, final_response=Response(101)),
+         "final response must not have a 1xx status"),
+    ])
+    def test_checks_keep_their_messages(self, make, message):
+        with pytest.raises(ValueError) as e:
+            make()
+        assert str(e.value) == message
 
 
 # The character set that is_token replaced, kept as a reference.
