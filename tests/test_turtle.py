@@ -310,6 +310,62 @@ def test_tokenizer_errors_are_located(text, message, line, col):
         "%s (line %d, column %d)" % (message, line, col), line, col)
 
 
+# Every parser error kind, located at the token it names. A malformed token
+# anywhere in the text wins over a grammar error before it.
+_P = '@prefix ex: <http://x/> .\n'
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ('# a comment\n# "another"\n' + _S + '<http://x/o>  # end',
+     "expected '.', found 'eof'", 3, 46),
+    (_P + 'ex:s ex:p ex:o ex:q .', "expected '.', found ('ex', 'q')", 2, 16),
+    (_S + '<http://x/o> "a\\nb"', "expected '.', found 'a\\nb'", 1, 40),
+    (_S + '<http://x/o> ""', "expected '.', found 'string'", 1, 40),
+    (_S + '<http://x/o> 5', "expected '.', found '5'", 1, 40),
+    (_S + '<http://x/o> _:b', "expected '.', found 'b'", 1, 40),
+    (_S + '<http://x/o> @en', "expected '.', found 'en'", 1, 40),
+    (_S + '<http://x/o> @prefix', "expected '.', found '@prefix'", 1, 40),
+    (_S + 'true false .', "expected '.', found 'false'", 1, 32),
+    (_S + '[ <http://x/p> <http://x/o> .', "expected ']', found '.'", 1, 55),
+    ('@prefix ex: "x" .', "expected 'iri', found 'x'", 1, 13),
+    ('@prefix <http://x/> .', "expected 'pname', found 'http://x/'", 1, 9),
+    (_P + '\r\n\r\nex:s ex:p nope:o .', "unknown prefix 'nope:'", 4, 11),
+    ('ex:g { ex:s ex:p ex:o }', "unknown prefix 'ex:'", 1, 1),
+    ('\n\n  "s" <http://x/p> <http://x/o> .', "expected subject", 3, 3),
+    (_S + '<http://x/o> .\n}', "expected subject", 2, 1),
+    ('_:g { ' + _S + '<http://x/o> . } .', "expected subject", 1, 50),
+    ('<http://x/s> "p" <http://x/o> .', "expected predicate", 1, 14),
+    ('<http://x/s> _:p <http://x/o> .', "expected predicate", 1, 14),
+    (_S + '.', "expected object", 1, 27),
+    (_S + '<http://x/o> .\n# c\n<http://x/s> a a .', "expected object",
+     3, 16),
+    ('@prefix ex:a <http://x/> .', "prefix declaration must end with ':'",
+     1, 9),
+    (_S + '( 1 2', "unterminated collection", 1, 32),
+    ('<http://x/g> {\r\n ' + _S + '<http://x/o> <http://x/o2> }',
+     "expected '.' or '}'", 2, 41),
+    (_S + '"x"^^"y" .', "expected datatype IRI", 1, 32),
+    (_S + '<http://x/o> <http://x/o2> .\n' + _S + '"a\\q" .',
+     "unknown string escape \\q", 2, 29),
+    (_S + '. # "\r\n' + _S + '<http://x/o> $', "unexpected character '$'",
+     2, 40),
+], ids=["eof-after-comments", "found-pname", "found-string",
+        "found-empty-string", "found-integer", "found-blank-node",
+        "found-langtag", "found-prefix-keyword", "found-boolean",
+        "unclosed-bracket", "prefix-without-iri", "prefix-without-pname",
+        "unknown-prefix-after-crlf", "unknown-graph-name-prefix",
+        "subject-string", "subject-brace", "subject-dot",
+        "predicate-string", "predicate-blank-node", "object-dot",
+        "object-a-after-comment", "prefix-with-local",
+        "collection-at-eof", "graph-missing-dot", "datatype-string",
+        "grammar-then-bad-escape", "grammar-then-bad-character"])
+def test_parser_errors_are_located(text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_trig(text)
+    assert (str(info.value), info.value.line, info.value.col) == (
+        "%s (line %d, column %d)" % (message, line, col), line, col)
+
+
 # format_term against a brute-force reference: every namespace that starts
 # the IRI and leaves a legal local name is a candidate; the longest wins,
 # and among equal namespaces the label that comes first in the mapping.
