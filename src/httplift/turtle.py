@@ -5,11 +5,18 @@ Supported subset: @prefix directives, IRIs, prefixed names, labeled and
 anonymous blank nodes (including [ ... ] property lists), collections,
 string/integer/boolean literals with ^^ datatypes and language tags, the
 `a` keyword and `;`/`,` continuations. TriG adds `name { ... }` blocks.
+
+The tokenizer is one regex scan whose matches are the token texts, as
+strings, with '' for the end of the text. The parser tells their kinds
+apart by the first character and decodes a token only when it consumes it.
+No token carries a position: only when the parser raises does it scan the
+text again, for the offset of the token, and then the line and column.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, count, islice
 from typing import Dict, List, Optional
 
 from .rdf import (
@@ -38,115 +45,107 @@ def _error(message: str, text: str, pos: int) -> ParseError:
 # A local name or blank-node label may hold dots, but not end with one.
 _LOCAL = r'[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?'
 
-# Whitespace and comments. A comment runs to the end of its line, so a
-# failed token match cannot backtrack into it.
-_SKIP = re.compile(r'[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*')
+# Whitespace and comments. A comment runs to the end of its line.
+_SKIP = r'[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*'
 
-# Skipped text, then one token or the end of the text. The kind is the name
-# of the group that matched; a symbol is its own kind. No two groups start
-# with the same character, except @prefix before a language tag and a
-# prefixed name before a bare word.
-_TOKEN = re.compile(r"""%s
-    (?:
-      (?P<symbol>[.;,()\[\]{}]|@prefix|\^\^)
-    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:%s)?)
-    | (?P<bnode>_:%s)
-    | (?P<string>"(?P<body>(?:[^"\\\n]+|\\[\s\S])*)(?P<closed>")?)
-    | (?P<iri><%s>)
-    | (?P<word>[A-Za-z]+)
-    | (?P<integer>[+-]?[0-9]+)
-    | (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
-    | (?P<eof>\Z)
-    )""" % (_SKIP.pattern, _LOCAL, _LOCAL, IRI_CHARS), re.X)
+# Skipped text, then one token as the only group: a symbol, a prefixed
+# name, a blank node, a string (closed or not), an IRI, a word, an integer
+# or a language tag. No two start with the same character, except @prefix
+# before a language tag and a prefixed name before a word. Any other
+# character is a token of its own, which is malformed, and the end of the
+# text is ''.
+_TOKEN = re.compile(r"""%s(
+      [.;,()\[\]{}] | @prefix | \^\^
+    | (?:[A-Za-z][A-Za-z0-9_-]*)?:(?:%s)?
+    | _:%s
+    | "(?:[^"\\\n]+|\\[\s\S])*"?
+    | <%s>
+    | [A-Za-z]+
+    | [+-]?[0-9]+
+    | @[A-Za-z]+(?:-[A-Za-z0-9]+)*
+    | [\s\S] | \Z
+    )""" % (_SKIP, _LOCAL, _LOCAL, IRI_CHARS), re.X)
 
 _ESCAPE = re.compile(r'\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|([\s\S]))')
 _ESCAPES = {'t': '\t', 'b': '\b', 'n': '\n', 'r': '\r', 'f': '\f',
             '"': '"', "'": "'", '\\': '\\'}
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+class _Malformed(Exception):
+    """A malformed token: the message and the offset in the token."""
 
 
-def _unescape(body: str, text: str, pos: int) -> str:
-    """The value of a string body that starts at offset `pos` of `text`."""
-    def decode(m):
-        hexpart, other = m.group(1) or m.group(2), m.group(3)
-        if hexpart:
-            code = int(hexpart, 16)
-            # Unicode scalar values only: no surrogates.
-            if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
-                return chr(code)
-        elif other in _ESCAPES:
-            return _ESCAPES[other]
-        elif other not in 'uU':
-            raise _error("unknown string escape \\%s" % other, text,
-                         pos + m.start())
-        raise _error("bad unicode escape", text, pos + m.start())
-    return _ESCAPE.sub(decode, body)
+def _escape(m) -> str:
+    hexpart, other = m.group(1) or m.group(2), m.group(3)
+    if hexpart:
+        code = int(hexpart, 16)
+        # Unicode scalar values only: no surrogates.
+        if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+            return chr(code)
+    elif other in _ESCAPES:
+        return _ESCAPES[other]
+    elif other not in 'uU':
+        raise _Malformed("unknown string escape \\%s" % other, m.start())
+    raise _Malformed("bad unicode escape", m.start())
 
 
-def _malformed(text: str, pos: int) -> str:
-    """Why no token starts at text[pos]."""
-    ch = text[pos]
-    if ch == '<':
-        return "malformed IRI reference"
-    if ch == '@':
-        return "malformed language tag"
-    if text.startswith('_:', pos):
-        return "malformed blank node label"
-    if ch in '+-' or ch.isdigit():
-        return "malformed numeric literal"
-    return "unexpected character %r" % ch
+def _string(tok: str) -> str:
+    """The value of a string token."""
+    if '\\' not in tok:
+        if len(tok) > 1 and tok[-1] == '"':
+            return tok[1:-1]
+        raise _Malformed("unterminated string literal", 0)
+    # Backslashes pair up from the left, so a last quote closes the string
+    # unless an odd number of them comes before it. Escapes decode first,
+    # and never touch a quote that opens or closes the string.
+    closed = tok[-1] == '"' and (len(tok) - len(tok[:-1].rstrip('\\'))) % 2
+    tok = _ESCAPE.sub(_escape, tok)
+    if not closed:
+        raise _Malformed("unterminated string literal", 0)
+    return tok[1:-1]
 
 
-def _tokenize(text: str) -> List[_Token]:
-    tokens = []
-    line, linestart, end = 1, 0, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if m.start() != end:
-            break
-        pos, end_of_token = m.span(kind)
-        # Count the newlines in the skipped text.
-        newlines = text.count('\n', end, pos)
-        if newlines:
-            line += newlines
-            linestart = text.rindex('\n', end, pos) + 1
-        end = end_of_token
-        value = m.group(kind)
-        if kind == 'symbol':
-            kind = value
-        elif kind == 'pname':
-            prefix, _, local = value.partition(':')
-            value = (prefix, local)
-        elif kind == 'bnode':
-            value = value[2:]
-        elif kind == 'string':
-            value = m.group('body')
-            if '\\' in value:
-                value = _unescape(value, text, pos + 1)
-            if m.group('closed') is None:
-                raise _error("unterminated string literal", text, pos)
-        elif kind == 'iri':
-            value = value[1:-1]
-        elif kind == 'word':
-            if value not in ('a', 'true', 'false'):
-                raise _error("unexpected token %r" % value, text, pos)
-            kind = value
-        elif kind == 'langtag':
-            value = value[1:]
-        tokens.append(_Token(kind, value, line, pos - linestart + 1))
-        if kind == 'eof':
-            return tokens
-    end = _SKIP.match(text, end).end()
-    raise _error(_malformed(text, end), text, end)
+def _fault(text: str, pos: int, tok: str) -> Optional[ParseError]:
+    """The error of the token `tok` at offset `pos`, if it is malformed."""
+    if tok[:1] == '"':
+        try:
+            _string(tok)
+        except _Malformed as e:
+            return _error(e.args[0], text, pos + e.args[1])
+    elif tok.isalpha() and tok.isascii():
+        if tok not in ('a', 'true', 'false'):
+            return _error("unexpected token %r" % tok, text, pos)
+    # A one-character token that no other alternative matched: say why.
+    elif len(tok) == 1 and tok not in '.;,()[]{}:0123456789':
+        if tok == '<':
+            return _error("malformed IRI reference", text, pos)
+        if tok == '@':
+            return _error("malformed language tag", text, pos)
+        if text.startswith('_:', pos):
+            return _error("malformed blank node label", text, pos)
+        if tok in '+-' or tok.isdigit():
+            return _error("malformed numeric literal", text, pos)
+        return _error("unexpected character %r" % tok, text, pos)
+    return None
+
+
+def _found(kind: str):
+    """An 'expected' message for a well-formed token, which shows its value
+    or, where that is empty, its kind."""
+    def message(tok):
+        first = tok[:1]
+        if first == '"':
+            tok = _string(tok) or 'string'
+        elif first == '<':
+            tok = tok[1:-1]
+        elif first == '_':
+            tok = tok[2:]
+        elif first == '@' and tok != '@prefix':
+            tok = tok[1:]
+        elif ':' in tok:
+            tok = tuple(tok.split(':', 1))
+        return "expected %r, found %r" % (kind, tok or 'eof')
+    return message
 
 
 # --------------------------------------------------------------------------
@@ -154,198 +153,192 @@ def _tokenize(text: str) -> List[_Token]:
 
 class _Parser:
     def __init__(self, text: str, trig: bool):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
         self.trig = trig
         self.prefixes: Dict[str, str] = {}
         self.default: set = set()
         self.named: Dict[Term, set] = {}
         self.sink = self.default
-        self._anon = 0
-        # One object per distinct term for the call: an IRI's text maps to
-        # its Iri, so a repeated IRI is checked once; a blank node or a
-        # literal maps to itself.
+        self.anon = count(1)
+        # One object per distinct term for the call, and the term of each
+        # node token while the prefixes stay the same.
         self.terms: dict = {}
+        self.nodes: dict = {}
 
-    # token plumbing
+    def fail(self, message, i: Optional[int] = None):
+        """Raise the first malformed token from token i (the next token by
+        default) on, since the parser has accepted every token before i;
+        else raise `message` at token i. A callable message is given the
+        token."""
+        i = self.pos if i is None else i
+        text = self.text
+        found = islice(_TOKEN.finditer(text), i, None)
+        at = next(found)
+        for m in chain((at,), found):
+            error = _fault(text, m.start(1), m.group(1))
+            if error:
+                raise error
+        if callable(message):
+            message = message(at.group(1))
+        raise _error(message, text, at.start(1))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != 'eof':
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError("expected %r, found %r" % (kind, tok.value or
-                             tok.kind), tok.line, tok.col)
-        return tok
-
-    def error(self, msg: str, tok: Optional[_Token] = None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok.line, tok.col)
+    def expect(self, symbol: str):
+        if self.tokens[self.pos] != symbol:
+            self.fail(_found(symbol))
+        self.pos += 1
 
     def fresh_bnode(self) -> BlankNode:
-        self._anon += 1
-        return BlankNode("anon-%d" % self._anon)
-
-    def emit(self, s, p, o):
-        self.sink.add(Triple(s, p, o))
+        return BlankNode("anon-%d" % next(self.anon))
 
     # grammar
 
     def parse(self):
-        while self.peek().kind != 'eof':
-            if self.peek().kind == '@prefix':
+        tokens = self.tokens
+        while tokens[self.pos]:
+            if tokens[self.pos] == '@prefix':
                 self.directive()
-            elif self.trig and self.graph_block_ahead():
-                self.graph_block()
+            elif (self.trig and tokens[self.pos + 1] == '{'
+                  and (name := self.node(self.pos)) is not None):
+                self.graph_block(name)
             else:
                 self.triples_statement()
                 self.expect('.')
 
     def directive(self):
         self.expect('@prefix')
-        tok = self.expect('pname')
-        prefix, local = tok.value
+        tok = self.tokens[self.pos]
+        if ':' not in tok or tok[0] in '"<_':
+            self.fail(_found('pname'))
+        prefix, _, local = tok.partition(':')
         if local:
-            self.error("prefix declaration must end with ':'", tok)
-        iri = self.expect('iri')
-        self.prefixes[prefix] = iri.value
+            self.fail("prefix declaration must end with ':'")
+        iri = self.tokens[self.pos + 1]
+        if iri[:1] != '<' or len(iri) == 1:
+            self.fail(_found('iri'), self.pos + 1)
+        self.pos += 2
+        self.prefixes[prefix] = iri[1:-1]
+        self.nodes.clear()
         self.expect('.')
 
-    def graph_block_ahead(self) -> bool:
-        return (self.peek().kind in ('iri', 'pname', 'bnode')
-                and self.tokens[self.pos + 1].kind == '{')
-
-    def graph_block(self):
-        name = self.node(self.next())
-        self.expect('{')
-        graph = self.named.setdefault(name, set())
-        outer = self.sink
-        self.sink = graph
-        try:
-            while self.peek().kind != '}':
-                self.triples_statement()
-                if self.peek().kind == '.':
-                    self.next()
-                elif self.peek().kind != '}':
-                    self.error("expected '.' or '}'")
-            self.expect('}')
-        finally:
-            self.sink = outer
+    def graph_block(self, name: Term):
+        self.pos += 2       # the name and '{'
+        self.sink = self.named.setdefault(name, set())
+        tokens = self.tokens
+        while tokens[self.pos] != '}':
+            self.triples_statement()
+            if tokens[self.pos] == '.':
+                self.pos += 1
+            elif tokens[self.pos] != '}':
+                self.fail("expected '.' or '}'")
+        self.pos += 1
+        self.sink = self.default
 
     def triples_statement(self):
-        tok = self.peek()
-        if tok.kind == '[':
+        tok = self.tokens[self.pos]
+        if tok == '[':
             subject = self.bnode_property_list()
-            if self.peek().kind not in ('.', '}'):
+            if self.tokens[self.pos] not in ('.', '}'):
                 self.predicate_object_list(subject)
-        elif tok.kind == '(':
-            subject = self.collection()
-            self.predicate_object_list(subject)
+        elif tok == '(':
+            self.predicate_object_list(self.collection())
         else:
-            subject = self.subject()
+            subject = self.node(self.pos)
+            if subject is None:
+                self.fail("expected subject")
+            self.pos += 1
             self.predicate_object_list(subject)
 
-    def subject(self) -> Term:
-        tok = self.next()
-        term = self.node(tok)
-        if term is None:
-            self.error("expected subject", tok)
-        return term
-
-    def node(self, tok: _Token) -> Optional[Term]:
-        """The term of an IRI, prefixed-name or blank-node token, or None
-        for a token of any other kind."""
-        if tok.kind == 'iri':
-            return self.iri(tok.value)
-        if tok.kind == 'pname':
-            prefix, local = tok.value
+    def node(self, i: int) -> Optional[Term]:
+        """The term of token i if it is an IRI, a prefixed name or a blank
+        node, or None."""
+        tok = self.tokens[i]
+        term = self.nodes.get(tok)
+        if term is not None:
+            return term
+        first = tok[:1]
+        if first == '<' and len(tok) > 1:
+            term = Iri(tok[1:-1])
+        elif first == '_' and len(tok) > 1:
+            term = BlankNode(tok[2:])
+        elif first != '"' and ':' in tok:
+            prefix, _, local = tok.partition(':')
             if prefix not in self.prefixes:
-                self.error("unknown prefix %r" % (prefix + ':'), tok)
-            return self.iri(self.prefixes[prefix] + local)
-        if tok.kind == 'bnode':
-            return self.shared(BlankNode(tok.value))
-        return None
-
-    def iri(self, text: str) -> Iri:
-        term = self.terms.get(text)
-        if term is None:
-            term = self.terms[text] = Iri(text)
+                self.fail("unknown prefix %r" % (prefix + ':'), i)
+            term = Iri(self.prefixes[prefix] + local)
+        else:
+            return None
+        term = self.nodes[tok] = self.shared(term)
         return term
 
     def shared(self, term: Term) -> Term:
         return self.terms.setdefault(term, term)
 
     def predicate_object_list(self, subject: Term):
+        tokens = self.tokens
         while True:
-            predicate = self.verb()
-            self.object_list(subject, predicate)
-            if self.peek().kind == ';':
-                self.next()
-                # Trailing ';' before '.', ']' or '}' is permitted.
-                while self.peek().kind == ';':
-                    self.next()
-                if self.peek().kind in ('.', ']', '}'):
-                    return
-                continue
-            return
+            self.object_list(subject, self.verb())
+            if tokens[self.pos] != ';':
+                return
+            # Trailing ';' before '.', ']' or '}' is permitted.
+            while tokens[self.pos] == ';':
+                self.pos += 1
+            if tokens[self.pos] in ('.', ']', '}'):
+                return
 
     def verb(self) -> Iri:
-        tok = self.next()
-        if tok.kind == 'a':
-            return RDF_TYPE
-        term = self.node(tok)
+        term = RDF_TYPE if self.tokens[self.pos] == 'a' else self.node(self.pos)
         if not isinstance(term, Iri):
-            self.error("expected predicate", tok)
+            self.fail("expected predicate")
+        self.pos += 1
         return term
 
     def object_list(self, subject: Term, predicate: Iri):
+        add = self.sink.add
         while True:
-            obj = self.object_term()
-            self.emit(subject, predicate, obj)
-            if self.peek().kind == ',':
-                self.next()
-                continue
-            return
+            add(Triple(subject, predicate, self.object_term()))
+            if self.tokens[self.pos] != ',':
+                return
+            self.pos += 1
 
     def object_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == '[':
+        tokens, i = self.tokens, self.pos
+        tok = tokens[i]
+        if tok == '[':
             return self.bnode_property_list()
-        if tok.kind == '(':
+        if tok == '(':
             return self.collection()
-        tok = self.next()
-        term = self.node(tok)
+        term = self.node(i)
+        self.pos = i + 1
         if term is not None:
             return term
-        if tok.kind == 'integer':
-            return self.shared(Literal(tok.value, XSD_INTEGER))
-        if tok.kind in ('true', 'false'):
-            return self.shared(Literal(tok.kind, XSD_BOOLEAN))
-        if tok.kind == 'string':
-            if self.peek().kind == 'langtag':
-                lang = self.next().value
-                return self.shared(Literal(tok.value, language=lang))
-            if self.peek().kind == '^^':
-                self.next()
-                dt_tok = self.next()
-                dt = self.node(dt_tok)
+        if tok[:1] == '"':
+            try:
+                value = _string(tok)
+            except _Malformed:
+                self.fail(None, i)
+            tag = tokens[i + 1]
+            if tag[:1] == '@' and len(tag) > 1 and tag != '@prefix':
+                self.pos += 1
+                return self.shared(Literal(value, language=tag[1:]))
+            if tag == '^^':
+                dt = self.node(i + 2)
                 if not isinstance(dt, Iri):
-                    self.error("expected datatype IRI", dt_tok)
-                return self.shared(Literal(tok.value, dt))
-            return self.shared(Literal(tok.value))
-        self.error("expected object", tok)
+                    self.fail("expected datatype IRI", i + 2)
+                self.pos += 2
+                return self.shared(Literal(value, dt))
+            return self.shared(Literal(value))
+        if tok[-1:].isdigit() and tok[0] in '+-0123456789':
+            return self.shared(Literal(tok, XSD_INTEGER))
+        if tok == 'true' or tok == 'false':
+            return self.shared(Literal(tok, XSD_BOOLEAN))
+        self.fail("expected object", i)
 
     def bnode_property_list(self) -> BlankNode:
         self.expect('[')
         node = self.fresh_bnode()
-        if self.peek().kind != ']':
+        if self.tokens[self.pos] != ']':
             self.predicate_object_list(node)
         self.expect(']')
         return node
@@ -353,18 +346,17 @@ class _Parser:
     def collection(self) -> Term:
         self.expect('(')
         items = []
-        while self.peek().kind != ')':
-            if self.peek().kind == 'eof':
-                self.error("unterminated collection")
+        while self.tokens[self.pos] != ')':
+            if not self.tokens[self.pos]:
+                self.fail("unterminated collection")
             items.append(self.object_term())
-        self.expect(')')
+        self.pos += 1
         if not items:
             return RDF_NIL
         nodes = [self.fresh_bnode() for _ in items]
-        for i, (node, item) in enumerate(zip(nodes, items)):
-            self.emit(node, RDF_FIRST, item)
-            rest = nodes[i + 1] if i + 1 < len(nodes) else RDF_NIL
-            self.emit(node, RDF_REST, rest)
+        for node, item, rest in zip(nodes, items, nodes[1:] + [RDF_NIL]):
+            self.sink.add(Triple(node, RDF_FIRST, item))
+            self.sink.add(Triple(node, RDF_REST, rest))
         return nodes[0]
 
 
