@@ -49,6 +49,14 @@ def _split_head_body(raw: Union[bytes, str]) -> Tuple[str, bytes]:
 # RFC 9112 section 3: the words of a start line are separated by SP, HTAB,
 # VT, FF or a bare CR, and no other character.
 _START_LINE_WORD = re.compile(r"[^ \t\x0b\x0c\r]+")
+# RFC 9112 section 2.3: HTTP-version = HTTP-name "/" DIGIT "." DIGIT.
+_HTTP_VERSION = re.compile(r"HTTP/[0-9]\.[0-9]")
+
+
+def _check_version(version: str) -> str:
+    if not _HTTP_VERSION.fullmatch(version):
+        raise IngestError("bad HTTP version: %r" % version)
+    return version
 
 
 def _parse_headers(lines: List[str], request: bool) -> List[Header]:
@@ -167,6 +175,7 @@ def parse_http_request(raw: Union[bytes, str]) -> Request:
     method_token, target, version = parts
     if not version.startswith("HTTP/"):
         raise IngestError("malformed request line: %r" % lines[0])
+    _check_version(version)
     headers = _parse_headers(lines[1:], request=True)
     try:
         method = Method(method_token)
@@ -192,6 +201,7 @@ def parse_http_response(raw: Union[bytes, str]) -> Response:
         version, code_token = parts[-1], parts[0]
     else:
         raise IngestError("malformed status line: %r" % lines[0])
+    _check_version(version)
     if not (code_token.isascii() and code_token.isdigit()):
         raise IngestError("non-numeric status code: %r" % code_token)
     if len(code_token) != 3:
@@ -221,11 +231,14 @@ def _transcript_blocks(text: str) -> List[Tuple[int, str]]:
     current: List[str] = []
     start = 1
     for n, line in enumerate(text.split("\n"), 1):
-        if line.strip() == "---":
+        # A separator or a blank line may have ASCII SP, HTAB and CR around
+        # it, and no other whitespace.
+        bare = line.strip(" \t\r")
+        if bare == "---":
             if current:
                 blocks.append((start, "\n".join(current)))
             current = []
-        elif current or line.strip():
+        elif current or bare:
             if not current:
                 start = n
             current.append(line)

@@ -17,9 +17,18 @@ def is_token(text: str) -> bool:
 
 
 # Value records are namedtuples; those with a check subclass one, with
-# empty __slots__ so that instances stay immutable.
+# empty __slots__ so that instances stay immutable, and _Checked, so that
+# _make and _replace make the check too.
 
-class Method(namedtuple("Method", "name")):
+class _Checked:
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Method(_Checked, namedtuple("Method", "name")):
     __slots__ = ()
 
     def __new__(cls, name: str):
@@ -33,7 +42,7 @@ STANDARD_METHODS = ("GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT",
                     "OPTIONS", "TRACE", "PATCH")
 
 
-class Header(namedtuple("Header", "name value")):
+class Header(_Checked, namedtuple("Header", "name value")):
     """A header field, its name in its original casing; `header_value`
     looks names up case-insensitively."""
     __slots__ = ()
@@ -54,8 +63,8 @@ Request = namedtuple("Request", "method uri headers body http_version",
                      defaults=((), None, None))
 
 
-class Response(namedtuple("Response",
-                          "status_code headers body http_version")):
+class Response(_Checked, namedtuple("Response",
+                                    "status_code headers body http_version")):
     __slots__ = ()
 
     def __new__(cls, status_code: int, headers: Tuple[Header, ...] = (),
@@ -164,8 +173,8 @@ def header_value(headers, name: str) -> Optional[str]:
     return None
 
 
-class Interaction(namedtuple("Interaction",
-                             "request interim_responses final_response")):
+class Interaction(_Checked, namedtuple("Interaction",
+                                       "request interim_responses final_response")):
     """One request with its interim (1xx) responses and at most one final
     response."""
     __slots__ = ()

@@ -300,7 +300,8 @@ class TestErrors:
         ("GET /a\xa0HTTP/1.1\nHost: h\n", "transcript message 1 (line 1): "
          "malformed request line: 'GET /a\\xa0HTTP/1.1'"),
         ("GET /a HTTP/1.1\nHost: h\n---\nHTTP/1.1\xa0200 OK\n",
-         "transcript message 2 (line 4): non-numeric status code: 'OK'"),
+         "transcript message 2 (line 4): bad HTTP version: "
+         "'HTTP/1.1\\xa0200'"),
         ("GET /a HTTP/1.1\nHost: h\nX\xa0: v\n", "transcript message 1 "
          "(line 1): header name must be a non-empty token: 'X\\xa0'"),
         ("GET /a HTTP/1.1\nHost: h\nX : v\n", "transcript message 1 "
@@ -314,6 +315,19 @@ class TestErrors:
             "request-name-space", "request-name-leading-space",
             "response-name-nbsp"])
     def test_wire_whitespace_exits_2(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.http"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "lift", str(bad))
+        assert (code, out, err) == (EXIT_ERROR, "", "error: %s\n" % message)
+
+    # RFC 9112 section 2.3 on transcript start lines.
+    @pytest.mark.parametrize("text, message", [
+        ("GET /a HTTP/x.y!\nHost: h\n", "transcript message 1 (line 1): "
+         "bad HTTP version: 'HTTP/x.y!'"),
+        ("GET /a HTTP/1.1\nHost: h\n---\n\n201 Created HTTP/1\n",
+         "transcript message 2 (line 5): bad HTTP version: 'HTTP/1'"),
+    ], ids=["request-version", "inverted-status-line-version"])
+    def test_bad_http_version_exits_2(self, capsys, tmp_path, text, message):
         bad = tmp_path / "bad.http"
         bad.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "lift", str(bad))

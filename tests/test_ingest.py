@@ -221,8 +221,10 @@ class TestWireWhitespace:
     def test_other_whitespace_is_not_a_separator(self, sep):
         with pytest.raises(IngestError, match="malformed request line"):
             parse_http_request("GET /a%sHTTP/1.1\nHost: h\n\n" % sep)
-        with pytest.raises(IngestError, match="non-numeric status code"):
+        # The version word runs on into the status code.
+        with pytest.raises(IngestError) as e:
             parse_http_response("HTTP/1.1%s200 OK\n\n" % sep)
+        assert str(e.value) == "bad HTTP version: %r" % ("HTTP/1.1%s200" % sep)
 
     def test_status_line_separators(self):
         r = parse_http_response("HTTP/1.1\t204\x0cNo Content\n\n")
@@ -251,6 +253,27 @@ class TestWireWhitespace:
         with pytest.raises(IngestError) as e:
             parse_http_response("HTTP/1.1 200 OK\n%s\n\n" % line)
         assert str(e.value) == message
+
+    # RFC 9112 section 2.3: HTTP-version = "HTTP/" DIGIT "." DIGIT.
+    @pytest.mark.parametrize("version", ["HTTP/x.y!", "HTTP/1.10", "HTTP/11",
+                                         "HTTP/1.", "HTTP/2", "HTTP/\u0661.1"])
+    def test_version_must_be_digit_dot_digit(self, version):
+        message = "bad HTTP version: %r" % version
+        for parse, text in [
+                (parse_http_request, "GET /a %s\nHost: h\n\n"),
+                (parse_http_response, "%s 200 OK\n\n"),
+                (parse_http_response, "200 OK %s\n\n")]:
+            with pytest.raises(IngestError) as e:
+                parse(text % version)
+            assert str(e.value) == message
+
+    @pytest.mark.parametrize("version", ["HTTP/1.0", "HTTP/1.1", "HTTP/2.0",
+                                         "HTTP/9.9"])
+    def test_digit_dot_digit_versions_parse(self, version):
+        assert parse_http_request("GET /a %s\nHost: h\n\n"
+                                  % version).http_version == version
+        assert parse_http_response("%s 200 OK\n\n"
+                                   % version).http_version == version
 
     def test_transcript_response_block_by_the_same_rule(self):
         # "\xa0HTTP/1.1" is one word, so the block is read as a request.
@@ -378,6 +401,27 @@ class TestTranscript:
         assert str(info.value) == ("transcript message 3 (line 9): "
                                    "bad Content-Length: 'x'")
 
+    # A separator is "---" with at most ASCII SP, HTAB and CR around it,
+    # and a blank line holds nothing else.
+    def test_separator_and_blank_lines_allow_only_ascii_whitespace(self):
+        text = "GET /a HTTP/1.1\nHost: h\n \t---\r\n\t\r\nHTTP/1.1 200 OK\n"
+        [i] = load_transcript(text).interactions
+        assert i.final_response.status_code == 200
+
+    def test_no_break_space_separator_splits_nothing(self):
+        text = "GET /a HTTP/1.1\nHost: h\n\xa0---\xa0\nHTTP/1.1 200 OK\n"
+        with pytest.raises(IngestError) as e:
+            load_transcript(text)
+        assert str(e.value) == ("transcript message 1 (line 1): malformed "
+                                "header line: '\\xa0---\\xa0'")
+
+    def test_no_break_space_line_is_not_blank(self):
+        text = "GET /a HTTP/1.1\nHost: h\n---\n\xa0\nHTTP/1.1 200 OK\n"
+        with pytest.raises(IngestError) as e:
+            load_transcript(text)
+        assert str(e.value) == ("transcript message 2 (line 4): malformed "
+                                "request line: '\\xa0'")
+
     def test_dangling_request_allowed(self):
         c = load_transcript("GET /p HTTP/1.1\nHost: h\n")
         (i,) = c.interactions
@@ -447,6 +491,15 @@ class TestHar:
         c = load_har(json.dumps(doc))
         resp = c.interactions[1].final_response
         assert header_value(resp.headers, "content-type") == "text/x-turtle"
+
+    def test_http_version_is_free_form(self):
+        # Browsers write "h2" or "http/2.0", which no start line allows.
+        doc = json.loads(SAMPLE_HAR)
+        doc["log"]["entries"][0]["request"]["httpVersion"] = "h2"
+        doc["log"]["entries"][0]["response"]["httpVersion"] = "http/2.0"
+        i = next(i for i in load_har(json.dumps(doc)).interactions
+                 if i.request.http_version == "h2")
+        assert i.final_response.http_version == "http/2.0"
 
     def test_not_json_errors(self):
         with pytest.raises(IngestError):

@@ -184,6 +184,41 @@ class TestValueRecords:
             make()
         assert str(e.value) == message
 
+    # The namedtuple helpers build through the checked constructor.
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Method._make(["G T"]),
+         "method name must be a non-empty token: 'G T'"),
+        (lambda: Method("GET")._replace(name=""),
+         "method name must be a non-empty token: ''"),
+        (lambda: Header._make(["A B", "v"]),
+         "header name must be a non-empty token: 'A B'"),
+        (lambda: Header("A", "v")._replace(name="A:"),
+         "header name must be a non-empty token: 'A:'"),
+        (lambda: Response(200)._replace(status_code=5000),
+         "status code must have at most 3 digits: 5000"),
+        (lambda: Response._make([-1, (), None, None]),
+         "status code must have at most 3 digits: -1"),
+        (lambda: Interaction._make([_GET, (Response(200),), None]),
+         "interim response must have a 1xx status, got 200"),
+        (lambda: Interaction(_GET)._replace(final_response=Response(101)),
+         "final response must not have a 1xx status"),
+    ], ids=["method-make", "method-replace", "header-make", "header-replace",
+            "response-replace", "response-make", "interaction-make",
+            "interaction-replace"])
+    def test_make_and_replace_check_too(self, make, message):
+        with pytest.raises(ValueError) as e:
+            make()
+        assert str(e.value) == message
+
+    def test_make_and_replace_keep_the_class(self):
+        for made, want in [
+                (Method._make(["GET"]), Method("GET")),
+                (Header("A", "v")._replace(value="w"), Header("A", "w")),
+                (Response(200)._replace(status_code=404), Response(404)),
+                (Interaction(_GET)._replace(final_response=Response(204)),
+                 Interaction(_GET, (), Response(204)))]:
+            assert type(made) is type(want) and made == want
+
 
 # The character set that is_token replaced, kept as a reference.
 _OLD_TCHAR = set("!#$%&'*+-.^_`|~"
