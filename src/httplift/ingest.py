@@ -53,10 +53,9 @@ _START_LINE_WORD = re.compile(r"[^ \t\x0b\x0c\r]+")
 _HTTP_VERSION = re.compile(r"HTTP/[0-9]\.[0-9]")
 
 
-def _check_version(version: str) -> str:
+def _check_version(version: str) -> None:
     if not _HTTP_VERSION.fullmatch(version):
         raise IngestError("bad HTTP version: %r" % version)
-    return version
 
 
 def _parse_headers(lines: List[str], request: bool) -> List[Header]:

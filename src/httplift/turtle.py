@@ -129,9 +129,9 @@ def _fault(text: str, pos: int, tok: str) -> Optional[ParseError]:
     return None
 
 
-def _found(kind: str):
-    """An 'expected' message for a well-formed token, which shows its value
-    or, where that is empty, its kind."""
+def _expected(kind: str):
+    """The message for a token found where `kind` was expected. It shows a
+    well-formed token's value or, where that is empty, its kind."""
     def message(tok):
         first = tok[:1]
         if first == '"':
@@ -186,7 +186,7 @@ class _Parser:
 
     def expect(self, symbol: str):
         if self.tokens[self.pos] != symbol:
-            self.fail(_found(symbol))
+            self.fail(_expected(symbol))
         self.pos += 1
 
     def fresh_bnode(self) -> BlankNode:
@@ -210,13 +210,13 @@ class _Parser:
         self.expect('@prefix')
         tok = self.tokens[self.pos]
         if ':' not in tok or tok[0] in '"<_':
-            self.fail(_found('pname'))
+            self.fail(_expected('pname'))
         prefix, _, local = tok.partition(':')
         if local:
             self.fail("prefix declaration must end with ':'")
         iri = self.tokens[self.pos + 1]
         if iri[:1] != '<' or len(iri) == 1:
-            self.fail(_found('iri'), self.pos + 1)
+            self.fail(_expected('iri'), self.pos + 1)
         self.pos += 2
         self.prefixes[prefix] = iri[1:-1]
         self.nodes.clear()
