@@ -63,8 +63,8 @@ Request = namedtuple("Request", "method uri headers body http_version",
                      defaults=((), None, None))
 
 
-class Response(_Checked, namedtuple("Response",
-                                    "status_code headers body http_version")):
+class Response(_Checked, namedtuple(
+        "Response", "status_code headers body http_version")):
     __slots__ = ()
 
     def __new__(cls, status_code: int, headers: Tuple[Header, ...] = (),
@@ -173,8 +173,8 @@ def header_value(headers, name: str) -> Optional[str]:
     return None
 
 
-class Interaction(_Checked, namedtuple("Interaction",
-                                       "request interim_responses final_response")):
+class Interaction(_Checked, namedtuple(
+        "Interaction", "request interim_responses final_response")):
     """One request with its interim (1xx) responses and at most one final
     response."""
     __slots__ = ()

@@ -288,7 +288,8 @@ class _Parser:
                 return
 
     def verb(self) -> Iri:
-        term = RDF_TYPE if self.tokens[self.pos] == 'a' else self.node(self.pos)
+        i = self.pos
+        term = RDF_TYPE if self.tokens[i] == 'a' else self.node(i)
         if not isinstance(term, Iri):
             self.fail("expected predicate")
         self.pos += 1
@@ -317,7 +318,7 @@ class _Parser:
             try:
                 value = _string(tok)
             except _Malformed:
-                self.fail(None, i)
+                self.fail(None, i)      # raises the token's own error
             tag = tokens[i + 1]
             if tag[:1] == '@' and len(tag) > 1 and tag != '@prefix':
                 self.pos += 1
