@@ -295,7 +295,7 @@ def load_har(text: str) -> Conversation:
     import json
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise IngestError("not a HAR document: %s" % e)
     if not isinstance(doc, dict) or "log" not in doc:
         raise IngestError("not a HAR document: missing 'log'")
@@ -313,7 +313,8 @@ def load_har(text: str) -> Conversation:
     for n, entry in indexed:
         try:
             interactions.append(_har_interaction(entry))
-        except (KeyError, TypeError, ValueError, AttributeError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError,
+                OverflowError) as e:
             reason = "missing %s" % e if isinstance(e, KeyError) else e
             raise IngestError("HAR entry %d: %s" % (n, reason))
     return Conversation(tuple(interactions))

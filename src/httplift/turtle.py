@@ -9,14 +9,16 @@ string/integer/boolean literals with ^^ datatypes and language tags, the
 The tokenizer is one regex scan whose matches are the token texts, as
 strings, with '' for the end of the text. The parser tells their kinds
 apart by the first character and decodes a token only when it consumes it.
-No token carries a position: only when the parser raises does it scan the
-text again, for the offset of the token, and then the line and column.
+It accepts no malformed token, so the first error in the text wins: at the
+token where parsing stopped, the token's own error if it is malformed, else
+the grammar's, which shows the token as written. No token carries a
+position: only on an error is the text scanned again, for its location.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, count, islice
+from itertools import count, islice
 from typing import Dict, List, Optional
 
 from .rdf import (
@@ -50,10 +52,10 @@ _SKIP = r'[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*'
 
 # Skipped text, then one token as the only group: a symbol, a prefixed
 # name, a blank node, a string (closed or not), an IRI, a word, an integer
-# or a language tag. No two start with the same character, except @prefix
-# before a language tag and a prefixed name before a word. Any other
-# character is a token of its own, which is malformed, and the end of the
-# text is ''.
+# or a language tag, which may end in '-' or hold '--'. No two start with
+# the same character, except @prefix before a language tag and a prefixed
+# name before a word. Any other character is a token of its own, which is
+# malformed, and the end of the text is ''.
 _TOKEN = re.compile(r"""%s(
       [.;,()\[\]{}] | @prefix | \^\^
     | (?:[A-Za-z][A-Za-z0-9_-]*)?:(?:%s)?
@@ -62,10 +64,11 @@ _TOKEN = re.compile(r"""%s(
     | <%s>
     | [A-Za-z]+
     | [+-]?[0-9]+
-    | @[A-Za-z]+(?:-[A-Za-z0-9]+)*
+    | @[A-Za-z]+(?:-[A-Za-z0-9]*)*
     | [\s\S] | \Z
     )""" % (_SKIP, _LOCAL, _LOCAL, IRI_CHARS), re.X)
 
+_LANGTAG = re.compile(r'@[A-Za-z]+(?:-[A-Za-z0-9]+)*')
 _ESCAPE = re.compile(r'\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|([\s\S]))')
 _ESCAPES = {'t': '\t', 'b': '\b', 'n': '\n', 'r': '\r', 'f': '\f',
             '"': '"', "'": "'", '\\': '\\'}
@@ -112,6 +115,8 @@ def _fault(text: str, pos: int, tok: str) -> Optional[ParseError]:
             _string(tok)
         except _Malformed as e:
             return _error(e.args[0], text, pos + e.args[1])
+    elif tok[:1] == '@' and not _LANGTAG.fullmatch(tok):
+        return _error("malformed language tag", text, pos)
     elif tok.isalpha() and tok.isascii():
         if tok not in ('a', 'true', 'false'):
             return _error("unexpected token %r" % tok, text, pos)
@@ -119,33 +124,12 @@ def _fault(text: str, pos: int, tok: str) -> Optional[ParseError]:
     elif len(tok) == 1 and tok not in '.;,()[]{}:0123456789':
         if tok == '<':
             return _error("malformed IRI reference", text, pos)
-        if tok == '@':
-            return _error("malformed language tag", text, pos)
         if text.startswith('_:', pos):
             return _error("malformed blank node label", text, pos)
         if tok in '+-' or tok.isdigit():
             return _error("malformed numeric literal", text, pos)
         return _error("unexpected character %r" % tok, text, pos)
     return None
-
-
-def _expected(kind: str):
-    """The message for a token found where `kind` was expected. It shows a
-    well-formed token's value or, where that is empty, its kind."""
-    def message(tok):
-        first = tok[:1]
-        if first == '"':
-            tok = _string(tok) or 'string'
-        elif first == '<':
-            tok = tok[1:-1]
-        elif first == '_':
-            tok = tok[2:]
-        elif first == '@' and tok != '@prefix':
-            tok = tok[1:]
-        elif ':' in tok:
-            tok = tuple(tok.split(':', 1))
-        return "expected %r, found %r" % (kind, tok or 'eof')
-    return message
 
 
 # --------------------------------------------------------------------------
@@ -167,26 +151,19 @@ class _Parser:
         self.terms: dict = {}
         self.nodes: dict = {}
 
-    def fail(self, message, i: Optional[int] = None):
-        """Raise the first malformed token from token i (the next token by
-        default) on, since the parser has accepted every token before i;
-        else raise `message` at token i. A callable message is given the
-        token."""
+    def fail(self, message: str, i: Optional[int] = None):
+        """Raise the error of token i (the next by default), where parsing
+        stopped: its own error if it is malformed, else `message`. No token
+        before i is malformed, so this is the first error in the text."""
         i = self.pos if i is None else i
-        text = self.text
-        found = islice(_TOKEN.finditer(text), i, None)
-        at = next(found)
-        for m in chain((at,), found):
-            error = _fault(text, m.start(1), m.group(1))
-            if error:
-                raise error
-        if callable(message):
-            message = message(at.group(1))
-        raise _error(message, text, at.start(1))
+        m = next(islice(_TOKEN.finditer(self.text), i, None))
+        raise (_fault(self.text, m.start(1), m.group(1))
+               or _error(message, self.text, m.start(1)))
 
     def expect(self, symbol: str):
-        if self.tokens[self.pos] != symbol:
-            self.fail(_expected(symbol))
+        tok = self.tokens[self.pos]
+        if tok != symbol:
+            self.fail("expected %r, found %r" % (symbol, tok or 'eof'))
         self.pos += 1
 
     def fresh_bnode(self) -> BlankNode:
@@ -196,27 +173,31 @@ class _Parser:
 
     def parse(self):
         tokens = self.tokens
-        while tokens[self.pos]:
-            if tokens[self.pos] == '@prefix':
-                self.directive()
-            elif (self.trig and tokens[self.pos + 1] == '{'
-                  and (name := self.node(self.pos)) is not None):
-                self.graph_block(name)
-            else:
-                self.triples_statement()
-                self.expect('.')
+        try:
+            while tokens[self.pos]:
+                if tokens[self.pos] == '@prefix':
+                    self.directive()
+                elif (self.trig and tokens[self.pos + 1] == '{'
+                      and (name := self.node(self.pos)) is not None):
+                    self.graph_block(name)
+                else:
+                    self.triples_statement()
+                    self.expect('.')
+        except RecursionError:
+            self.fail("nesting too deep")
 
     def directive(self):
         self.expect('@prefix')
         tok = self.tokens[self.pos]
         if ':' not in tok or tok[0] in '"<_':
-            self.fail(_expected('pname'))
+            self.fail("expected 'PNAME_NS', found %r" % (tok or 'eof'))
         prefix, _, local = tok.partition(':')
         if local:
             self.fail("prefix declaration must end with ':'")
         iri = self.tokens[self.pos + 1]
         if iri[:1] != '<' or len(iri) == 1:
-            self.fail(_expected('iri'), self.pos + 1)
+            self.fail("expected 'IRIREF', found %r" % (iri or 'eof'),
+                      self.pos + 1)
         self.pos += 2
         self.prefixes[prefix] = iri[1:-1]
         self.nodes.clear()
@@ -318,9 +299,9 @@ class _Parser:
             try:
                 value = _string(tok)
             except _Malformed:
-                self.fail(None, i)      # raises the token's own error
+                self.fail("expected object", i)   # the token's error wins
             tag = tokens[i + 1]
-            if tag[:1] == '@' and len(tag) > 1 and tag != '@prefix':
+            if tag[:1] == '@' and tag != '@prefix' and _LANGTAG.fullmatch(tag):
                 self.pos += 1
                 return self.shared(Literal(value, language=tag[1:]))
             if tag == '^^':

@@ -184,6 +184,10 @@ class TestOntology:
         assert "content-type" in ext
 
 
+# A subject and predicate before deeply nested objects.
+_NEST = "<http://x/s> <http://x/p> "
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "lift", "/nonexistent/input.http")
@@ -253,6 +257,21 @@ class TestErrors:
          "(line 1): bad chunk size: 'hello' (body line 1)"),
         (".http", "Transfer-Encoding: chunked\n\n20", "transcript message "
          "1 (line 1): truncated chunk: 7 of 32 bytes (body line 2)"),
+        (".har", '{"log": {"entries": [{"request": {"method": "GET", "url": '
+         '"http://h/"}, "response": {"status": 1e999}}]}}',
+         "HAR entry 1: cannot convert float infinity to integer"),
+        (".har", '{"log": {"entries": %s%s}}' % ("[" * 1200, "]" * 1200),
+         "not a HAR document: "),
+        (".trig", _NEST + "(" * 10000 + ")" * 10000 + " .",
+         "nesting too deep (line 1, column "),
+        (".trig", _NEST + "[ <http://x/p> " * 10000 + "<http://x/o> "
+         + "]" * 10000 + " .", "nesting too deep (line 1, column "),
+        (".http", "Content-Type: text/turtle\n\n" + _NEST + "(" * 10000,
+         "transcript message 1 (line 1): unparseable RDF body: nesting too "
+         "deep (line 1, column "),
+        (".http", "Content-Type: text/turtle\n\n" + _NEST
+         + "[ <http://x/p> " * 10000, "transcript message 1 (line 1): "
+         "unparseable RDF body: nesting too deep (line 1, column "),
         ("argv", ["query", "6", SAMPLE, "--prop", "a b"],
          "argument --prop: invalid Iri value: 'a b'"),
         ("argv", ["lift", SAMPLE, "--base", "http://x/<q>"],
@@ -265,16 +284,20 @@ class TestErrors:
             "har-header-surrogate", "har-url-surrogate",
             "har-version-surrogate", "har-header-value-null",
             "transcript-not-utf-8", "differing-content-lengths",
-            "chunk-size-not-hex", "chunk-truncated",
-            "prop-not-an-iri", "base-not-an-iri"])
+            "chunk-size-not-hex", "chunk-truncated", "har-status-infinite",
+            "har-nesting-too-deep", "trig-nested-collections",
+            "trig-nested-property-lists", "body-nested-collections",
+            "body-nested-property-lists", "prop-not-an-iri",
+            "base-not-an-iri"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
                                      message):
         # suffix "argv": `mutate` is the whole command line, and a bad
-        # option is a usage error.
+        # option is a usage error. A HAR `mutate` that is a string is the
+        # whole text.
         if suffix == "argv":
             argv = mutate
         else:
-            if suffix == ".har":
+            if suffix == ".har" and callable(mutate):
                 with open(HAR) as fh:
                     doc = json.load(fh)
                 mutate(doc)

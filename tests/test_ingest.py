@@ -15,8 +15,9 @@ from httplift.ingest import (
 from httplift.lift import lift_conversation
 from httplift.model import Header, Method, header_value
 from httplift.rdf import Literal, isomorphic_datasets
-from httplift.turtle import parse_trig, serialize_trig
+from httplift.turtle import ParseError, parse_trig, serialize_trig
 from httplift.uri import parse_uri, recompose
+from httplift.validate import validate
 from httplift.vocab import PREFIXES
 
 
@@ -514,6 +515,19 @@ class TestHar:
             load_har(json.dumps(
                 {"log": {"entries": [{"request": {}, "response": {}}]}}))
 
+    def test_status_that_overflows_errors(self):
+        # 1e999 reads as float infinity, which no int can hold.
+        text = ('{"log": {"entries": [{"request": {"method": "GET", "url": '
+                '"http://h/"}, "response": {"status": 1e999}}]}}')
+        with pytest.raises(IngestError, match=r"^HAR entry 1: cannot "
+                           r"convert float infinity to integer$"):
+            load_har(text)
+
+    def test_nesting_too_deep_for_json_errors(self):
+        text = '{"log": {"entries": %s%s}}' % ("[" * 1200, "]" * 1200)
+        with pytest.raises(IngestError, match=r"^not a HAR document: "):
+            load_har(text)
+
 
 # Mutation fuzzing: any text gives a Conversation or an IngestError, and
 # whatever loads survives lift -> serialize_trig -> parse_trig.
@@ -580,3 +594,19 @@ def test_mutated_transcripts_load_or_raise_ingest_error(text):
 @given(_mutated(["registration.har"], spans=r'"([^"\\\n]*)"'))
 def test_mutated_har_loads_or_raises_ingest_error(text):
     _loads_and_round_trips(load_har, text)
+
+
+# Any TriG text gives a ParseError on one of its lines (the empty one after
+# a final newline included), or a dataset that validates and survives
+# serialize_trig -> parse_trig.
+@_FUZZ
+@given(_mutated(["registration_golden.trig"]))
+def test_mutated_trig_parses_or_raises_parse_error(text):
+    try:
+        dataset = parse_trig(text)
+    except ParseError as e:
+        assert 1 <= e.line <= text.count("\n") + 1 and e.col >= 1
+        return
+    validate(dataset)
+    trig = serialize_trig(dataset, PREFIXES)
+    assert isomorphic_datasets(parse_trig(trig), dataset)

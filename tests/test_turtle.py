@@ -274,6 +274,8 @@ _S = '<http://x/s> <http://x/p> '
     (_S + '"ok" , "\\U00110000" .', "bad unicode escape", 1, 35),
     (_S + '"x"@-en .', "malformed language tag", 1, 30),
     (_S + '"x"@ en .', "malformed language tag", 1, 30),
+    (_S + '"x"@en- .', "malformed language tag", 1, 30),
+    (_S + '"x"@en--gb .', "malformed language tag", 1, 30),
     ('_:-a <http://x/p> <http://x/o> .', "malformed blank node label", 1, 1),
     (_S + '_: .', "malformed blank node label", 1, 27),
     (_S + '+x .', "malformed numeric literal", 1, 27),
@@ -281,7 +283,8 @@ _S = '<http://x/s> <http://x/p> '
     (_S + '\u0663 .', "malformed numeric literal", 1, 27),
     (_S + 'foo .', "unexpected token 'foo'", 1, 27),
     ('@prefix ex: <http://x/> .\nex:s ex:p ex:a. ex:b.\n\t@prefixes',
-     "unexpected token 'es'", 3, 9),
+     "expected predicate", 2, 21),
+    ('@prefixes', "unexpected token 'es'", 1, 8),
     (_S + '^x .', "unexpected character '^'", 1, 27),
     (_S + '_x .', "unexpected character '_'", 1, 27),
     (_S + "'x' .", "unexpected character \"'\"", 1, 27),
@@ -297,9 +300,11 @@ _S = '<http://x/s> <http://x/p> '
         "unknown-escape", "escaped-newline", "escape-before-newline",
         "unicode-not-hex", "unicode-short-before-newline",
         "unicode-short-at-eof", "unicode-above-10ffff", "langtag-dash",
-        "langtag-space", "blank-label-dash", "blank-label-empty",
+        "langtag-space", "langtag-trailing-dash", "langtag-double-dash",
+        "blank-label-dash", "blank-label-empty",
         "number-sign-only", "number-minus", "number-non-ascii-digit",
-        "token-word", "token-after-prefix", "char-caret", "char-underscore",
+        "token-word", "token-after-prefix", "token-after-prefix-keyword",
+        "char-caret", "char-underscore",
         "char-single-quote", "char-no-break-space", "after-comments",
         "after-crlf-lines", "after-a-word-in-a-comment",
         "comment-at-eof"])
@@ -310,25 +315,27 @@ def test_tokenizer_errors_are_located(text, message, line, col):
         "%s (line %d, column %d)" % (message, line, col), line, col)
 
 
-# Every parser error kind, located at the token it names. A malformed token
-# anywhere in the text wins over a grammar error before it.
+# Every parser error kind, located at the token where parsing stopped, which
+# the message shows as written. The first error in the text wins: a grammar
+# error before a malformed token is the one reported.
 _P = '@prefix ex: <http://x/> .\n'
 
 
 @pytest.mark.parametrize("text, message, line, col", [
     ('# a comment\n# "another"\n' + _S + '<http://x/o>  # end',
      "expected '.', found 'eof'", 3, 46),
-    (_P + 'ex:s ex:p ex:o ex:q .', "expected '.', found ('ex', 'q')", 2, 16),
-    (_S + '<http://x/o> "a\\nb"', "expected '.', found 'a\\nb'", 1, 40),
-    (_S + '<http://x/o> ""', "expected '.', found 'string'", 1, 40),
+    (_P + 'ex:s ex:p ex:o ex:q .', "expected '.', found 'ex:q'", 2, 16),
+    (_S + '<http://x/o> "a\\nb"', "expected '.', found '\"a\\\\nb\"'", 1, 40),
+    (_S + '<http://x/o> ""', "expected '.', found '\"\"'", 1, 40),
     (_S + '<http://x/o> 5', "expected '.', found '5'", 1, 40),
-    (_S + '<http://x/o> _:b', "expected '.', found 'b'", 1, 40),
-    (_S + '<http://x/o> @en', "expected '.', found 'en'", 1, 40),
+    (_S + '<http://x/o> _:b', "expected '.', found '_:b'", 1, 40),
+    (_S + '<http://x/o> @en', "expected '.', found '@en'", 1, 40),
     (_S + '<http://x/o> @prefix', "expected '.', found '@prefix'", 1, 40),
     (_S + 'true false .', "expected '.', found 'false'", 1, 32),
     (_S + '[ <http://x/p> <http://x/o> .', "expected ']', found '.'", 1, 55),
-    ('@prefix ex: "x" .', "expected 'iri', found 'x'", 1, 13),
-    ('@prefix <http://x/> .', "expected 'pname', found 'http://x/'", 1, 9),
+    ('@prefix ex: "x" .', "expected 'IRIREF', found '\"x\"'", 1, 13),
+    ('@prefix <http://x/> .', "expected 'PNAME_NS', found '<http://x/>'",
+     1, 9),
     (_P + '\r\n\r\nex:s ex:p nope:o .', "unknown prefix 'nope:'", 4, 11),
     ('ex:g { ex:s ex:p ex:o }', "unknown prefix 'ex:'", 1, 1),
     ('\n\n  "s" <http://x/p> <http://x/o> .', "expected subject", 3, 3),
@@ -346,9 +353,8 @@ _P = '@prefix ex: <http://x/> .\n'
      "expected '.' or '}'", 2, 41),
     (_S + '"x"^^"y" .', "expected datatype IRI", 1, 32),
     (_S + '<http://x/o> <http://x/o2> .\n' + _S + '"a\\q" .',
-     "unknown string escape \\q", 2, 29),
-    (_S + '. # "\r\n' + _S + '<http://x/o> $', "unexpected character '$'",
-     2, 40),
+     "expected '.', found '<http://x/o2>'", 1, 40),
+    (_S + '. # "\r\n' + _S + '<http://x/o> $', "expected object", 1, 27),
 ], ids=["eof-after-comments", "found-pname", "found-string",
         "found-empty-string", "found-integer", "found-blank-node",
         "found-langtag", "found-prefix-keyword", "found-boolean",
@@ -364,6 +370,33 @@ def test_parser_errors_are_located(text, message, line, col):
         parse_trig(text)
     assert (str(info.value), info.value.line, info.value.col) == (
         "%s (line %d, column %d)" % (message, line, col), line, col)
+
+
+# Nesting deeper than the interpreter's stack allows is a located error at
+# the token where the parser ran out of stack; nesting to depth 100 parses.
+_NESTED = {"collection": ("(", "", ")"),
+           "property-list": ("[ <http://x/p> ", "<http://x/o> ", "]")}
+
+
+def _nested(form, depth):
+    opening, inner, closing = _NESTED[form]
+    return _S + opening * depth + inner + closing * depth + " ."
+
+
+@pytest.mark.parametrize("form", sorted(_NESTED))
+def test_deep_nesting_is_a_located_error(form):
+    with pytest.raises(ParseError) as info:
+        parse_trig(_nested(form, 10000))
+    e, opening = info.value, _NESTED[form][0]
+    assert str(e) == "nesting too deep (line 1, column %d)" % e.col
+    # The column lies in the run of openings.
+    assert e.line == 1 and len(_S) < e.col <= len(_S) + 10000 * len(opening)
+
+
+@pytest.mark.parametrize("form, triples", [("collection", 199),
+                                           ("property-list", 101)])
+def test_nesting_to_depth_100_parses(form, triples):
+    assert len(parse_trig(_nested(form, 100)).default_graph) == triples
 
 
 # format_term against a brute-force reference: every namespace that starts
