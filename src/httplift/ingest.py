@@ -158,8 +158,11 @@ def _make_body(headers: List[Header], octets: bytes) -> Optional[Body]:
                                       *dataset.named_graphs.values()))
                 else:
                     rdf = turtle.parse_turtle(text)
-            except (UnicodeDecodeError, turtle.ParseError) as e:
+            except UnicodeDecodeError as e:
                 raise IngestError("unparseable RDF body: %s" % e)
+            except turtle.ParseError as e:
+                raise IngestError("unparseable RDF body: %s (body line %d, "
+                                  "column %d)" % (e.message, e.line, e.col))
     return Body(media_type=media_type, octets=octets, rdf=rdf)
 
 
@@ -324,16 +327,21 @@ def load_har(text: str) -> Conversation:
 _NO_WHITESPACE = str.maketrans("", "", " \t\n\r\x0b\x0c")
 
 
+# The JSON name of each type that json.loads gives, but str.
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number",
+               float: "number", list: "array", dict: "object"}
+
+
 def _har_text(text: str) -> str:
     """`text`, if it is a string that UTF-8 can encode. JSON's "\\ud800"
     escape gives a lone surrogate, which it cannot."""
     if not isinstance(text, str):
-        raise TypeError("not a string: %r" % (text,))
+        raise TypeError("not a string: %s" % _JSON_TYPES[type(text)])
     if not text.isascii():
         try:
             text.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError("lone surrogate in %r" % text)
+        except UnicodeEncodeError as e:
+            raise ValueError("lone surrogate at offset %d" % e.start)
     return text
 
 

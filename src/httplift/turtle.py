@@ -31,6 +31,7 @@ from .rdf import (
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
+        self.message = message
         self.line = line
         self.col = col
 
@@ -372,42 +373,20 @@ def _escape_string(s: str) -> str:
     return s.translate(_STRING_ESCAPES) if _NEEDS_ESCAPE.search(s) else s
 
 
-# The key of an IRI or namespace is its text up to the last '#' or '/'. A
-# local name holds neither, so an IRI has the key of every namespace that
-# can compact it. The table maps a key to [(namespace, label)], longest
-# namespace first, ties in mapping order. Only the last mapping's table is
-# kept, with a copy of the mapping and whether two labels share a
-# namespace; it is rebuilt whenever the mapping differs.
-_last_namespaces: tuple = ({}, {}, False)
-
-
-def _namespaces(prefixes: Dict[str, str]) -> Dict[str, list]:
-    global _last_namespaces
-    mapping, table, ties = _last_namespaces
-    # Equal dicts may differ in order, which only decides ties.
-    if mapping != prefixes or ties and list(mapping) != list(prefixes):
-        table = {}
-        for label, ns in prefixes.items():
-            key = ns[:max(ns.rfind('#'), ns.rfind('/')) + 1]
-            table.setdefault(key, []).append((ns, label))
-        for entries in table.values():
-            entries.sort(key=lambda entry: -len(entry[0]))
-        ties = len(set(prefixes.values())) < len(prefixes)
-        _last_namespaces = (dict(prefixes), table, ties)
-    return table
-
-
 def format_term(term: Term, prefixes: Optional[Dict[str, str]] = None) -> str:
     """Render one term in Turtle syntax. An IRI becomes a prefixed name
-    with the longest namespace in `prefixes` (a map from prefix label to
-    namespace IRI) that leaves a legal local name, if there is one."""
+    with the longest namespace in `prefixes` (label -> namespace IRI; the
+    first label wins a tie) that leaves a legal local name, if any."""
     if isinstance(term, Iri):
-        iri = term.value
-        key = iri[:max(iri.rfind('#'), iri.rfind('/')) + 1]
-        for ns, label in _namespaces(prefixes or {}).get(key, ()):
-            if iri.startswith(ns) and _LOCAL_OK.fullmatch(iri, len(ns)):
-                return "%s:%s" % (label, iri[len(ns):])
-        return "<%s>" % iri
+        iri, best = term.value, None
+        for label, ns in (prefixes or {}).items():
+            if (best is None or len(ns) > len(best[1])) \
+                    and iri.startswith(ns) \
+                    and _LOCAL_OK.fullmatch(iri, len(ns)):
+                best = label, ns
+        if best is None:
+            return "<%s>" % iri
+        return "%s:%s" % (best[0], iri[len(best[1]):])
     if isinstance(term, BlankNode):
         return "_:%s" % term.label
     if isinstance(term, Literal):

@@ -27,6 +27,15 @@ _REFERENCE_RE = re.compile(
     r'(?:([^:/?#]+):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?', re.S)
 _SCHEME_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*')
 
+# RFC 9110 section 7.2: Host = uri-host [ ":" port ], with host and port
+# as in RFC 3986 sections 3.2.2-3.2.3: an IP literal in brackets (of an
+# IPv6 address, only the characters are checked) or a reg-name, which
+# covers every IPv4 address.
+_HOST_RE = re.compile(r"""(?:
+      \[ (?: [0-9A-Fa-f:.]+ | v[0-9A-Fa-f]+\.[-A-Za-z0-9._~!$&'()*+,;=:]+ ) \]
+    | (?: [-A-Za-z0-9._~!$&'()*+,;=] | %[0-9A-Fa-f]{2} )*
+    ) (?: :[0-9]* )?""", re.X)
+
 # A '%' not followed by two hex digits.
 _BAD_ESCAPE_RE = re.compile(r'%(?![0-9A-Fa-f]{2})')
 
@@ -101,6 +110,8 @@ def effective_request_uri(target: str, host: Optional[str]) -> UriParts:
     if target.startswith("/"):
         if not host:
             raise UriError("origin-form request target requires a Host header")
+        if not _HOST_RE.fullmatch(host):
+            raise UriError("bad Host header: %r" % host)
         return parse_uri("http://%s%s" % (host, target))
     if "://" in target:
         return parse_uri(target)

@@ -240,14 +240,19 @@ class TestErrors:
         (".trig", '<http://x/s> <http://x/p> "\\uD800" .',
          "bad unicode escape (line 1, column 28)"),
         (".har", lambda d: d["log"]["entries"][0]["request"]["headers"][0]
-         .update(value="a\ud800"), "HAR entry 1: lone surrogate in "
-         "'a\\ud800'"),
+         .update(value="a\ud800"), "HAR entry 1: lone surrogate at offset 1"),
         (".har", lambda d: d["log"]["entries"][1]["request"].update(
-            url="http://h/\ud800"), "HAR entry 2: lone surrogate in "),
+            url="http://h/\ud800"), "HAR entry 2: lone surrogate at offset 9"),
         (".har", lambda d: d["log"]["entries"][1]["response"].update(
-            httpVersion="HTTP/1.1\udfff"), "HAR entry 2: lone surrogate in "),
+            httpVersion="HTTP/1.1\udfff"), "HAR entry 2: lone surrogate at "
+         "offset 8"),
         (".har", lambda d: d["log"]["entries"][0]["request"]["headers"][0]
-         .update(value=None), "HAR entry 1: not a string: None"),
+         .update(value=None), "HAR entry 1: not a string: null"),
+        # A url whose repr runs to 1,000 characters, and stays shallow
+        # enough for json.loads under the test runner's stack.
+        (".har", '{"log": {"entries": [{"request": {"method": "GET", "url": '
+         '%s%s}, "response": {"status": 200}}]}}' % ("[" * 500, "]" * 500),
+         "HAR entry 1: not a string: array"),
         # "\udcff" is written as the byte 0xff.
         (".http", "X: a\r\nY: \udcff", "not UTF-8: byte 0xff "
          "(line 4, column 4)"),
@@ -268,10 +273,16 @@ class TestErrors:
          + "]" * 10000 + " .", "nesting too deep (line 1, column "),
         (".http", "Content-Type: text/turtle\n\n" + _NEST + "(" * 10000,
          "transcript message 1 (line 1): unparseable RDF body: nesting too "
-         "deep (line 1, column "),
+         "deep (body line 1, column "),
         (".http", "Content-Type: text/turtle\n\n" + _NEST
          + "[ <http://x/p> " * 10000, "transcript message 1 (line 1): "
-         "unparseable RDF body: nesting too deep (line 1, column "),
+         "unparseable RDF body: nesting too deep (body line 1, column "),
+        (".http", "Content-Type: text/turtle\n\n@prefix ex: <http://x/> .\n"
+         "ex:s ex:p .", "transcript message 1 (line 1): unparseable RDF "
+         "body: expected object (body line 2, column 11)"),
+        # A second message, with a Host that would move the path.
+        (".http", "\n---\nGET /a?q=1 HTTP/1.1\nHost: h/x", "transcript "
+         "message 2 (line 5): bad Host header: 'h/x'"),
         ("argv", ["query", "6", SAMPLE, "--prop", "a b"],
          "argument --prop: invalid Iri value: 'a b'"),
         ("argv", ["lift", SAMPLE, "--base", "http://x/<q>"],
@@ -283,11 +294,13 @@ class TestErrors:
             "trig-escape-above-10ffff", "trig-escape-surrogate",
             "har-header-surrogate", "har-url-surrogate",
             "har-version-surrogate", "har-header-value-null",
+            "har-url-deep-list",
             "transcript-not-utf-8", "differing-content-lengths",
             "chunk-size-not-hex", "chunk-truncated", "har-status-infinite",
             "har-nesting-too-deep", "trig-nested-collections",
             "trig-nested-property-lists", "body-nested-collections",
-            "body-nested-property-lists", "prop-not-an-iri",
+            "body-nested-property-lists", "body-second-line",
+            "host-with-slash", "prop-not-an-iri",
             "base-not-an-iri"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
                                      message):
@@ -315,6 +328,7 @@ class TestErrors:
             assert err.startswith("usage: "), err
         else:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert len(err) < 200, err
         assert message in err and "Traceback" not in err
 
     # RFC 9112 whitespace: only SP, HTAB, VT, FF and bare CR separate the

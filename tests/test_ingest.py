@@ -50,6 +50,22 @@ class TestParseRequest:
         with pytest.raises(IngestError):
             parse_http_request("GET /p HTTP/1.1\n\n")
 
+    # RFC 9110 section 7.2: Host = uri-host [ ":" port ]. A '/', '?' or
+    # '#' in it would move the path, query or fragment of the target.
+    @pytest.mark.parametrize("host", [
+        "h/x", "h?x", "h#x", "u@h", "h h", "h:8x"])
+    def test_host_that_is_not_host_and_port_errors(self, host):
+        with pytest.raises(IngestError,
+                           match=re.escape("bad Host header: %r" % host)):
+            parse_http_request("GET /a?q=1 HTTP/1.1\nHost: %s\n\n" % host)
+
+    @pytest.mark.parametrize("host", [
+        "h", "h:", "h:80", "[::1]:8080", "example.org:8080", "a-b.c_d~e"])
+    def test_host_and_port_keep_the_target_components(self, host):
+        uri = parse_http_request("GET /a?q=1 HTTP/1.1\nHost: %s\n\n"
+                                 % host).uri
+        assert (uri.authority, uri.path, uri.query) == (host, "/a", "q=1")
+
     def test_malformed_request_line(self):
         with pytest.raises(IngestError):
             parse_http_request("GET /p\n\n")

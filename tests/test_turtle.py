@@ -450,6 +450,11 @@ def test_equal_namespaces_tie_in_mapping_order():
     assert format_term(iri, {"q": EX, "p": EX, "r": EX + "a"}) == "r:"
 
 
+def test_empty_namespace_can_win():
+    assert format_term(Iri("abc"), {"e": ""}) == "e:abc"
+    assert format_term(Iri(EX + "a"), {"e": "", "p": EX}) == "p:a"
+
+
 def test_serializer_renders_each_term_once(monkeypatch):
     rendered = []
     missing = turtle._Rendered.__missing__
