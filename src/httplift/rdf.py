@@ -6,10 +6,10 @@ are pure functions and safe to use from multiple threads. A graph builds
 its SPO and POS indexes together on its first lookup, not on
 construction.
 
-Isomorphism refines the colours of the blank nodes of both sides together
-and branches, on an explicit stack, only where colour classes stay tied; a
-failed branch is undone from a trail. A bijection is accepted only after it
-has been checked against every tuple.
+Isomorphism seeds blank-node colours from one-node tuples, refines both
+sides together over shared tuples, and branches, on an explicit stack, only
+where colour classes stay tied; a failed branch is undone from a trail. A
+bijection is accepted only after it has been checked against every tuple.
 """
 
 from __future__ import annotations
@@ -312,17 +312,19 @@ def path_lexicals(graph: Graph, start: Term, path: PathExpr) -> set:
 # both tuple lists are refined together as one disjoint union: nodes
 # 0 .. n_a - 1 are a's, the rest b's. Colour ids are then shared by the two
 # sides, and a colour class ("cell") holding more nodes of one side than of
-# the other refutes the isomorphism at once.
+# the other refutes the isomorphism at once. A node's first colour is the
+# sorted skeleton ids of the tuples it alone fills; refinement only splits
+# cells, so only tuples shared by two or more nodes enter its signature.
 
 _BLANK = object()   # a blank node's place in the ground skeleton of a tuple
 
 
 class _Colouring:
     """A colouring of the blank nodes of two tuple lists. A node's
-    signature is the sorted list of the tuples it occurs in, each as its
-    skeleton id followed by the colours of its blank nodes, with -1 for
-    the node itself. Every node of a cell has the cell's signature once
-    `refine` returns True.
+    signature is the sorted list of the tuples it shares with other blank
+    nodes, each as its skeleton id followed by the colours of its blank
+    nodes, with -1 for the node itself. Every node of a cell has the
+    cell's signature once `refine` returns True.
 
     Every change is recorded on a trail, so that `undo` returns to any
     earlier `mark`: a node that leaves a cell always goes to a new cell,
@@ -331,13 +333,16 @@ class _Colouring:
     __slots__ = ("occurrences", "neighbours", "n_a", "colour", "cells",
                  "cell_sig", "moves", "sigs")
 
-    def __init__(self, occurrences: list, neighbours: list, n_a: int):
+    def __init__(self, occurrences: list, neighbours: list, n_a: int,
+                 colour: list):
         self.occurrences = occurrences     # node -> [(skeleton id, nodes)]
         self.neighbours = neighbours       # node -> nodes sharing a tuple
         self.n_a = n_a
-        self.colour = [0] * len(occurrences)
-        self.cells = [set(range(len(occurrences)))]
-        self.cell_sig = [None]
+        self.colour = colour
+        self.cells = [set() for _ in range(max(colour) + 1)]
+        for v, c in enumerate(colour):
+            self.cells[c].add(v)
+        self.cell_sig = [None] * len(self.cells)
         self.moves = []                    # (node, colour it left)
         self.sigs = []                     # (cell, signature it had)
 
@@ -372,9 +377,11 @@ class _Colouring:
 
     def _signature(self, v: int) -> tuple:
         colour = self.colour
-        return tuple(sorted((shape,) + tuple(-1 if u == v else colour[u]
-                                             for u in nodes)
-                            for shape, nodes in self.occurrences[v]))
+        c, colour[v] = colour[v], -1
+        sig = tuple(sorted([(shape,) + tuple(map(colour.__getitem__, nodes))
+                            for shape, nodes in self.occurrences[v]]))
+        colour[v] = c
+        return sig
 
     def refine(self, dirty: set) -> bool:
         """Split cells until they are equitable, recomputing only the
@@ -438,16 +445,19 @@ def _tuples_isomorphic(a: list, b: list) -> bool:
     distinct term tuples (triples or quads) maps a exactly onto b."""
     if len(a) != len(b):
         return False
-    ground, forms, counts = [], [], []
+    skeletons, ground, forms, counts = {}, [], [], []
     for tuples in (a, b):
-        # Blank nodes become ids, a's from 0 and b's after them.
+        # Blank nodes become ids, a's from 0 and b's after them. A tuple
+        # with blank nodes becomes its skeleton's id and its nodes' ids.
         ids, offset, g, f = {}, sum(counts), set(), []
         for t in tuples:
-            if BlankNode in map(type, t):
-                f.append(tuple(ids.setdefault(x, offset + len(ids))
-                               if type(x) is BlankNode else x for x in t))
-            else:
+            if BlankNode not in map(type, t):
                 g.add(t)
+                continue
+            shape = tuple([_BLANK if type(x) is BlankNode else x for x in t])
+            f.append((skeletons.setdefault(shape, len(skeletons)),
+                      tuple([ids.setdefault(x, offset + len(ids))
+                             for x in t if type(x) is BlankNode])))
         ground.append(g)
         forms.append(f)
         counts.append(len(ids))
@@ -457,21 +467,25 @@ def _tuples_isomorphic(a: list, b: list) -> bool:
     if not n_a:
         return True
 
-    skeletons = {}
+    seeds = [[] for _ in range(n_a + n_b)]
     occurrences = [[] for _ in range(n_a + n_b)]
     neighbours = [set() for _ in range(n_a + n_b)]
-    for form in chain(*forms):
-        nodes = tuple(x for x in form if type(x) is int)
-        shape = skeletons.setdefault(
-            tuple(_BLANK if type(x) is int else x for x in form),
-            len(skeletons))
-        for v in set(nodes):
+    for shape, nodes in chain(*forms):
+        distinct = set(nodes)
+        if len(distinct) == 1:
+            seeds[nodes[0]].append(shape)
+            continue
+        for v in distinct:
             occurrences[v].append((shape, nodes))
-            neighbours[v].update(nodes)
+            neighbours[v].update(distinct)
     for v, near in enumerate(neighbours):
         near.discard(v)
-
-    colouring = _Colouring(occurrences, neighbours, n_a)
+    starts = {}
+    colour = [starts.setdefault(tuple(sorted(shapes)), len(starts))
+              for shapes in seeds]
+    if sorted(colour[:n_a]) != sorted(colour[n_a:]):
+        return False
+    colouring = _Colouring(occurrences, neighbours, n_a, colour)
     if not colouring.refine(set(range(n_a + n_b))):
         return False
     # Depth-first search over individualisations. Each level of the stack
@@ -485,8 +499,8 @@ def _tuples_isomorphic(a: list, b: list) -> bool:
             # Signatures decide the cells exactly, but the bijection is
             # still checked against every tuple before it is accepted.
             m = colouring.bijection()
-            if {tuple(m[x] if type(x) is int else x for x in form)
-                    for form in forms[0]} == target:
+            if {(shape, tuple([m[v] for v in nodes]))
+                    for shape, nodes in forms[0]} == target:
                 return True
         else:
             # A tied cell is balanced, and a's nodes come before b's.

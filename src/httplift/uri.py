@@ -30,10 +30,11 @@ _SCHEME_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*')
 # RFC 9110 section 7.2: Host = uri-host [ ":" port ], with host and port
 # as in RFC 3986 sections 3.2.2-3.2.3: an IP literal in brackets (of an
 # IPv6 address, only the characters are checked) or a reg-name, which
-# covers every IPv4 address.
+# covers every IPv4 address. The reg-name may not be empty: RFC 9110
+# section 4.2.1 rejects an http URI with an empty host.
 _HOST_RE = re.compile(r"""(?:
       \[ (?: [0-9A-Fa-f:.]+ | v[0-9A-Fa-f]+\.[-A-Za-z0-9._~!$&'()*+,;=:]+ ) \]
-    | (?: [-A-Za-z0-9._~!$&'()*+,;=] | %[0-9A-Fa-f]{2} )*
+    | (?: [-A-Za-z0-9._~!$&'()*+,;=] | %[0-9A-Fa-f]{2} )+
     ) (?: :[0-9]* )?""", re.X)
 
 # A '%' not followed by two hex digits.
@@ -114,7 +115,12 @@ def effective_request_uri(target: str, host: Optional[str]) -> UriParts:
             raise UriError("bad Host header: %r" % host)
         return parse_uri("http://%s%s" % (host, target))
     if "://" in target:
-        return parse_uri(target)
+        u = parse_uri(target)
+        # The host lies after any userinfo and before any port.
+        uri_host = u.authority.rpartition("@")[2].partition(":")[0]
+        if u.scheme.lower() in ("http", "https") and not uri_host:
+            raise UriError("empty host in request target: %r" % target)
+        return u
     raise UriError("unsupported request-target form: %r" % target)
 
 

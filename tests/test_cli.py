@@ -283,6 +283,8 @@ class TestErrors:
         # A second message, with a Host that would move the path.
         (".http", "\n---\nGET /a?q=1 HTTP/1.1\nHost: h/x", "transcript "
          "message 2 (line 5): bad Host header: 'h/x'"),
+        (".http", "\n---\nGET /a HTTP/1.1\nHost: :80", "transcript "
+         "message 2 (line 5): bad Host header: ':80'"),
         ("argv", ["query", "6", SAMPLE, "--prop", "a b"],
          "argument --prop: invalid Iri value: 'a b'"),
         ("argv", ["lift", SAMPLE, "--base", "http://x/<q>"],
@@ -300,7 +302,7 @@ class TestErrors:
             "har-nesting-too-deep", "trig-nested-collections",
             "trig-nested-property-lists", "body-nested-collections",
             "body-nested-property-lists", "body-second-line",
-            "host-with-slash", "prop-not-an-iri",
+            "host-with-slash", "host-empty", "prop-not-an-iri",
             "base-not-an-iri"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
                                      message):

@@ -51,13 +51,21 @@ class TestParseRequest:
             parse_http_request("GET /p HTTP/1.1\n\n")
 
     # RFC 9110 section 7.2: Host = uri-host [ ":" port ]. A '/', '?' or
-    # '#' in it would move the path, query or fragment of the target.
+    # '#' in it would move the path, query or fragment of the target, and
+    # section 4.2.1 rejects an empty host.
     @pytest.mark.parametrize("host", [
-        "h/x", "h?x", "h#x", "u@h", "h h", "h:8x"])
+        "h/x", "h?x", "h#x", "u@h", "h h", "h:8x", ":80", ":"])
     def test_host_that_is_not_host_and_port_errors(self, host):
         with pytest.raises(IngestError,
                            match=re.escape("bad Host header: %r" % host)):
             parse_http_request("GET /a?q=1 HTTP/1.1\nHost: %s\n\n" % host)
+
+    @pytest.mark.parametrize("target", [
+        "http://:80/a", "http:///a", "http://u@:80/a", "HTTPS://:/a"])
+    def test_absolute_form_with_an_empty_host_errors(self, target):
+        with pytest.raises(IngestError, match=re.escape(
+                "empty host in request target: %r" % target)):
+            parse_http_request("GET %s HTTP/1.1\n\n" % target)
 
     @pytest.mark.parametrize("host", [
         "h", "h:", "h:80", "[::1]:8080", "example.org:8080", "a-b.c_d~e"])

@@ -272,12 +272,27 @@ def _lone_nodes(numbers, prefix):
                         Literal("x")) for i in numbers)
 
 
+def _lifted_registration():
+    with open(os.path.join(FIXTURES, "registration.http")) as fh:
+        return lift_conversation(load_transcript(fh.read()))
+
+
+def _relabelled(d):
+    """`d` with every blank node, graph names included, given a new label."""
+    def term(x):
+        return BlankNode("r" + x.label) if isinstance(x, BlankNode) else x
+
+    def graph(g):
+        return Graph(Triple(*map(term, t)) for t in g)
+    return Dataset(graph(d.default_graph), {
+        term(name): graph(g) for name, g in d.named_graphs.items()})
+
+
 def _registration_header_swap():
     """The lifted registration fixture, and a copy in which two messages
     exchange header nodes whose values differ. Every node keeps its
     triples' shapes, so only the wider structure tells the copies apart."""
-    with open(os.path.join(FIXTURES, "registration.http")) as fh:
-        lifted = lift_conversation(load_transcript(fh.read()))
+    lifted = _lifted_registration()
     g = lifted.default_graph
     links = sorted(g.match(None, vocab.HDR, None), key=repr)
     x, y = next((x, y) for x, y in itertools.combinations(links, 2)
@@ -302,6 +317,20 @@ def _registration_header_swap():
                  id="chain-2000-one-edge-reversed"),
     pytest.param(*_registration_header_swap(), False,
                  id="registration-header-nodes-swapped"),
+    pytest.param(_lifted_registration(), _relabelled(_lifted_registration()),
+                 True, id="registration-relabelled"),
+    # Only one-node tuples on one side, only shared tuples on the other.
+    pytest.param(Graph([Triple(BlankNode("a"), iri("p"), BlankNode("a")),
+                        Triple(BlankNode("b"), iri("p"), BlankNode("b"))]),
+                 Graph(_cycle(["a", "b"])), False,
+                 id="self-loops-vs-2-cycle"),
+    # A graph name that is the subject of a triple in its own graph, and
+    # the same triple in the default graph.
+    pytest.param(Dataset(Graph(), {BlankNode("g"): Graph([Triple(
+                     BlankNode("g"), iri("p"), iri("o"))])}),
+                 Dataset(Graph([Triple(BlankNode("g"), iri("p"), iri("o"))]),
+                         {BlankNode("g"): Graph()}), False,
+                 id="graph-name-in-own-graph-vs-default"),
     # One cell of 2000 tied nodes: 999 individualisations deep.
     pytest.param(_lone_nodes(range(1000), "n"),
                  _lone_nodes(random.Random(2).sample(range(1000), 1000), "m"),
@@ -356,6 +385,33 @@ def test_undo_restores_the_colouring_at_its_mark(monkeypatch):
     h = Graph(hub + _cycle(labels))
     assert not isomorphic(g, h)
     assert len(undone) > 3
+
+
+def _get_transcript(pairs):
+    """GET/200 pairs with distinct paths and header values."""
+    return "\n---\n".join(
+        "GET /r/%d?q=%d HTTP/1.1\nHost: example.org\nX-Id: %d\n---\n"
+        "HTTP/1.1 200 OK\nContent-Type: text/plain\nETag: \"%d\"\n\nbody %d"
+        % ((i,) * 5) for i in range(pairs))
+
+
+def test_signatures_per_blank_node_stay_flat(monkeypatch):
+    # Counts, not times: refinement stays linear in the size of the data.
+    calls = []
+    signature = rdf._Colouring._signature
+
+    def counted(c, v):
+        calls.append(v)
+        return signature(c, v)
+
+    monkeypatch.setattr(rdf._Colouring, "_signature", counted)
+    per_node = []
+    for pairs in (10, 100):
+        lifted = lift_conversation(load_transcript(_get_transcript(pairs)))
+        calls.clear()
+        assert isomorphic_datasets(lifted, _relabelled(lifted))
+        per_node.append(len(calls) / (2 * len(_blank_nodes(lifted))))
+    assert 1 / 1.1 <= per_node[1] / per_node[0] <= 1.1, per_node
 
 
 # hypothesis: relabelling blank nodes never changes the isomorphism class
