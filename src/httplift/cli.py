@@ -7,6 +7,8 @@ Exit codes: 0 success (warnings allowed), 1 conformance violations,
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import sys
 from typing import Optional
 
@@ -82,6 +84,9 @@ def _add_input_args(sub):
     sub.add_argument("--out", metavar="PATH", help="write output to PATH")
 
 
+# Built once per process: it is made of constants, and parsing does not
+# change it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="httplift",
@@ -170,10 +175,10 @@ def _cmd_query(args) -> int:
               file=sys.stderr)
         return EXIT_ERROR
     answer, option = _CQS[args.cq]
-    dataset = _load_dataset(args.input, args.format, args.base)
     if option and not getattr(args, option):
         print("error: CQ%s requires --%s" % (args.cq, option), file=sys.stderr)
         return EXIT_ERROR
+    dataset = _load_dataset(args.input, args.format, args.base)
     _write_output("".join(_format_row(row) + "\n"
                           for row in answer(dataset, args)), args.out)
     return EXIT_OK
@@ -198,11 +203,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code else EXIT_OK
+    # Nearly all that a command allocates stays live until it returns, so
+    # collector passes while it runs would walk it again and again. Cycles
+    # it leaves are collected once the collector runs again.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except (IngestError, ParseError, UriError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def entry_point():

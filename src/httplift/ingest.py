@@ -14,7 +14,7 @@ from .model import (
     header_value, is_interim,
 )
 from .rdf import Graph
-from .uri import UriError, effective_request_uri, parse_uri
+from .uri import UriError, effective_request_uri, parse_uri, require_host
 
 
 class IngestError(ValueError):
@@ -358,7 +358,7 @@ def _har_headers(items, mime_type: Optional[str]) -> List[Header]:
 def _har_interaction(entry: dict) -> Interaction:
     req = entry.get("request") or {}
     resp = entry.get("response") or {}
-    uri = parse_uri(_har_text(req["url"]))
+    uri = require_host(parse_uri(_har_text(req["url"])))
     post = req.get("postData") or {}
     text = post.get("text")
     req_headers = _har_headers(req.get("headers"),

@@ -115,13 +115,18 @@ def effective_request_uri(target: str, host: Optional[str]) -> UriParts:
             raise UriError("bad Host header: %r" % host)
         return parse_uri("http://%s%s" % (host, target))
     if "://" in target:
-        u = parse_uri(target)
-        # The host lies after any userinfo and before any port.
-        uri_host = u.authority.rpartition("@")[2].partition(":")[0]
-        if u.scheme.lower() in ("http", "https") and not uri_host:
-            raise UriError("empty host in request target: %r" % target)
-        return u
+        return require_host(parse_uri(target))
     raise UriError("unsupported request-target form: %r" % target)
+
+
+def require_host(u: UriParts) -> UriParts:
+    """`u`, a parsed request target, unless it is an http or https URI with
+    an empty host (RFC 9110 section 4.2.1)."""
+    # The host lies after any userinfo and before any port.
+    uri_host = u.authority.rpartition("@")[2].partition(":")[0]
+    if u.scheme.lower() in ("http", "https") and not uri_host:
+        raise UriError("empty host in request target: %r" % recompose(u))
+    return u
 
 
 def remove_dot_segments(path: str) -> str:

@@ -1,5 +1,6 @@
 """CLI behaviour: commands, output routing and exit codes."""
 
+import gc
 import importlib
 import io
 import json
@@ -9,15 +10,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import httplift
-from httplift.cli import main, entry_point, EXIT_OK, EXIT_VIOLATIONS, EXIT_ERROR
+from httplift.cli import (main, entry_point, _build_parser, EXIT_OK,
+                          EXIT_VIOLATIONS, EXIT_ERROR)
 from httplift.rdf import isomorphic_datasets
 from httplift.turtle import parse_trig, parse_turtle
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SAMPLE = os.path.join(FIXTURES, "registration.http")
 HAR = os.path.join(FIXTURES, "registration.har")
+FINDINGS = os.path.join(FIXTURES, "findings.http")
 GOLDEN = os.path.join(FIXTURES, "registration_golden.trig")
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "pyproject.toml")
@@ -170,6 +174,20 @@ class TestQuery:
         code, _, err = run(capsys, "query", "9", SAMPLE)
         assert code == EXIT_ERROR
 
+    # A missing option is reported before the input is read, so neither a
+    # missing file nor a malformed one hides it.
+    @pytest.mark.parametrize("cq, text, message", [
+        ("6", None, "error: CQ6 requires --prop\n"),
+        ("7", "HTTP/1.1 200 OK\n", "error: CQ7 requires --name\n"),
+    ], ids=["cq6-missing-file", "cq7-malformed-transcript"])
+    def test_required_option_is_checked_first(self, capsys, tmp_path, cq,
+                                              text, message):
+        path = tmp_path / "input.http"
+        if text is not None:
+            path.write_text(text)
+        assert run(capsys, "query", cq, str(path)) == (EXIT_ERROR, "",
+                                                       message)
+
 
 class TestOntology:
     def test_prints_parseable_turtle(self, capsys):
@@ -285,6 +303,9 @@ class TestErrors:
          "message 2 (line 5): bad Host header: 'h/x'"),
         (".http", "\n---\nGET /a HTTP/1.1\nHost: :80", "transcript "
          "message 2 (line 5): bad Host header: ':80'"),
+        (".har", lambda d: d["log"]["entries"][0]["request"].update(
+            url="http://:80/a"), "HAR entry 1: empty host in request "
+         "target: 'http://:80/a'"),
         ("argv", ["query", "6", SAMPLE, "--prop", "a b"],
          "argument --prop: invalid Iri value: 'a b'"),
         ("argv", ["lift", SAMPLE, "--base", "http://x/<q>"],
@@ -302,7 +323,8 @@ class TestErrors:
             "har-nesting-too-deep", "trig-nested-collections",
             "trig-nested-property-lists", "body-nested-collections",
             "body-nested-property-lists", "body-second-line",
-            "host-with-slash", "host-empty", "prop-not-an-iri",
+            "host-with-slash", "host-empty", "har-url-empty-host",
+            "prop-not-an-iri",
             "base-not-an-iri"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
                                      message):
@@ -418,6 +440,58 @@ def check_console_script(capsys, command, env):
     no_args = subprocess.run(command, capture_output=True, env=env,
                              timeout=60)
     assert no_args.returncode == EXIT_ERROR, no_args.stderr
+
+
+# Every command on one input, help, and each kind of refusal.
+_ARGV_POOL = [
+    ["lift", SAMPLE], ["lift", "--turtle", SAMPLE], ["validate", SAMPLE],
+    ["validate", "--report", "tsv", SAMPLE],
+    *[["query", cq, SAMPLE] for cq in "12345"],
+    ["query", "6", SAMPLE, "--prop", "http://example.org/ns#ids"],
+    ["query", "7", SAMPLE, "--name", "count"],
+    ["ontology"], ["ontology", "--extensions"],
+    ["--help"], ["query", "--help"], ["nope", SAMPLE],
+    ["lift", SAMPLE, "--format", "xml"],
+    ["lift", SAMPLE, "--base", "http://x/<q>"],
+    ["query", "9", SAMPLE], ["query", "6", SAMPLE],
+]
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once per process and pauses the cyclic
+    collector while a command runs; neither may show in what a call does."""
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from(_ARGV_POOL), min_size=1, max_size=6))
+    def test_reused_parser_answers_as_a_new_one(self, capsys, argvs):
+        reused = [run(capsys, *argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            _build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", SAMPLE], EXIT_OK),
+        (["validate", FINDINGS], EXIT_VIOLATIONS),
+        (["lift", None], EXIT_ERROR),
+        (["lift", "--format", "xml", SAMPLE], EXIT_ERROR),
+        (["--help"], EXIT_OK),
+    ], ids=["ok", "findings", "ingest-error", "usage-error", "help"])
+    def test_collector_state_is_restored(self, capsys, tmp_path, enabled,
+                                         argv, code):
+        bad = tmp_path / "bad.http"
+        bad.write_text("HTTP/1.1 200 OK\n")  # a response with no request
+        argv = [str(bad) if a is None else a for a in argv]
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert run(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestStartup:

@@ -552,6 +552,17 @@ class TestHar:
         with pytest.raises(IngestError, match=r"^not a HAR document: "):
             load_har(text)
 
+    # The transcript loader's rule for an absolute-form target, RFC 9110
+    # section 4.2.1.
+    @pytest.mark.parametrize("url", [
+        "http://:80/a", "http:///a", "http://u@:80/a", "HTTPS://:/a"])
+    def test_url_with_an_empty_host_errors(self, url):
+        doc = json.loads(SAMPLE_HAR)
+        doc["log"]["entries"][0]["request"]["url"] = url
+        with pytest.raises(IngestError, match="^%s$" % re.escape(
+                "HAR entry 1: empty host in request target: %r" % url)):
+            load_har(json.dumps(doc))
+
 
 # Mutation fuzzing: any text gives a Conversation or an IngestError, and
 # whatever loads survives lift -> serialize_trig -> parse_trig.
