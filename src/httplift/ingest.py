@@ -348,7 +348,7 @@ def _har_text(text: str) -> str:
 def _har_headers(items, mime_type: Optional[str]) -> List[Header]:
     """A HAR message's headers, plus a Content-Type of `mime_type` when
     there is none."""
-    headers = [Header(h["name"], _har_text(h.get("value", "")))
+    headers = [Header(_har_text(h["name"]), _har_text(h.get("value", "")))
                for h in (items or [])]
     if mime_type and not header_value(headers, "Content-Type"):
         headers.append(Header("Content-Type", _har_text(mime_type)))
@@ -360,26 +360,25 @@ def _har_interaction(entry: dict) -> Interaction:
     resp = entry.get("response") or {}
     uri = require_host(parse_uri(_har_text(req["url"])))
     post = req.get("postData") or {}
-    text = post.get("text")
+    text = _har_text(post.get("text") or "")
     req_headers = _har_headers(req.get("headers"),
                                text and post.get("mimeType"))
     req_body = _make_body(req_headers, text.encode("utf-8")) if text else None
-    request = Request(method=Method(req["method"]), uri=uri,
+    request = Request(method=Method(_har_text(req["method"])), uri=uri,
                       headers=tuple(req_headers), body=req_body,
                       http_version=_har_text(req.get("httpVersion")
                                              or "HTTP/1.1"))
 
     content = resp.get("content") or {}
     resp_headers = _har_headers(resp.get("headers"), content.get("mimeType"))
-    octets = b""
-    if content.get("text"):
-        if content.get("encoding") == "base64":
-            # Line-wrapped base64 stays legal; any other character outside
-            # the alphabet is an error, not silently dropped.
-            octets = base64.b64decode(
-                content["text"].translate(_NO_WHITESPACE), validate=True)
-        else:
-            octets = content["text"].encode("utf-8")
+    text = _har_text(content.get("text") or "")
+    if content.get("encoding") == "base64":
+        # Line-wrapped base64 stays legal; any other character outside
+        # the alphabet is an error, not silently dropped.
+        octets = base64.b64decode(text.translate(_NO_WHITESPACE),
+                                  validate=True)
+    else:
+        octets = text.encode("utf-8")
     status = int(resp["status"])
     response = Response(status_code=status, headers=tuple(resp_headers),
                         body=_make_body(resp_headers, octets),

@@ -9,10 +9,7 @@ import urllib.parse
 from typing import Dict, Optional, Set, Union
 
 from . import vocab
-from .model import (
-    STANDARD_METHODS, STATUS_NAMES, Body, Conversation, Header, Interaction,
-    Request, Response,
-)
+from .model import Body, Conversation, Header, Interaction, Request, Response
 from .rdf import (
     RDF_TYPE, XSD_INTEGER, BlankNode, Dataset, Graph, Iri, Literal, Term,
     Triple,
@@ -157,21 +154,16 @@ class Lifter:
 
     # -- Messages -----------------------------------------------------------
 
+    # A standard method or status code lifts to its individual in the
+    # vendored ontology, any other to a blank node.
     def _lift_method(self, name: str) -> Term:
-        if name in STANDARD_METHODS:
-            node: Term = vocab.method_iri(name)
-        else:
-            node = self.bnode()
+        node = vocab.registry().methods.get(name) or self.bnode()
         self.add(node, RDF_TYPE, vocab.METHOD)
         self.add(node, vocab.METHOD_NAME, self.literal(name))
         return node
 
     def _lift_status(self, code: int) -> Term:
-        name = STATUS_NAMES.get(code)
-        if name is not None:
-            node: Term = vocab.status_iri(name)
-        else:
-            node = self.bnode()
+        node = vocab.registry().statuses.get(code) or self.bnode()
         self.add(node, RDF_TYPE, vocab.STATUS_CODE)
         self.add(node, vocab.STATUS_CODE_NUMBER,
                  Literal(str(code), XSD_INTEGER))
@@ -230,7 +222,7 @@ def vocabulary_scan(dataset: Dataset) -> Set[Iri]:
     predicates and class IRIs not found in the embedded ontology or the
     documented extension set. Body named graphs carry user vocabulary and
     are not scanned."""
-    allowed = vocab.known_terms()
+    allowed = vocab.registry().terms
     unknown = set()
     for t in dataset.default_graph:
         if t.predicate not in allowed:

@@ -38,10 +38,6 @@ class Method(_Checked, namedtuple("Method", "name")):
         return tuple.__new__(cls, (name,))
 
 
-STANDARD_METHODS = ("GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT",
-                    "OPTIONS", "TRACE", "PATCH")
-
-
 class Header(_Checked, namedtuple("Header", "name value")):
     """A header field, its name in its original casing; `header_value`
     looks names up case-insensitively."""
@@ -104,64 +100,6 @@ def status_class(code: int) -> Optional[StatusClass]:
 
 def is_interim(response: Response) -> bool:
     return status_class(response.status_code) is StatusClass.INFORMATIONAL
-
-
-# Standard status-code individuals: code -> vocabulary local name.
-STATUS_NAMES = {
-    100: "Continue",
-    101: "SwitchingProtocols",
-    102: "Processing",
-    200: "OK",
-    201: "Created",
-    202: "Accepted",
-    203: "NonAuthoritativeInformation",
-    204: "NoContent",
-    205: "ResetContent",
-    206: "PartialContent",
-    207: "MultiStatus",
-    226: "IMUsed",
-    300: "MultipleChoices",
-    301: "MovedPermanently",
-    302: "Found",
-    303: "SeeOther",
-    304: "NotModified",
-    305: "UseProxy",
-    306: "Reserved",
-    307: "TemporaryRedirect",
-    400: "BadRequest",
-    401: "Unauthorized",
-    402: "PaymentRequired",
-    403: "Forbidden",
-    404: "NotFound",
-    405: "MethodNotAllowed",
-    406: "NotAcceptable",
-    407: "ProxyAuthenticationRequired",
-    408: "RequestTimeout",
-    409: "Conflict",
-    410: "Gone",
-    411: "LengthRequired",
-    412: "PreconditionFailed",
-    413: "RequestEntityTooLarge",
-    414: "RequestURITooLong",
-    415: "UnsupportedMediaType",
-    416: "RequestedRangeNotSatisfiable",
-    417: "ExpectationFailed",
-    422: "UnprocessableEntity",
-    423: "Locked",
-    424: "FailedDependency",
-    426: "UpgradeRequired",
-    500: "InternalServerError",
-    501: "NotImplemented",
-    502: "BadGateway",
-    503: "ServiceUnavailable",
-    504: "GatewayTimeout",
-    505: "HTTPVersionNotSupported",
-    506: "VariantAlsoNegotiates",
-    507: "InsufficientStorage",
-    510: "NotExtended",
-}
-
-STATUS_CODES = {name: code for code, name in STATUS_NAMES.items()}
 
 
 def header_value(headers, name: str) -> Optional[str]:

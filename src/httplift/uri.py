@@ -120,12 +120,15 @@ def effective_request_uri(target: str, host: Optional[str]) -> UriParts:
 
 
 def require_host(u: UriParts) -> UriParts:
-    """`u`, a parsed request target, unless it is an http or https URI with
-    an empty host (RFC 9110 section 4.2.1)."""
-    # The host lies after any userinfo and before any port.
-    uri_host = u.authority.rpartition("@")[2].partition(":")[0]
-    if u.scheme.lower() in ("http", "https") and not uri_host:
-        raise UriError("empty host in request target: %r" % recompose(u))
+    """`u`, a parsed request target, unless it is an http or https URI
+    whose host is empty (RFC 9110 section 4.2.1) or whose authority, after
+    any userinfo, is not uri-host [ ":" port ]."""
+    if u.scheme.lower() in ("http", "https"):
+        host_port = u.authority.rpartition("@")[2]
+        if not host_port.partition(":")[0]:
+            raise UriError("empty host in request target: %r" % recompose(u))
+        if not _HOST_RE.fullmatch(host_port):
+            raise UriError("bad host in request target: %r" % recompose(u))
     return u
 
 

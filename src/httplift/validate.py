@@ -10,8 +10,8 @@ from collections import namedtuple
 from typing import List, Optional, Tuple
 
 from . import vocab
-from .model import STATUS_CODES, is_token
-from .rdf import RDF_TYPE, Dataset, Iri, Literal, Term, path_lexicals
+from .model import is_token
+from .rdf import RDF_TYPE, Dataset, Literal, Term, path_lexicals
 from .turtle import format_term
 
 VIOLATION = "violation"
@@ -136,6 +136,7 @@ def validate(dataset: Dataset) -> ValidationReport:
                        "status instance has no status code number")
 
     # R4 code/class sanity.
+    registered = vocab.registry().codes
     for t in g.match(None, vocab.STATUS_CODE_NUMBER, None):
         code = _int_value(t.object)
         if code is None:
@@ -143,9 +144,7 @@ def validate(dataset: Dataset) -> ValidationReport:
                    "status code number is not an integer: %s"
                    % _fmt(t.object))
             continue
-        expected = None
-        if isinstance(t.subject, Iri) and t.subject.value.startswith(vocab.SC):
-            expected = STATUS_CODES.get(t.subject.value[len(vocab.SC):])
+        expected = registered.get(t.subject)
         if expected is not None:
             if code != expected:
                 report("R4", VIOLATION, t.subject,

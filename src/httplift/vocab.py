@@ -1,9 +1,11 @@
-"""Vocabulary constants for the HTTP interaction ontology, the vendored
-ontology graph and the documented extension terms."""
+"""Vocabulary constants for the HTTP interaction ontology, and the
+registry read from the vendored ontology and its extension block."""
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
+from types import MappingProxyType
 
 from .rdf import RDF, XSD, Iri, Pred, Seq
 from . import turtle
@@ -71,17 +73,14 @@ SC_PROP = Iri(HTTP + "sc")
 STATUS_CODE_NUMBER = Iri(HTTP + "statusCodeNumber")
 HTTP_VERSION = Iri(HTTP + "httpVersion")
 
-# Extension terms (not in the vendored ontology): lifted Content-Type and
-# Accept headers, following the Location header pattern.
+# Extension terms (declared in extensions.ttl, not in the vendored
+# ontology): lifted Content-Type and Accept headers, following the Location
+# header pattern.
 CONTENT_TYPE_HEADER = Iri(HDS + "ContentTypeHeader")
 CONTENT_TYPE = Iri(HDS + "content-type")
 ACCEPT_HEADER = Iri(HDS + "AcceptHeader")
 ACCEPT = Iri(HDS + "accept")
 MEDIA_TYPE = Iri(HDS + "media-type")
-
-EXTENSION_TERMS = frozenset({
-    CONTENT_TYPE_HEADER, CONTENT_TYPE, ACCEPT_HEADER, ACCEPT, MEDIA_TYPE,
-})
 
 # Property paths shared by the competency questions and the rules.
 STATUS_NUMBER = Seq(Pred(SC_PROP), Pred(STATUS_CODE_NUMBER))
@@ -92,14 +91,9 @@ def method_iri(name: str) -> Iri:
     return Iri(MTHD + name)
 
 
-def status_iri(local_name: str) -> Iri:
-    return Iri(SC + local_name)
-
-
 def ontology_text(extensions: bool = False) -> str:
     """The vendored ontology Turtle, optionally with the extension block."""
-    # Imported here: only the ontology command and the vocabulary scan
-    # read the vendored files.
+    # Imported here: a plain import of the package reads no vendored file.
     from importlib import resources
     text = (resources.files(__package__) / "ontology.ttl").read_text("utf-8")
     if extensions:
@@ -108,10 +102,23 @@ def ontology_text(extensions: bool = False) -> str:
     return text
 
 
-@functools.lru_cache(maxsize=None)
-def known_terms() -> frozenset:
-    """Every IRI mentioned by the vendored ontology or the extension set."""
+# What the vendored ontology and its extension block define: every IRI
+# they mention, method name -> method individual, status code -> status
+# individual, and status individual -> code. The mappings are read-only,
+# as every caller in the process shares them.
+Registry = namedtuple("Registry", "terms methods statuses codes")
+
+
+@functools.cache
+def registry() -> Registry:
+    """The registry, parsed on first use."""
     full = turtle.parse_turtle(ontology_text(extensions=True))
-    return frozenset({x for t in full
-                      for x in (t.subject, t.predicate, t.object)
-                      if isinstance(x, Iri)} | EXTENSION_TERMS)
+    methods = {t.object.lexical: t.subject for t in full
+               if t.predicate == METHOD_NAME}
+    codes = {t.subject: int(t.object.lexical) for t in full
+             if t.predicate == STATUS_CODE_NUMBER}
+    return Registry(
+        frozenset(x for t in full for x in t if isinstance(x, Iri)),
+        MappingProxyType(methods),
+        MappingProxyType({code: node for node, code in codes.items()}),
+        MappingProxyType(codes))

@@ -12,7 +12,10 @@ import pytest
 
 from httplift.ingest import load_transcript, load_har
 from httplift.lift import lift_conversation, uri_node, vocabulary_scan
-from httplift.model import StatusClass, status_class, STATUS_NAMES
+from httplift.model import (
+    Conversation, Interaction, Method, Request, Response, StatusClass,
+    is_interim, status_class,
+)
 from httplift.queries import (
     cq2_interaction_status, cq3_locations, cq4_conversation_status,
     cq5_negotiation, cq6_body_values, cq7_query_param,
@@ -86,23 +89,38 @@ def test_criterion_3_status_classification():
                                if 100 <= code <= 599 else None)
         for code in range(1000))
 
-    # every embedded status individual maps code -> name consistently
+    # a response carrying each embedded status individual's number lifts
+    # to that individual
     onto = parse_turtle(vocab.ontology_text())
-    individuals = onto.subjects(RDF_TYPE, vocab.STATUS_CODE)
     seen = {}
-    for node in individuals:
+    for node in onto.subjects(RDF_TYPE, vocab.STATUS_CODE):
         number = onto.value(node, vocab.STATUS_CODE_NUMBER)
-        seen[int(number.lexical)] = node.value.rsplit("#", 1)[1]
-    ok = ok and seen == STATUS_NAMES
-    ok = ok and seen.get(201) == "Created" and seen.get(226) == "IMUsed" \
-        and seen.get(506) == "VariantAlsoNegotiates"
+        seen[int(number.lexical)] = node
+    ok = ok and len(seen) == 51 and all(
+        lifted_nodes("GET", code)[1] == node for code, node in seen.items())
+    ok = ok and seen.get(201) == Iri(vocab.SC + "Created") \
+        and seen.get(226) == Iri(vocab.SC + "IMUsed") \
+        and seen.get(506) == Iri(vocab.SC + "VariantAlsoNegotiates")
     report(3, ok)
+
+
+def lifted_nodes(method, code):
+    """The method and status nodes that one request with `method`,
+    answered with `code`, lifts to."""
+    request = Request(Method(method), parse_uri("http://h/p"))
+    response = Response(code)
+    interaction = (Interaction(request, (response,)) if is_interim(response)
+                   else Interaction(request, (), response))
+    g = lift_conversation(Conversation((interaction,))).default_graph
+    (m,) = g.match(None, vocab.MTHD_PROP, None)
+    (s,) = g.match(None, vocab.SC_PROP, None)
+    return m.object, s.object
 
 
 def _mutations(g):
     """One graph mutation per validation rule, keyed by the rule it breaks."""
     POST, GET = vocab.method_iri("POST"), vocab.method_iri("GET")
-    OK, Created = vocab.status_iri("OK"), vocab.status_iri("Created")
+    OK, Created = Iri(vocab.SC + "OK"), Iri(vocab.SC + "Created")
 
     def pick(rdf_type, pred, value):
         (n,) = {c for c in g.subjects(RDF_TYPE, rdf_type)
@@ -224,16 +242,16 @@ def test_criterion_7_ontology_integrity():
     for m in found:
         name = m.value.rsplit("#", 1)[1]
         ok = ok and name in methods \
-            and onto.value(m, vocab.METHOD_NAME) == Literal(name)
+            and onto.value(m, vocab.METHOD_NAME) == Literal(name) \
+            and lifted_nodes(name, 200)[0] == m
 
     statuses = onto.subjects(RDF_TYPE, vocab.STATUS_CODE)
-    ok = ok and len(statuses) == len(STATUS_NAMES)
+    ok = ok and len(statuses) == 51
     for s in statuses:
-        name = s.value.rsplit("#", 1)[1]
-        number = onto.value(s, vocab.STATUS_CODE_NUMBER)
-        ok = ok and number == Literal(str({v: k for k, v in
-                                           STATUS_NAMES.items()}[name]),
-                                      datatype=XSD_INTEGER)
+        code = int(onto.value(s, vocab.STATUS_CODE_NUMBER).lexical)
+        ok = ok and onto.value(s, vocab.STATUS_CODE_NUMBER) == \
+            Literal(str(code), datatype=XSD_INTEGER) \
+            and lifted_nodes("GET", code)[1] == s
 
     ok = ok and vocabulary_scan(lift_fixture()) == set()
     report(7, ok)

@@ -306,6 +306,8 @@ class TestErrors:
         (".har", lambda d: d["log"]["entries"][0]["request"].update(
             url="http://:80/a"), "HAR entry 1: empty host in request "
          "target: 'http://:80/a'"),
+        (".http", "\n---\nGET http://h:8x/a HTTP/1.1", "transcript "
+         "message 2 (line 5): bad host in request target: 'http://h:8x/a'"),
         ("argv", ["query", "6", SAMPLE, "--prop", "a b"],
          "argument --prop: invalid Iri value: 'a b'"),
         ("argv", ["lift", SAMPLE, "--base", "http://x/<q>"],
@@ -324,6 +326,7 @@ class TestErrors:
             "trig-nested-property-lists", "body-nested-collections",
             "body-nested-property-lists", "body-second-line",
             "host-with-slash", "host-empty", "har-url-empty-host",
+            "absolute-form-bad-host",
             "prop-not-an-iri",
             "base-not-an-iri"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,

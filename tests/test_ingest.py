@@ -67,6 +67,22 @@ class TestParseRequest:
                 "empty host in request target: %r" % target)):
             parse_http_request("GET %s HTTP/1.1\n\n" % target)
 
+    # The authority after any userinfo is held to the Host grammar too.
+    @pytest.mark.parametrize("target", [
+        "http://h:8x/a", "http://u@h:8x/a", "https://h:80:80/a",
+        "http://[::1/a", "http://h%zz/a", "http://h<x>/a"])
+    def test_absolute_form_with_a_bad_host_errors(self, target):
+        with pytest.raises(IngestError, match=re.escape(
+                "bad host in request target: %r" % target)):
+            parse_http_request("GET %s HTTP/1.1\n\n" % target)
+
+    @pytest.mark.parametrize("authority", [
+        "h", "h:", "h:8080", "u:p@h:80", "u@[::1]:8080", "a-b.c_d~e"])
+    def test_absolute_form_keeps_a_good_authority(self, authority):
+        uri = parse_http_request("GET http://%s/a HTTP/1.1\n\n"
+                                 % authority).uri
+        assert (uri.authority, uri.path) == (authority, "/a")
+
     @pytest.mark.parametrize("host", [
         "h", "h:", "h:80", "[::1]:8080", "example.org:8080", "a-b.c_d~e"])
     def test_host_and_port_keep_the_target_components(self, host):
@@ -561,6 +577,41 @@ class TestHar:
         doc["log"]["entries"][0]["request"]["url"] = url
         with pytest.raises(IngestError, match="^%s$" % re.escape(
                 "HAR entry 1: empty host in request target: %r" % url)):
+            load_har(json.dumps(doc))
+
+    @pytest.mark.parametrize("url", [
+        "http://h:8x/a", "http://u@h:8x/a", "http://h h/a", "http://[::1/a"])
+    def test_url_with_a_bad_host_errors(self, url):
+        doc = json.loads(SAMPLE_HAR)
+        doc["log"]["entries"][0]["request"]["url"] = url
+        with pytest.raises(IngestError, match="^%s$" % re.escape(
+                "HAR entry 1: bad host in request target: %r" % url)):
+            load_har(json.dumps(doc))
+
+    # Every string of an entry is checked before it is used: a JSON
+    # number where a string belongs, or a lone surrogate, is named.
+    @pytest.mark.parametrize("n, mutate, message", [
+        (1, lambda e: e["request"].update(method=5), "not a string: number"),
+        (1, lambda e: e["request"]["headers"][0].update(name=5),
+         "not a string: number"),
+        (1, lambda e: e["request"].update(postData={
+            "mimeType": "text/plain", "text": 5}), "not a string: number"),
+        (2, lambda e: e["response"]["content"].update(text=5),
+         "not a string: number"),
+        (2, lambda e: e["response"]["content"].update(
+            text=5, encoding="base64"), "not a string: number"),
+        (2, lambda e: e["response"]["content"].update(text=[1]),
+         "not a string: array"),
+        (2, lambda e: e["response"]["content"].update(text="\ud800"),
+         "lone surrogate at offset 0"),
+    ], ids=["method", "header-name", "post-data-text", "content-text",
+            "content-text-base64", "content-text-array",
+            "content-text-surrogate"])
+    def test_value_that_is_not_a_string_errors(self, n, mutate, message):
+        doc = json.loads(SAMPLE_HAR)
+        mutate(doc["log"]["entries"][n - 1])
+        with pytest.raises(IngestError, match="^%s$" % re.escape(
+                "HAR entry %d: %s" % (n, message))):
             load_har(json.dumps(doc))
 
 

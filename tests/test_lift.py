@@ -1,7 +1,11 @@
 """Lifting HTTP messages into RDF datasets."""
 
 import os
+import subprocess
+import sys
 
+import httplift
+from httplift import cli, turtle
 from httplift.ingest import load_transcript, parse_http_request, \
     parse_http_response
 from httplift.lift import (
@@ -9,13 +13,13 @@ from httplift.lift import (
     DEFAULT_URI_NODE_BASE,
 )
 from httplift.model import (
-    Conversation, Interaction, Method, Request, Response,
+    Conversation, Interaction, Method, Request, Response, is_interim,
 )
 from httplift.rdf import (
     Iri, BlankNode, Literal, Triple, Dataset, Graph, isomorphic_datasets,
     RDF_TYPE, XSD_INTEGER,
 )
-from httplift.turtle import parse_trig
+from httplift.turtle import parse_trig, parse_turtle
 from httplift.uri import parse_uri
 from httplift.validate import validate
 from httplift import vocab
@@ -122,13 +126,13 @@ class TestConversationLift:
         g = lift_fixture().default_graph
         post = vocab.method_iri("POST")
         assert g.value(post, vocab.METHOD_NAME) == Literal("POST")
-        created = vocab.status_iri("Created")
+        created = Iri(vocab.SC + "Created")
         assert g.value(created, vocab.STATUS_CODE_NUMBER) == \
             Literal("201", datatype=XSD_INTEGER)
 
     def test_content_type_and_accept_extensions(self):
         g = lift_fixture().default_graph
-        (resp2,) = g.subjects(vocab.SC_PROP, vocab.status_iri("OK"))
+        (resp2,) = g.subjects(vocab.SC_PROP, Iri(vocab.SC + "OK"))
         assert g.value(resp2, vocab.CONTENT_TYPE) == Literal("text/turtle")
         accepts = g.subjects(RDF_TYPE, vocab.ACCEPT_HEADER)
         assert len(accepts) == 1
@@ -213,3 +217,86 @@ class TestMessageLift:
         (t,) = list(d.graph(name))
         assert t.subject not in {s for tr in d.default_graph
                                  for s in (tr.subject, tr.object)}
+
+
+def lifted_method_and_status(method, code):
+    """The method and status nodes that one request with `method`,
+    answered with `code`, lifts to."""
+    request = Request(method=Method(method), uri=parse_uri("http://h/p"))
+    response = Response(status_code=code)
+    if is_interim(response):
+        interaction = Interaction(request, (response,))
+    else:
+        interaction = Interaction(request, (), response)
+    g = lift_interaction(interaction).default_graph
+    (m,) = g.match(None, vocab.MTHD_PROP, None)
+    (s,) = g.match(None, vocab.SC_PROP, None)
+    return m.object, s.object
+
+
+class TestOntologyIndividuals:
+    """Standard methods and status codes lift to the individuals of the
+    vendored ontology, read here by a parse of its own."""
+
+    onto = parse_turtle(vocab.ontology_text())
+
+    def test_every_status_code_lifts_to_its_individual_or_a_blank_node(self):
+        onto = self.onto
+        by_number = {int(onto.value(n, vocab.STATUS_CODE_NUMBER).lexical): n
+                     for n in onto.subjects(RDF_TYPE, vocab.STATUS_CODE)}
+        assert len(by_number) == 51
+        for code in range(1000):
+            node = lifted_method_and_status("GET", code)[1]
+            if code in by_number:
+                assert node == by_number[code], code
+            else:
+                assert isinstance(node, BlankNode), code
+
+    def test_method_names_lift_to_their_individuals(self):
+        onto = self.onto
+        by_name = {onto.value(n, vocab.METHOD_NAME).lexical: n
+                   for n in onto.subjects(RDF_TYPE, vocab.METHOD)}
+        assert sorted(by_name) == sorted([
+            "GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT", "OPTIONS",
+            "TRACE", "PATCH"])
+        for name, individual in by_name.items():
+            assert individual == Iri(vocab.MTHD + name)
+            assert lifted_method_and_status(name, 200)[0] == individual
+        for name in ("get", "FOO"):
+            assert isinstance(lifted_method_and_status(name, 200)[0],
+                              BlankNode)
+
+
+class TestRegistryReads:
+    def test_import_does_not_parse_the_ontology(self):
+        package_root = os.path.dirname(os.path.dirname(httplift.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import httplift.cli, httplift; from httplift import vocab; "
+                "print(vocab.registry.cache_info().currsize)")
+        result = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code, package_root],
+            capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout) == (0, "0\n"), \
+            result.stderr
+
+    def test_calls_in_one_process_parse_it_once(self, monkeypatch, capsys):
+        parsed = []
+        original = turtle.parse_turtle
+
+        def counted(text):
+            if text == vocab.ontology_text(extensions=True):
+                parsed.append(text)
+            return original(text)
+
+        monkeypatch.setattr(turtle, "parse_turtle", counted)
+        vocab.registry.cache_clear()
+        try:
+            for name in ("registration.http", "findings.http",
+                         "registration.har"):
+                for command in ("lift", "validate"):
+                    cli.main([command, os.path.join(FIXTURES, name)])
+            validate(lift_fixture())
+        finally:
+            vocab.registry.cache_clear()
+        capsys.readouterr()
+        assert len(parsed) == 1

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from httplift.model import (
     Method, Header, Body, Request, Response, Interaction, Conversation,
-    StatusClass, status_class, is_interim, is_token,
-    STATUS_NAMES, STATUS_CODES, header_value,
+    StatusClass, status_class, is_interim, is_token, header_value,
 )
+from httplift import vocab
 from httplift.rdf import Graph, Iri, Pred, Seq, Star
 from httplift.uri import QueryParam, UriParts, parse_uri
 from httplift.validate import Finding, ValidationReport
@@ -39,24 +39,36 @@ class TestStatusClass:
 
 
 class TestRegistry:
+    """The status individuals that the vendored ontology defines."""
+
     def test_registry_size(self):
-        assert len(STATUS_NAMES) == 51
+        assert len(vocab.registry().statuses) == 51
 
     def test_inverse_consistency(self):
-        assert len(STATUS_CODES) == len(STATUS_NAMES)
-        for code, name in STATUS_NAMES.items():
-            assert STATUS_CODES[name] == code
+        r = vocab.registry()
+        assert len(r.codes) == len(r.statuses)
+        for code, node in r.statuses.items():
+            assert r.codes[node] == code
 
     def test_well_known_entries(self):
-        assert STATUS_NAMES[200] == "OK"
-        assert STATUS_NAMES[201] == "Created"
-        assert STATUS_NAMES[404] == "NotFound"
-        assert STATUS_NAMES[307] == "TemporaryRedirect"
-        assert STATUS_NAMES[415] == "UnsupportedMediaType"
+        statuses = vocab.registry().statuses
+        assert statuses[200] == Iri(vocab.SC + "OK")
+        assert statuses[201] == Iri(vocab.SC + "Created")
+        assert statuses[404] == Iri(vocab.SC + "NotFound")
+        assert statuses[307] == Iri(vocab.SC + "TemporaryRedirect")
+        assert statuses[415] == Iri(vocab.SC + "UnsupportedMediaType")
 
     def test_standard_status_name(self):
-        assert STATUS_NAMES.get(204) == "NoContent"
-        assert STATUS_NAMES.get(299) is None
+        statuses = vocab.registry().statuses
+        assert statuses.get(204) == Iri(vocab.SC + "NoContent")
+        assert statuses.get(299) is None
+
+    def test_shared_mappings_are_read_only(self):
+        r = vocab.registry()
+        for mapping, key in ((r.methods, "FOO"), (r.statuses, 299),
+                             (r.codes, Iri(vocab.SC + "Foo"))):
+            with pytest.raises(TypeError):
+                mapping[key] = None
 
 
 class TestTokens:

@@ -11,7 +11,7 @@ import pytest
 from httplift.ingest import load_transcript
 from httplift.lift import lift_conversation
 from httplift.rdf import (
-    BlankNode, Literal, Triple, Graph, Dataset, RDF_TYPE, XSD_INTEGER,
+    BlankNode, Iri, Literal, Triple, Graph, Dataset, RDF_TYPE, XSD_INTEGER,
 )
 from httplift.validate import validate, explain, RULE_IDS
 from httplift import vocab
@@ -55,8 +55,8 @@ def _mutations():
     """(rule, graph-mutator) pairs; each breaks exactly one rule."""
     POST = vocab.method_iri("POST")
     GET = vocab.method_iri("GET")
-    OK = vocab.status_iri("OK")
-    Created = vocab.status_iri("Created")
+    OK = Iri(vocab.SC + "OK")
+    Created = Iri(vocab.SC + "Created")
 
     def q1(g):
         return node(g, vocab.REQUEST, MTHD_PROP=POST)
@@ -159,7 +159,7 @@ class TestSeverities:
 
     def test_r4_out_of_range_is_a_warning(self, clean):
         g = clean.default_graph
-        r1 = node(g, vocab.FINAL_RESPONSE, SC_PROP=vocab.status_iri("Created"))
+        r1 = node(g, vocab.FINAL_RESPONSE, SC_PROP=Iri(vocab.SC + "Created"))
         weird = BlankNode("weird")
         (t,) = g.match(r1, vocab.SC_PROP, None)
         g = Graph(set(g) - {t} | {
@@ -197,7 +197,7 @@ class TestReporting:
         # break two rules at once; R2 must come before R3
         g = clean.default_graph
         q = node(g, vocab.REQUEST, MTHD_PROP=vocab.method_iri("GET"))
-        r = node(g, vocab.FINAL_RESPONSE, SC_PROP=vocab.status_iri("Created"))
+        r = node(g, vocab.FINAL_RESPONSE, SC_PROP=Iri(vocab.SC + "Created"))
         (t1,) = g.match(q, vocab.MTHD_PROP, None)
         (t2,) = g.match(r, vocab.SC_PROP, None)
         report = validate(with_graph(clean, Graph(set(g) - {t1, t2})))
