@@ -4,6 +4,7 @@ registry read from the vendored ontology and its extension block."""
 from __future__ import annotations
 
 import functools
+import os
 from collections import namedtuple
 from types import MappingProxyType
 
@@ -93,12 +94,17 @@ def method_iri(name: str) -> Iri:
 
 def ontology_text(extensions: bool = False) -> str:
     """The vendored ontology Turtle, optionally with the extension block."""
-    # Imported here: a plain import of the package reads no vendored file.
-    from importlib import resources
-    text = (resources.files(__package__) / "ontology.ttl").read_text("utf-8")
+    # The files are installed next to this module (package-data in
+    # pyproject.toml). Importing importlib.resources, which loads pathlib,
+    # tempfile and shutil, would cost a fresh process more than parsing the
+    # ontology does.
+    here = os.path.dirname(__file__)
+    with open(os.path.join(here, "ontology.ttl"), encoding="utf-8") as fh:
+        text = fh.read()
     if extensions:
-        ext = (resources.files(__package__) / "extensions.ttl").read_text("utf-8")
-        text = text + "\n" + ext
+        path = os.path.join(here, "extensions.ttl")
+        with open(path, encoding="utf-8") as fh:
+            text = text + "\n" + fh.read()
     return text
 
 

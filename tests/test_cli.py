@@ -499,8 +499,8 @@ class TestRepeatedCalls:
 
 class TestStartup:
     def test_import_leaves_unused_modules_out(self):
-        # Only HAR input needs json and only the ontology command needs
-        # importlib.resources; the records are namedtuples, not dataclasses.
+        # Only HAR input needs json, the vendored files are read with
+        # open(), and the records are namedtuples, not dataclasses.
         unused = ["dataclasses", "inspect", "json", "importlib.resources"]
         package_root = os.path.dirname(os.path.dirname(httplift.__file__))
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
