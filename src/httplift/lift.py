@@ -15,7 +15,8 @@ from .rdf import (
     Triple,
 )
 from .uri import (
-    UriError, UriParts, id_res, parse_uri, recompose, resolve_reference,
+    UriError, UriParts, id_res, parse_uri, recompose, require_host,
+    resolve_reference,
 )
 
 DEFAULT_URI_NODE_BASE = "urn:uri:"
@@ -121,10 +122,12 @@ class Lifter:
     def _resolve_location(self, value: str,
                           request_uri: UriParts) -> Optional[UriParts]:
         """The target of a Location value, resolved against the request
-        URI (RFC 3986 section 5.2), or None if it has no authority or does
-        not parse (validation rule R10 reports it)."""
+        URI (RFC 3986 section 5.2), or None if it has no authority, does
+        not parse or names no valid http(s) host (validation rule R10
+        reports it)."""
         try:
-            return parse_uri(resolve_reference(value.strip(), request_uri))
+            return require_host(parse_uri(resolve_reference(value.strip(),
+                                                            request_uri)))
         except UriError:
             return None
 

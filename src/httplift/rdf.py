@@ -6,10 +6,12 @@ are pure functions and safe to use from multiple threads. A graph builds
 its SPO and POS indexes together on its first lookup, not on
 construction.
 
-Isomorphism seeds blank-node colours from one-node tuples, refines both
-sides together over shared tuples, and branches, on an explicit stack, only
-where colour classes stay tied; a failed branch is undone from a trail. A
-bijection is accepted only after it has been checked against every tuple.
+Isomorphism first tries the bijection that keeps every label: equal inputs
+are accepted by one comparison. Otherwise it seeds blank-node colours from
+one-node tuples, refines both sides together over shared tuples, and
+branches, on an explicit stack, only where colour classes stay tied; a
+failed branch is undone from a trail. A bijection is accepted only after it
+has been checked against every tuple.
 """
 
 from __future__ import annotations
@@ -521,7 +523,7 @@ def _tuples_isomorphic(a: list, b: list) -> bool:
 
 def isomorphic(a: Graph, b: Graph) -> bool:
     """True iff some blank-node bijection maps graph a exactly onto b."""
-    return _tuples_isomorphic(list(a), list(b))
+    return a == b or _tuples_isomorphic(list(a), list(b))
 
 
 def isomorphic_datasets(a: Dataset, b: Dataset) -> bool:
@@ -537,4 +539,4 @@ def isomorphic_datasets(a: Dataset, b: Dataset) -> bool:
             out.extend((name, *t) for t in g)
         return out
 
-    return _tuples_isomorphic(quads(a), quads(b))
+    return a == b or _tuples_isomorphic(quads(a), quads(b))

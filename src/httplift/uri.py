@@ -120,9 +120,9 @@ def effective_request_uri(target: str, host: Optional[str]) -> UriParts:
 
 
 def require_host(u: UriParts) -> UriParts:
-    """`u`, a parsed request target, unless it is an http or https URI
-    whose host is empty (RFC 9110 section 4.2.1) or whose authority, after
-    any userinfo, is not uri-host [ ":" port ]."""
+    """`u`, a parsed request or Location target, unless it is an http or
+    https URI whose host is empty (RFC 9110 section 4.2.1) or whose
+    authority, after any userinfo, is not uri-host [ ":" port ]."""
     if u.scheme.lower() in ("http", "https"):
         host_port = u.authority.rpartition("@")[2]
         if not host_port.partition(":")[0]:

@@ -1,5 +1,6 @@
 """CLI behaviour: commands, output routing and exit codes."""
 
+import ast
 import gc
 import importlib
 import io
@@ -511,3 +512,18 @@ class TestStartup:
             capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == []
+
+    def test_no_global_statement_in_the_package(self):
+        # Module-level state that one call leaves for the next starts with
+        # a `global` statement; the package has none.
+        package_dir = os.path.dirname(httplift.__file__)
+        sources = sorted(name for name in os.listdir(package_dir)
+                         if name.endswith(".py"))
+        assert "rdf.py" in sources and "cli.py" in sources
+        found = []
+        for name in sources:
+            with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Global)]
+        assert found == []

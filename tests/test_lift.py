@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import httplift
 from httplift import cli, turtle
 from httplift.ingest import load_transcript, parse_http_request, \
@@ -111,6 +113,32 @@ class TestConversationLift:
             "HTTP/1.1 201 Created\nLocation: ../d?x=1\n"))
         target = uri_node(parse_uri("http://h/a/d?x=1"))
         assert d.default_graph.subjects(vocab.LOCATION, target)
+        assert validate(d).findings == ()
+
+    @pytest.mark.parametrize("location", ["http://h:8x/b", "http://:80/b"])
+    def test_location_with_a_bad_authority_is_not_linked(self, location):
+        # The same authority in a request target is an exit-2 error; in a
+        # Location value it is left unlinked, and R10 reports it.
+        d = lift_conversation(load_transcript(
+            "POST /a HTTP/1.1\nHost: h\n---\n"
+            "HTTP/1.1 201 Created\nLocation: %s\n" % location))
+        g = d.default_graph
+        (header,) = g.subjects(RDF_TYPE, vocab.LOCATION_HEADER)
+        assert g.value(header, vocab.HDR_VALUE) == Literal(location)
+        assert not g.match(None, vocab.LINK, None)
+        assert not g.match(None, vocab.LOCATION, None)
+
+    @pytest.mark.parametrize("location, target", [
+        ("http://h:8080/b", "http://h:8080/b"),
+        ("http://u@[::1]:80/b", "http://u@[::1]:80/b"),
+        ("/b", "http://h/b"),
+    ])
+    def test_location_with_a_good_authority_is_linked(self, location, target):
+        d = lift_conversation(load_transcript(
+            "POST /a HTTP/1.1\nHost: h\n---\n"
+            "HTTP/1.1 201 Created\nLocation: %s\n" % location))
+        node = uri_node(parse_uri(target))
+        assert d.default_graph.subjects(vocab.LOCATION, node)
         assert validate(d).findings == ()
 
     def test_location_chain_materialised(self):

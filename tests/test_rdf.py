@@ -8,10 +8,10 @@ import random
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from httplift import queries, rdf, vocab
+from httplift import cli, queries, rdf, vocab
 from httplift.ingest import load_transcript
 from httplift.lift import lift_conversation
-from httplift.turtle import serialize_trig
+from httplift.turtle import parse_trig, serialize_trig
 from httplift.validate import validate
 from httplift.rdf import (
     Iri, BlankNode, Literal, Triple, Graph, Dataset,
@@ -395,8 +395,9 @@ def _get_transcript(pairs):
         % ((i,) * 5) for i in range(pairs))
 
 
-def test_signatures_per_blank_node_stay_flat(monkeypatch):
-    # Counts, not times: refinement stays linear in the size of the data.
+@pytest.fixture
+def signature_calls(monkeypatch):
+    """The nodes whose refinement signature was computed, in order."""
     calls = []
     signature = rdf._Colouring._signature
 
@@ -405,6 +406,12 @@ def test_signatures_per_blank_node_stay_flat(monkeypatch):
         return signature(c, v)
 
     monkeypatch.setattr(rdf._Colouring, "_signature", counted)
+    return calls
+
+
+def test_signatures_per_blank_node_stay_flat(signature_calls):
+    # Counts, not times: refinement stays linear in the size of the data.
+    calls = signature_calls
     per_node = []
     for pairs in (10, 100):
         lifted = lift_conversation(load_transcript(_get_transcript(pairs)))
@@ -412,6 +419,71 @@ def test_signatures_per_blank_node_stay_flat(monkeypatch):
         assert isomorphic_datasets(lifted, _relabelled(lifted))
         per_node.append(len(calls) / (2 * len(_blank_nodes(lifted))))
     assert 1 / 1.1 <= per_node[1] / per_node[0] <= 1.1, per_node
+
+
+# Equal inputs are accepted by one comparison, before any refinement; every
+# other input still goes through the search.
+
+_LIFTED_FIXTURES = ["registration.http", "registration.har",
+                    "registration_json.http", "findings.http"]
+
+
+def _lifted_and_reparsed(name):
+    lifted = cli._load_dataset(os.path.join(FIXTURES, name), None, None)
+    return lifted, parse_trig(serialize_trig(lifted, vocab.PREFIXES))
+
+
+def _swap_header_values(d):
+    """`d` with the values of two header nodes exchanged, chosen so that
+    neither header's new value occurs under its name anywhere in `d`: the
+    same counts and ground triples, different blank-node structure."""
+    g = d.default_graph
+    names = {t.subject: t.object for t in g.match(None, vocab.HDR_NAME, None)}
+    values = sorted(g.match(None, vocab.HDR_VALUE, None), key=repr)
+    seen = {}                               # header name -> its values
+    for t in values:
+        seen.setdefault(names.get(t.subject), set()).add(t.object)
+    x, y = next((x, y) for x, y in itertools.combinations(values, 2)
+                if y.object not in seen[names.get(x.subject)]
+                and x.object not in seen[names.get(y.subject)])
+    swapped = (set(g) - {x, y}) | {
+        Triple(x.subject, vocab.HDR_VALUE, y.object),
+        Triple(y.subject, vocab.HDR_VALUE, x.object)}
+    return Dataset(Graph(swapped), d.named_graphs)
+
+
+class TestEqualInputs:
+    @pytest.mark.parametrize("name", _LIFTED_FIXTURES)
+    def test_reparse_is_accepted_without_refinement(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("refinement ran on equal inputs")
+
+        monkeypatch.setattr(rdf._Colouring, "__init__", refuse)
+        lifted, reparsed = _lifted_and_reparsed(name)
+        assert _blank_nodes(lifted) and lifted == reparsed
+        assert isomorphic_datasets(lifted, reparsed) is True
+        assert isomorphic(lifted.default_graph,
+                          reparsed.default_graph) is True
+
+    @pytest.mark.parametrize("name", _LIFTED_FIXTURES)
+    def test_relabelled_copy_still_refines(self, name, signature_calls):
+        lifted, _ = _lifted_and_reparsed(name)
+        relabelled = _relabelled(lifted)
+        assert isomorphic_datasets(lifted, relabelled) is True
+        assert signature_calls
+        signature_calls.clear()
+        assert isomorphic(lifted.default_graph,
+                          relabelled.default_graph) is True
+        assert signature_calls
+
+    @pytest.mark.parametrize("name", _LIFTED_FIXTURES)
+    def test_header_values_exchanged_are_not_isomorphic(self, name):
+        # The benchmark's negative control, on the TriG reparse.
+        lifted, reparsed = _lifted_and_reparsed(name)
+        swapped = _swap_header_values(reparsed)
+        assert len(swapped.default_graph) == len(lifted.default_graph)
+        assert isomorphic_datasets(lifted, swapped) is False
+        assert isomorphic_datasets(swapped, lifted) is False
 
 
 # hypothesis: relabelling blank nodes never changes the isomorphism class
@@ -506,6 +578,44 @@ def test_isomorphic_datasets_agrees_with_brute_force(qa, qb):
     expected = _isomorphic_by_brute_force(a, b)
     event("isomorphic" if expected else "not isomorphic")
     assert isomorphic_datasets(a, b) is expected
+
+
+# hypothesis: the equality shortcut and the search agree on equal inputs
+
+def _quads(d: Dataset) -> list:
+    """The tuples `isomorphic_datasets` hands to the search."""
+    out = [(None, *t) for t in d.default_graph]
+    for name, g in d.named_graphs.items():
+        out.append((name,))
+        out.extend((name, *t) for t in g)
+    return out
+
+
+def _rebuilt_dataset(d: Dataset) -> Dataset:
+    """An equal dataset built from equal terms that are different objects."""
+    def graph(g):
+        return Graph(Triple(*map(_rebuilt, t)) for t in g)
+    return Dataset(graph(d.default_graph), {
+        _rebuilt(name): graph(g) for name, g in d.named_graphs.items()})
+
+
+_mixed_quads = st.lists(
+    st.tuples(st.one_of(st.none(), _labels.map(BlankNode),
+                        st.just(iri("g"))),
+              st.one_of(st.none(), _triples)),
+    max_size=12)
+
+
+@settings(max_examples=200)
+@given(_mixed_quads)
+def test_shortcut_and_search_agree_on_equal_datasets(quads):
+    d = _dataset(quads)
+    copy = _rebuilt_dataset(d)
+    assert copy == d
+    assert isomorphic_datasets(d, copy) is True
+    assert rdf._tuples_isomorphic(_quads(d), _quads(copy)) is True
+    assert rdf._tuples_isomorphic(list(d.default_graph),
+                                  list(copy.default_graph)) is True
 
 
 # hypothesis: every indexed lookup agrees with a scan over all triples

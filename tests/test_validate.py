@@ -14,7 +14,7 @@ from httplift.rdf import (
     BlankNode, Iri, Literal, Triple, Graph, Dataset, RDF_TYPE, XSD_INTEGER,
 )
 from httplift.validate import validate, explain, RULE_IDS
-from httplift import vocab
+from httplift import cli, vocab
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -202,3 +202,29 @@ class TestReporting:
         (t2,) = g.match(r, vocab.SC_PROP, None)
         report = validate(with_graph(clean, Graph(set(g) - {t1, t2})))
         assert [f.rule_id for f in report.findings] == ["R2", "R3"]
+
+
+class TestLocationTargets:
+    """A Location value whose http authority is not uri-host [":" port] is
+    not lifted to a URI, so R10 reports it and `validate` exits 1."""
+
+    @staticmethod
+    def transcript(location):
+        return ("POST /a HTTP/1.1\nHost: h\n---\n"
+                "HTTP/1.1 201 Created\nLocation: %s\n" % location)
+
+    @pytest.mark.parametrize("location", ["http://h:8x/b", "http://:80/b"])
+    def test_bad_authority_is_reported_by_r10(self, location):
+        d = lift_conversation(load_transcript(self.transcript(location)))
+        (finding,) = validate(d).findings
+        assert finding.rule_id == "R10" and finding.severity == "violation"
+
+    @pytest.mark.parametrize("location, code", [
+        ("http://h:8x/b", 1), ("http://:80/b", 1), ("http://h:8080/b", 0),
+        ("http://u@[::1]:80/b", 0), ("/b", 0)])
+    def test_validate_exit_code(self, tmp_path, capsys, location, code):
+        path = tmp_path / "t.http"
+        path.write_text(self.transcript(location))
+        assert cli.main(["validate", str(path)]) == code
+        out = capsys.readouterr().out
+        assert ("R10" in out) is bool(code)
