@@ -298,7 +298,8 @@ def load_har(text: str) -> Conversation:
     import json
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
+        # A ValueError is a JSONDecodeError or a number too long for int().
         raise IngestError("not a HAR document: %s" % e)
     if not isinstance(doc, dict) or "log" not in doc:
         raise IngestError("not a HAR document: missing 'log'")
@@ -345,6 +346,18 @@ def _har_text(text: str) -> str:
     return text
 
 
+def _har_status(status) -> int:
+    """`status`, if it is a JSON integer or a string of ASCII digits."""
+    if type(status) is int or (isinstance(status, str) and status.isascii()
+                               and status.isdigit()):
+        return int(status)
+    if isinstance(status, float):
+        int(status)  # An infinity overflows, as it always did.
+    raise ValueError("status is not an integer: %s" % (
+        repr(status) if isinstance(status, (str, float))
+        else _JSON_TYPES[type(status)]))
+
+
 def _har_headers(items, mime_type: Optional[str]) -> List[Header]:
     """A HAR message's headers, plus a Content-Type of `mime_type` when
     there is none."""
@@ -379,7 +392,7 @@ def _har_interaction(entry: dict) -> Interaction:
                                   validate=True)
     else:
         octets = text.encode("utf-8")
-    status = int(resp["status"])
+    status = _har_status(resp["status"])
     response = Response(status_code=status, headers=tuple(resp_headers),
                         body=_make_body(resp_headers, octets),
                         http_version=_har_text(resp.get("httpVersion")

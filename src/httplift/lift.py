@@ -9,7 +9,9 @@ import urllib.parse
 from typing import Dict, Optional, Set, Union
 
 from . import vocab
-from .model import Body, Conversation, Header, Interaction, Request, Response
+from .model import (
+    Body, Conversation, Header, Interaction, Request, Response, is_interim,
+)
 from .rdf import (
     RDF_TYPE, XSD_INTEGER, BlankNode, Dataset, Graph, Iri, Literal, Term,
     Triple,
@@ -179,12 +181,11 @@ class Lifter:
         self.add(node, vocab.URI_PROP, self.lift_uri(r.uri))
         return self._lift_message_parts(r, node, r.uri)
 
-    def lift_response(self, r: Response, interim: bool,
-                      request_uri: UriParts) -> Term:
+    def lift_response(self, r: Response, request_uri: UriParts) -> Term:
         node = self._message_node("resp")
         self.add(node, RDF_TYPE, vocab.RESPONSE)
-        self.add(node, RDF_TYPE,
-                 vocab.INTERIM_RESPONSE if interim else vocab.FINAL_RESPONSE)
+        self.add(node, RDF_TYPE, vocab.INTERIM_RESPONSE if is_interim(r)
+                 else vocab.FINAL_RESPONSE)
         self.add(node, vocab.SC_PROP, self._lift_status(r.status_code))
         return self._lift_message_parts(r, node, request_uri)
 
@@ -201,12 +202,8 @@ class Lifter:
 
     def lift_interaction(self, i: Interaction) -> Term:
         qnode = self.lift_request(i.request)
-        for interim in i.interim_responses:
-            rnode = self.lift_response(interim, True, i.request.uri)
-            self.add(qnode, vocab.RESP, rnode)
-        if i.final_response is not None:
-            rnode = self.lift_response(i.final_response, False, i.request.uri)
-            self.add(qnode, vocab.RESP, rnode)
+        for r in i.responses:
+            self.add(qnode, vocab.RESP, self.lift_response(r, i.request.uri))
         return qnode
 
 

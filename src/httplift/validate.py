@@ -6,8 +6,9 @@ cannot express; every problem is reported as a finding, never an exception.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from typing import List, Optional, Tuple
+import re
+from collections import Counter, namedtuple
+from typing import List, Tuple
 
 from . import vocab
 from .model import is_token
@@ -50,8 +51,8 @@ class ValidationReport(namedtuple("ValidationReport",
 
 
 _RULES = {
-    "R1": "Functional properties (mthd, uri, sc, body, link, "
-          "statusCodeNumber) admit at most one value per node.",
+    "R1": "Every owl:FunctionalProperty of the ontology admits at most "
+          "one value per node.",
     "R2": "Every request must have a method and an effective URI.",
     "R3": "Every response must have a status instance carrying a status "
           "code number.",
@@ -71,23 +72,15 @@ _RULES = {
 
 RULE_IDS = tuple(sorted(_RULES, key=lambda r: int(r[1:])))
 
-_FUNCTIONAL = (vocab.MTHD_PROP, vocab.URI_PROP, vocab.SC_PROP, vocab.BODY,
-               vocab.LINK, vocab.STATUS_CODE_NUMBER)
+# The xsd:integer lexical space (XML Schema part 2, section 3.4.13), up to
+# 640 digits: no interpreter's int() limit is lower (sys.int_info).
+_INTEGER = re.compile(r"[+-]?[0-9]{1,640}")
 
 
 def explain(rule_id: str) -> str:
     if rule_id not in _RULES:
         raise KeyError("unknown rule id: %r" % rule_id)
     return "%s: %s" % (rule_id, _RULES[rule_id])
-
-
-def _int_value(term: Term) -> Optional[int]:
-    if isinstance(term, Literal):
-        try:
-            return int(term.lexical)
-        except ValueError:
-            return None
-    return None
 
 
 def _media_match(content_type: str, media_range: str) -> bool:
@@ -107,16 +100,14 @@ def validate(dataset: Dataset) -> ValidationReport:
     def report(rule_id: str, severity: str, focus: Term, message: str):
         findings.append(Finding(rule_id, severity, focus, message))
 
-    # R1 functional properties.
-    for prop in _FUNCTIONAL:
-        per_subject = {}
-        for t in g.match(None, prop, None):
-            per_subject.setdefault(t.subject, set()).add(t.object)
-        for subject, values in per_subject.items():
-            if len(values) > 1:
+    # R1 functional properties. Triples are distinct: n triples, n values.
+    for prop in vocab.registry().functional:
+        values = Counter(t.subject for t in g.match(None, prop, None))
+        for subject, n in values.items():
+            if n > 1:
                 report("R1", VIOLATION, subject,
                        "%d values for functional property %s"
-                       % (len(values), _fmt(prop)))
+                       % (n, _fmt(prop)))
 
     # R2 request completeness.
     for q in g.subjects(RDF_TYPE, vocab.REQUEST):
@@ -138,12 +129,13 @@ def validate(dataset: Dataset) -> ValidationReport:
     # R4 code/class sanity.
     registered = vocab.registry().codes
     for t in g.match(None, vocab.STATUS_CODE_NUMBER, None):
-        code = _int_value(t.object)
-        if code is None:
+        if not (isinstance(t.object, Literal)
+                and _INTEGER.fullmatch(t.object.lexical)):
             report("R4", VIOLATION, t.subject,
                    "status code number is not an integer: %s"
                    % _fmt(t.object))
             continue
+        code = int(t.object.lexical)
         expected = registered.get(t.subject)
         if expected is not None:
             if code != expected:
@@ -154,40 +146,34 @@ def validate(dataset: Dataset) -> ValidationReport:
             report("R4", WARNING, t.subject,
                    "status code %d belongs to no status class" % code)
 
-    # R5 single final response.
-    for q in {t.subject for t in g.match(None, vocab.RESP, None)}:
-        finals = [r for r in g.objects(q, vocab.RESP)
-                  if vocab.INTERIM_RESPONSE not in g.objects(r, RDF_TYPE)]
-        if len(finals) > 1:
-            report("R5", VIOLATION, q,
-                   "request has %d non-interim responses" % len(finals))
-
     # R6 content type declared in the presence of a body.
     for t in g.match(None, vocab.BODY, None):
         if not g.objects(t.subject, vocab.CONTENT_TYPE):
             report("R6", VIOLATION, t.subject,
                    "message has a body but no declared content type")
 
-    # R7 HEAD responses without a body.
+    # R5 single final response, R7 HEAD responses without a body and R8
+    # content negotiation, over each request-response pair.
     head = vocab.method_iri("HEAD")
-    for t in g.match(None, vocab.RESP, None):
-        if head in g.objects(t.subject, vocab.MTHD_PROP) \
-                and g.objects(t.object, vocab.BODY):
-            report("R7", VIOLATION, t.object,
-                   "response to a HEAD request has a body")
-
-    # R8 content negotiation.
-    for t in g.match(None, vocab.RESP, None):
-        ranges = path_lexicals(g, t.subject, vocab.ACCEPTED_RANGE)
+    finals = Counter()
+    for q, _, r in g.match(None, vocab.RESP, None):
+        if vocab.INTERIM_RESPONSE not in g.objects(r, RDF_TYPE):
+            finals[q] += 1
+        if head in g.objects(q, vocab.MTHD_PROP) and g.objects(r, vocab.BODY):
+            report("R7", VIOLATION, r, "response to a HEAD request has a body")
+        ranges = path_lexicals(g, q, vocab.ACCEPTED_RANGE)
         if not ranges:
             continue
-        for ct in g.objects(t.object, vocab.CONTENT_TYPE):
-            if not isinstance(ct, Literal):
-                continue
-            if not any(_media_match(ct.lexical, mr) for mr in ranges):
-                report("R8", WARNING, t.object,
+        for ct in g.objects(r, vocab.CONTENT_TYPE):
+            if isinstance(ct, Literal) and not any(
+                    _media_match(ct.lexical, mr) for mr in ranges):
+                report("R8", WARNING, r,
                        "content type %r matches no accepted media range"
                        % ct.lexical)
+    for q, n in finals.items():
+        if n > 1:
+            report("R5", VIOLATION, q, "request has %d non-interim responses"
+                   % n)
 
     # R9 method token.
     for t in g.match(None, vocab.METHOD_NAME, None):

@@ -8,7 +8,7 @@ import os
 from collections import namedtuple
 from types import MappingProxyType
 
-from .rdf import RDF, XSD, Iri, Pred, Seq
+from .rdf import RDF, RDF_TYPE, XSD, Iri, Pred, Seq
 from . import turtle
 
 HTTP = "http://w3id.org/http#"
@@ -47,6 +47,7 @@ CONTENT = Iri(CNT + "Content")
 CONTENT_AS_RDF = Iri(CNT + "ContentAsRDF")
 SD_GRAPH = Iri(SD + "Graph")
 LOCATION_HEADER = Iri(HDS + "LocationHeader")
+FUNCTIONAL_PROPERTY = Iri(OWL + "FunctionalProperty")
 
 # Properties.
 RESP = Iri(HTTP + "resp")
@@ -108,11 +109,10 @@ def ontology_text(extensions: bool = False) -> str:
     return text
 
 
-# What the vendored ontology and its extension block define: every IRI
-# they mention, method name -> method individual, status code -> status
-# individual, and status individual -> code. The mappings are read-only,
-# as every caller in the process shares them.
-Registry = namedtuple("Registry", "terms methods statuses codes")
+# What the vendored ontology and its extension block define: every IRI they
+# mention, method name -> individual, status code <-> individual, and the
+# owl:FunctionalProperty set. The mappings are read-only: callers share them.
+Registry = namedtuple("Registry", "terms methods statuses codes functional")
 
 
 @functools.cache
@@ -127,4 +127,6 @@ def registry() -> Registry:
         frozenset(x for t in full for x in t if isinstance(x, Iri)),
         MappingProxyType(methods),
         MappingProxyType({code: node for node, code in codes.items()}),
-        MappingProxyType(codes))
+        MappingProxyType(codes),
+        frozenset(t.subject for t in full if t.predicate == RDF_TYPE
+                  and t.object == FUNCTIONAL_PROPERTY))

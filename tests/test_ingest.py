@@ -614,6 +614,38 @@ class TestHar:
                 "HAR entry %d: %s" % (n, message))):
             load_har(json.dumps(doc))
 
+    # A status is a JSON integer or a string of ASCII digits; browsers
+    # write 0 for an aborted request.
+    @pytest.mark.parametrize("status, code", [
+        (200, 200), ("200", 200), (0, 0), ("0", 0), ("0200", 200)])
+    def test_integer_status_loads(self, status, code):
+        doc = json.loads(SAMPLE_HAR)
+        doc["log"]["entries"][0]["response"]["status"] = status
+        i = load_har(json.dumps(doc)).interactions[0]
+        assert i.final_response.status_code == code
+
+    @pytest.mark.parametrize("status, message", [
+        (True, "boolean"), (False, "boolean"), (200.7, "200.7"),
+        (200.0, "200.0"), (-0.5, "-0.5"), ("2_00", "'2_00'"),
+        (" 200", "' 200'"), ("-5", "'-5'"), ("", "''"),
+        ("\u0662\u0660\u0660", "'\u0662\u0660\u0660'"), (None, "null"),
+        ([200], "array")])
+    def test_status_that_is_not_an_integer_errors(self, status, message):
+        doc = json.loads(SAMPLE_HAR)
+        doc["log"]["entries"][0]["response"]["status"] = status
+        with pytest.raises(IngestError, match="^%s$" % re.escape(
+                "HAR entry 1: status is not an integer: %s" % message)):
+            load_har(json.dumps(doc))
+
+    def test_number_too_long_for_int_errors(self):
+        # Python 3.11 (and 3.10.7) limit int() to 4300 digits by default;
+        # without a limit the status is out of range.
+        text = ('{"log": {"entries": [{"request": {"method": "GET", "url": '
+                '"http://h/"}, "response": {"status": %s}}]}}' % ("1" * 5000))
+        with pytest.raises(IngestError, match=r"^(not a HAR document: "
+                           r"Exceeds the limit|HAR entry 1: status code)"):
+            load_har(text)
+
 
 # Mutation fuzzing: any text gives a Conversation or an IngestError, and
 # whatever loads survives lift -> serialize_trig -> parse_trig.

@@ -213,6 +213,31 @@ class TestMessageLift:
         (q,) = g.subjects(RDF_TYPE, vocab.REQUEST)
         assert g.objects(q, vocab.RESP) == {i_node, f_node}
 
+    @pytest.mark.parametrize("code, kind", [
+        (100, vocab.INTERIM_RESPONSE), (199, vocab.INTERIM_RESPONSE),
+        (0, vocab.FINAL_RESPONSE), (200, vocab.FINAL_RESPONSE),
+        (999, vocab.FINAL_RESPONSE)])
+    def test_response_typed_by_its_status(self, code, kind):
+        lifter = Lifter()
+        node = lifter.lift_response(Response(status_code=code),
+                                    parse_uri("http://h/p"))
+        types = {t.object for t in lifter.triples
+                 if t[:2] == (node, RDF_TYPE)}
+        assert types == {vocab.RESPONSE, kind}
+
+    def test_responses_lift_in_order(self):
+        req = parse_http_request("GET /p HTTP/1.1\nHost: h\n\n")
+        i = Interaction(req, (Response(100), Response(103)), Response(200))
+        lifter = Lifter()
+        q = lifter.lift_interaction(i)
+        g = Graph(lifter.triples)
+        numbers = {int(g.value(g.value(r, vocab.SC_PROP),
+                               vocab.STATUS_CODE_NUMBER).lexical): r
+                   for r in g.objects(q, vocab.RESP)}
+        # The lifter numbers blank nodes as it mints them.
+        labels = [int(numbers[c].label[1:]) for c in (100, 103, 200)]
+        assert labels == sorted(labels)
+
     def test_nonstandard_method_gets_fresh_node(self):
         req = Request(method=Method("FROBNICATE"),
                       uri=parse_uri("http://h/p"))

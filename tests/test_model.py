@@ -9,7 +9,8 @@ from httplift.model import (
     StatusClass, status_class, is_interim, is_token, header_value,
 )
 from httplift import vocab
-from httplift.rdf import Graph, Iri, Pred, Seq, Star
+from httplift.rdf import RDF_TYPE, Graph, Iri, Pred, Seq, Star
+from httplift.turtle import parse_turtle
 from httplift.uri import QueryParam, UriParts, parse_uri
 from httplift.validate import Finding, ValidationReport
 
@@ -62,6 +63,16 @@ class TestRegistry:
         statuses = vocab.registry().statuses
         assert statuses.get(204) == Iri(vocab.SC + "NoContent")
         assert statuses.get(299) is None
+
+    def test_functional_properties_are_those_the_ontology_declares(self):
+        onto = parse_turtle(vocab.ontology_text(extensions=True))
+        declared = onto.subjects(RDF_TYPE,
+                                 Iri(vocab.OWL + "FunctionalProperty"))
+        names = ("mthd methodName uri scheme authority path query fragment "
+                 "idRes hdrName hdrValue link paramName paramValue body sc "
+                 "statusCodeNumber").split()
+        assert declared == {Iri(vocab.HTTP + n) for n in names}
+        assert vocab.registry().functional == declared
 
     def test_shared_mappings_are_read_only(self):
         r = vocab.registry()

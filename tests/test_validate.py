@@ -15,6 +15,7 @@ from httplift.rdf import (
 )
 from httplift.validate import validate, explain, RULE_IDS
 from httplift import cli, vocab
+from httplift.turtle import format_term
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -228,3 +229,112 @@ class TestLocationTargets:
         assert cli.main(["validate", str(path)]) == code
         out = capsys.readouterr().out
         assert ("R10" in out) is bool(code)
+
+
+class TestFunctionalProperties:
+    """R1 checks every owl:FunctionalProperty of the ontology, not only
+    the six it checked by name."""
+
+    def test_header_with_two_values(self, clean):
+        g = clean.default_graph
+        (hdr,) = {t.subject for t in g.match(None, vocab.HDR_NAME, None)
+                  if t.object.lexical == "Location"}
+        g = Graph([*g, Triple(hdr, vocab.HDR_VALUE, Literal("/other"))])
+        (finding,) = validate(with_graph(clean, g)).findings
+        assert finding == ("R1", "violation", hdr, "2 values for "
+                           "functional property :hdrValue")
+
+    @pytest.mark.parametrize("prop", ["SCHEME", "AUTHORITY", "PATH", "ID_RES",
+                                      "METHOD_NAME"])
+    def test_each_functional_property_is_checked(self, clean, prop):
+        pred = getattr(vocab, prop)
+        (t, *_) = sorted(clean.default_graph.match(None, pred, None))
+        g = Graph([*clean.default_graph,
+                   Triple(t.subject, pred, Literal("x"))])
+        (finding,) = validate(with_graph(clean, g)).findings
+        assert finding.rule_id == "R1" and finding.focus == t.subject
+
+
+class TestResponsePairs:
+    """R5, R7 and R8 read each request-response pair of :resp."""
+
+    HEAD = vocab.method_iri("HEAD")
+
+    def findings(self, triples, rule):
+        report = validate(Dataset(Graph(triples)))
+        return [f for f in report.findings if f.rule_id == rule]
+
+    def test_response_under_two_head_requests(self):
+        q1, q2, r = BlankNode("q1"), BlankNode("q2"), BlankNode("r")
+        found = self.findings([
+            Triple(q1, vocab.MTHD_PROP, self.HEAD),
+            Triple(q2, vocab.MTHD_PROP, self.HEAD),
+            Triple(q1, vocab.RESP, r), Triple(q2, vocab.RESP, r),
+            Triple(r, vocab.BODY, BlankNode("c"))], "R7")
+        assert found == [("R7", "violation", r,
+                          "response to a HEAD request has a body")] * 2
+
+    def test_r5_counts_distinct_final_responses(self):
+        q = BlankNode("q")
+        finals = [BlankNode("f1"), BlankNode("f2")]
+        interims = [BlankNode("i1"), BlankNode("i2"), BlankNode("i3")]
+        triples = [Triple(q, vocab.RESP, r) for r in finals + interims]
+        triples += [Triple(r, RDF_TYPE, vocab.INTERIM_RESPONSE)
+                    for r in interims]
+        # One final response typed, one not; a repeated triple is one.
+        triples += [Triple(finals[0], RDF_TYPE, vocab.FINAL_RESPONSE),
+                    Triple(q, vocab.RESP, finals[0])]
+        assert self.findings(triples, "R5") == [
+            ("R5", "violation", q, "request has 2 non-interim responses")]
+        one_final = [t for t in triples if t.object != finals[1]]
+        assert self.findings(one_final, "R5") == []
+
+    def test_r8_warns_for_each_pair(self):
+        q1, q2, r, ranges = (BlankNode(x) for x in ("q1", "q2", "r", "a"))
+        found = self.findings([
+            Triple(q1, vocab.RESP, r), Triple(q2, vocab.RESP, r),
+            Triple(q1, vocab.ACCEPT, ranges), Triple(q2, vocab.ACCEPT, ranges),
+            Triple(ranges, vocab.MEDIA_TYPE, Literal("text/turtle")),
+            Triple(r, vocab.CONTENT_TYPE, Literal("text/html"))], "R8")
+        assert [f.focus for f in found] == [r, r]
+
+
+def _short(lexical):
+    return lexical if len(lexical) < 20 else "%d-digits" % len(lexical)
+
+
+class TestStatusCodeLexical:
+    """R4 reads a status code number by the xsd:integer lexical form
+    [+-]?[0-9]+, not by what int() accepts."""
+
+    @staticmethod
+    def findings(clean, lexical):
+        g = clean.default_graph
+        r = node(g, vocab.FINAL_RESPONSE, SC_PROP=Iri(vocab.SC + "Created"))
+        (t,) = g.match(r, vocab.SC_PROP, None)
+        status = BlankNode("status")
+        g = Graph(set(g) - {t} | {
+            Triple(r, vocab.SC_PROP, status),
+            Triple(status, vocab.STATUS_CODE_NUMBER,
+                   Literal(lexical, datatype=XSD_INTEGER))})
+        return [(f.severity, f.message)
+                for f in validate(with_graph(clean, g)).findings]
+
+    @pytest.mark.parametrize("lexical", ["+200", "0200", "-0200",
+                                         "0" * 637 + "201"], ids=_short)
+    def test_integer_forms(self, clean, lexical):
+        found = self.findings(clean, lexical)
+        assert all("not an integer" not in m for _, m in found), found
+
+    @pytest.mark.parametrize("lexical", [
+        "2_00", "1_000", "٢٠٠", " 200", "200 ", "+", "",
+        "2e2", "0x1F", "1" * 641], ids=_short)
+    def test_other_forms_are_not_integers(self, clean, lexical):
+        assert self.findings(clean, lexical) == [
+            ("violation", "status code number is not an integer: %s"
+             % format_term(Literal(lexical, datatype=XSD_INTEGER),
+                           vocab.PREFIXES))]
+
+    def test_out_of_range_warns(self, clean):
+        assert self.findings(clean, "+0600") == [
+            ("warning", "status code 600 belongs to no status class")]
