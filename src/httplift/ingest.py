@@ -103,6 +103,8 @@ def _dechunk(data: bytes) -> bytes:
                 raise error("truncated chunked body: no last chunk", pos)
             line = data[pos:].split(b"\n", 1)[0].rstrip(b"\r")
             raise error("bad chunk size: %r" % line.decode("iso-8859-1"), pos)
+        if len(m.group(1).lstrip(b"0")) > 16:
+            raise error("chunk size of more than 64 bits", pos)
         size, pos = int(m.group(1), 16), m.end()
         if not size:
             return b"".join(chunks)
@@ -139,7 +141,9 @@ def _frame_body(headers: List[Header], rest: bytes) -> bytes:
                           % ", ".join(map(repr, dict.fromkeys(lengths))))
     if not (lengths[0].isascii() and lengths[0].isdecimal()):
         raise IngestError("bad Content-Length: %r" % lengths[0])
-    return rest[:int(lengths[0])]
+    # No int() of more digits than len(rest) has: such a length takes it all.
+    digits = lengths[0].lstrip("0") or "0"
+    return rest if len(digits) > len(str(len(rest))) else rest[:int(digits)]
 
 
 def _make_body(headers: List[Header], octets: bytes) -> Optional[Body]:

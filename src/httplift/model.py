@@ -1,9 +1,8 @@
 """Protocol-level domain model: methods, headers, bodies, requests,
-responses, status classification, interactions and conversations."""
+responses (interim or final), interactions and conversations."""
 
 from __future__ import annotations
 
-import enum
 import re
 from collections import namedtuple
 from typing import Optional, Tuple
@@ -72,34 +71,9 @@ class Response(_Checked, namedtuple(
         return tuple.__new__(cls, (status_code, headers, body, http_version))
 
 
-class StatusClass(enum.Enum):
-    INFORMATIONAL = "Informational"
-    SUCCESSFUL = "Successful"
-    REDIRECTION = "Redirection"
-    CLIENT_ERROR = "ClientError"
-    SERVER_ERROR = "ServerError"
-
-
-def status_class(code: int) -> Optional[StatusClass]:
-    """The status class for `code`, or None for codes outside the five
-    100-wide ranges. Codes outside [0, 999] are rejected."""
-    if not (0 <= code <= 999):
-        raise ValueError("status code out of range: %r" % code)
-    if 100 <= code <= 199:
-        return StatusClass.INFORMATIONAL
-    if 200 <= code <= 299:
-        return StatusClass.SUCCESSFUL
-    if 300 <= code <= 399:
-        return StatusClass.REDIRECTION
-    if 400 <= code <= 499:
-        return StatusClass.CLIENT_ERROR
-    if 500 <= code <= 599:
-        return StatusClass.SERVER_ERROR
-    return None
-
-
 def is_interim(response: Response) -> bool:
-    return status_class(response.status_code) is StatusClass.INFORMATIONAL
+    # RFC 9110 section 15.2; written out: ingest runs before the registry.
+    return 100 <= response.status_code <= 199
 
 
 def header_value(headers, name: str) -> Optional[str]:

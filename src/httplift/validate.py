@@ -12,7 +12,7 @@ from typing import List, Tuple
 
 from . import vocab
 from .model import is_token
-from .rdf import RDF_TYPE, Dataset, Literal, Term, path_lexicals
+from .rdf import RDF_TYPE, XSD_INTEGER, Dataset, Literal, Term, path_lexicals
 from .turtle import format_term
 
 VIOLATION = "violation"
@@ -56,9 +56,9 @@ _RULES = {
     "R2": "Every request must have a method and an effective URI.",
     "R3": "Every response must have a status instance carrying a status "
           "code number.",
-    "R4": "Status code numbers outside the five defined classes "
-          "[100, 599] are flagged; a standard status individual must "
-          "carry its registered number.",
+    "R4": "A status code number must be an xsd:integer of :threeDigit; "
+          "one in no status class of the ontology is flagged; a standard "
+          "status individual must carry its registered number.",
     "R5": "A request may have many interim responses but only one final "
           "response.",
     "R6": "A message with a body must declare a content type.",
@@ -84,11 +84,8 @@ def explain(rule_id: str) -> str:
 
 
 def _media_match(content_type: str, media_range: str) -> bool:
-    if media_range.strip() == "*/*":
-        return True
-    ct = content_type.strip()
-    mr = media_range.strip()
-    return ct in mr or mr in ct
+    ct, mr = content_type.strip(), media_range.strip()
+    return mr == "*/*" or ct in mr or mr in ct
 
 
 def validate(dataset: Dataset) -> ValidationReport:
@@ -126,23 +123,28 @@ def validate(dataset: Dataset) -> ValidationReport:
                 report("R3", VIOLATION, s,
                        "status instance has no status code number")
 
-    # R4 code/class sanity.
+    # R4 status code numbers. Their range :threeDigit restricts
+    # xsd:nonNegativeInteger, whose minInclusive is 0 (XSD part 2, 3.4.20).
+    classes = dict(vocab.registry().intervals)
+    base, _, top = classes.pop(vocab.THREE_DIGIT)
     registered = vocab.registry().codes
     for t in g.match(None, vocab.STATUS_CODE_NUMBER, None):
         if not (isinstance(t.object, Literal)
+                and t.object.datatype in (XSD_INTEGER, vocab.THREE_DIGIT, base)
                 and _INTEGER.fullmatch(t.object.lexical)):
             report("R4", VIOLATION, t.subject,
-                   "status code number is not an integer: %s"
-                   % _fmt(t.object))
+                   "status code number is not an integer: " + _fmt(t.object))
             continue
         code = int(t.object.lexical)
-        expected = registered.get(t.subject)
-        if expected is not None:
-            if code != expected:
-                report("R4", VIOLATION, t.subject,
-                       "standard status individual carries %d, expected %d"
-                       % (code, expected))
-        elif not (100 <= code <= 599):
+        expected = registered.get(t.subject, code)
+        if code != expected:
+            report("R4", VIOLATION, t.subject,
+                   "standard status individual carries %d, expected %d"
+                   % (code, expected))
+        elif not 0 <= code <= top:
+            report("R4", VIOLATION, t.subject,
+                   "status code %d is not a :threeDigit" % code)
+        elif not any(lo <= code <= hi for _, lo, hi in classes.values()):
             report("R4", WARNING, t.subject,
                    "status code %d belongs to no status class" % code)
 

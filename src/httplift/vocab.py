@@ -8,7 +8,7 @@ import os
 from collections import namedtuple
 from types import MappingProxyType
 
-from .rdf import RDF, RDF_TYPE, XSD, Iri, Pred, Seq
+from .rdf import RDF, RDF_TYPE, XSD, BlankNode, Iri, Pred, Seq
 from . import turtle
 
 HTTP = "http://w3id.org/http#"
@@ -48,6 +48,7 @@ CONTENT_AS_RDF = Iri(CNT + "ContentAsRDF")
 SD_GRAPH = Iri(SD + "Graph")
 LOCATION_HEADER = Iri(HDS + "LocationHeader")
 FUNCTIONAL_PROPERTY = Iri(OWL + "FunctionalProperty")
+THREE_DIGIT = Iri(HTTP + "threeDigit")
 
 # Properties.
 RESP = Iri(HTTP + "resp")
@@ -110,9 +111,14 @@ def ontology_text(extensions: bool = False) -> str:
 
 
 # What the vendored ontology and its extension block define: every IRI they
-# mention, method name -> individual, status code <-> individual, and the
-# owl:FunctionalProperty set. The mappings are read-only: callers share them.
-Registry = namedtuple("Registry", "terms methods statuses codes functional")
+# mention, method name -> individual, status code <-> individual, the
+# owl:FunctionalProperty set, and each term that restricts a datatype ->
+# (owl:onDatatype, minInclusive, maxInclusive), None for a bound not stated.
+# The mappings are read-only: callers share them.
+Registry = namedtuple("Registry",
+                      "terms methods statuses codes functional intervals")
+_BOUNDS = {Iri(XSD + "minInclusive"): 1, Iri(XSD + "maxInclusive"): 2}
+_ON_DATATYPE = Iri(OWL + "onDatatype")
 
 
 @functools.cache
@@ -123,10 +129,23 @@ def registry() -> Registry:
                if t.predicate == METHOD_NAME}
     codes = {t.subject: int(t.object.lexical) for t in full
              if t.predicate == STATUS_CODE_NUMBER}
+    # A facet sits in the owl:withRestrictions list of its datatype, which
+    # the named term's description holds: walk up, one blank node at a time.
+    up = {t.object: t.subject for t in full if isinstance(t.object, BlankNode)}
+    on = {t.subject: t.object for t in full if t.predicate == _ON_DATATYPE}
+    intervals = {}
+    for t in [t for t in full if t.predicate in _BOUNDS]:
+        node, base = t.subject, None
+        while isinstance(node, BlankNode):
+            node = up[node]
+            base = base or on.get(node)
+        entry = intervals.setdefault(node, [base, None, None])
+        entry[_BOUNDS[t.predicate]] = int(t.object.lexical)
     return Registry(
         frozenset(x for t in full for x in t if isinstance(x, Iri)),
         MappingProxyType(methods),
         MappingProxyType({code: node for node, code in codes.items()}),
         MappingProxyType(codes),
         frozenset(t.subject for t in full if t.predicate == RDF_TYPE
-                  and t.object == FUNCTIONAL_PROPERTY))
+                  and t.object == FUNCTIONAL_PROPERTY),
+        MappingProxyType({k: tuple(v) for k, v in intervals.items()}))

@@ -13,8 +13,7 @@ import pytest
 from httplift.ingest import load_transcript, load_har
 from httplift.lift import lift_conversation, uri_node, vocabulary_scan
 from httplift.model import (
-    Conversation, Interaction, Method, Request, Response, StatusClass,
-    is_interim, status_class,
+    Conversation, Interaction, Method, Request, Response, is_interim,
 )
 from httplift.queries import (
     cq2_interaction_status, cq3_locations, cq4_conversation_status,
@@ -81,12 +80,16 @@ def test_criterion_2_competency_questions():
 
 
 def test_criterion_3_status_classification():
-    by_digit = {1: StatusClass.INFORMATIONAL, 2: StatusClass.SUCCESSFUL,
-                3: StatusClass.REDIRECTION, 4: StatusClass.CLIENT_ERROR,
-                5: StatusClass.SERVER_ERROR}
+    # the ontology's five status classes partition 100-599 of the codes
+    # 0-999 by their first digit
+    names = {1: "Informational", 2: "Successful", 3: "Redirection",
+             4: "ClientError", 5: "ServerError"}
+    intervals = vocab.registry().intervals
     ok = all(
-        status_class(code) is (by_digit.get(code // 100)
-                               if 100 <= code <= 599 else None)
+        [term for term, (_, lo, hi) in intervals.items()
+         if term != vocab.THREE_DIGIT and lo <= code <= hi]
+        == ([Iri(vocab.SC + names[code // 100])] if 100 <= code <= 599
+            else [])
         for code in range(1000))
 
     # a response carrying each embedded status individual's number lifts

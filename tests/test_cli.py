@@ -281,6 +281,12 @@ class TestErrors:
          "(line 1): bad chunk size: 'hello' (body line 1)"),
         (".http", "Transfer-Encoding: chunked\n\n20", "transcript message "
          "1 (line 1): truncated chunk: 7 of 32 bytes (body line 2)"),
+        (".http", "Transfer-Encoding: chunked\n\n" + "f" * 3000,
+         "transcript message 1 (line 1): chunk size of more than 64 bits "
+         "(body line 1)"),
+        (".http", "Transfer-Encoding: chunked\n\n" + "f" * 3700,
+         "transcript message 1 (line 1): chunk size of more than 64 bits "
+         "(body line 1)"),
         (".har", '{"log": {"entries": [{"request": {"method": "GET", "url": '
          '"http://h/"}, "response": {"status": 1e999}}]}}',
          "HAR entry 1: cannot convert float infinity to integer"),
@@ -322,7 +328,9 @@ class TestErrors:
             "har-version-surrogate", "har-header-value-null",
             "har-url-deep-list",
             "transcript-not-utf-8", "differing-content-lengths",
-            "chunk-size-not-hex", "chunk-truncated", "har-status-infinite",
+            "chunk-size-not-hex", "chunk-truncated",
+            "chunk-size-3000-hex-digits", "chunk-size-3700-hex-digits",
+            "har-status-infinite",
             "har-nesting-too-deep", "trig-nested-collections",
             "trig-nested-property-lists", "body-nested-collections",
             "body-nested-property-lists", "body-second-line",

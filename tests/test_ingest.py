@@ -125,6 +125,19 @@ class TestParseRequest:
         with pytest.raises(IngestError, match=re.escape(message)):
             parse_http_request(text)
 
+    @pytest.mark.parametrize("length, octets", [
+        ("10", b"hello worl"), ("99", b"hello world"),
+        ("100", b"hello world"), ("9" * 5000, b"hello world"),
+        ("0" * 5000 + "5", b"hello")],
+        ids=["shorter", "two-digits", "three-digits", "5000-digits",
+             "5000-zeros"])
+    def test_content_length_of_any_number_of_digits(self, length, octets):
+        # A length beyond what is left takes all of it, with no int() of
+        # more digits than sys.get_int_max_str_digits() allows.
+        text = ("POST /p HTTP/1.1\nHost: h\nContent-Length: %s\n\n"
+                "hello world" % length)
+        assert parse_http_request(text).body.octets == octets
+
     def test_head_ends_at_the_first_empty_line(self):
         # LF line ends in the head, CRLF ones in the body.
         r = parse_http_request("POST /p HTTP/1.1\nHost: h\n"
@@ -163,7 +176,10 @@ class TestChunkedBody:
         # A transcript may end lines with LF alone, and its last line with
         # nothing.
         "4\nWiki\n12\npedia in \r\nchunks.\n0",
-    ], ids=["plain", "extensions", "trailers", "lf-lines"])
+        # Leading zeros do not count towards the 64-bit size limit.
+        "0" * 3000 + "4\r\nWiki\r\n7\r\npedia i\r\nB\r\nn \r\nchunks.\r\n0"
+        "\r\n\r\n",
+    ], ids=["plain", "extensions", "trailers", "lf-lines", "leading-zeros"])
     def test_decoded(self, body):
         r = parse_http_request(CHUNKED + body)
         assert r.body.octets == b"Wikipedia in \r\nchunks."
@@ -190,8 +206,15 @@ class TestChunkedBody:
         ("", "truncated chunked body: no last chunk (body line 1)"),
         ("4\r\nWikipedia\r\n0\r\n\r\n",
          "chunk of 4 bytes not followed by a line end (body line 2)"),
+        ("f" * 16 + "\r\nab\r\n",
+         "truncated chunk: 4 of 18446744073709551615 bytes (body line 2)"),
+        ("4\r\nWiki\r\n1" + "0" * 16 + "\r\nab\r\n",
+         "chunk size of more than 64 bits (body line 3)"),
+        ("f" * 3700 + "\r\nhello\r\n0\r\n\r\n",
+         "chunk size of more than 64 bits (body line 1)"),
     ], ids=["bad-size", "negative-size", "empty-size", "truncated-chunk",
-            "no-last-chunk", "no-chunk", "overlong-chunk"])
+            "no-last-chunk", "no-chunk", "overlong-chunk", "size-64-bits",
+            "size-65-bits", "size-3700-hex-digits"])
     def test_malformed(self, body, message):
         with pytest.raises(IngestError) as info:
             parse_http_request(CHUNKED + body)

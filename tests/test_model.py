@@ -1,37 +1,56 @@
 """HTTP message model: status classes, registry, headers, interactions,
-and the value semantics of every record type."""
+and the value semantics of every record type. The status classes are the
+ontology's datatype restrictions, read through vocab.registry()."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from httplift.model import (
     Method, Header, Body, Request, Response, Interaction, Conversation,
-    StatusClass, status_class, is_interim, is_token, header_value,
+    is_interim, is_token, header_value,
 )
 from httplift import vocab
-from httplift.rdf import RDF_TYPE, Graph, Iri, Pred, Seq, Star
+from httplift.rdf import (
+    RDF_TYPE, XSD, XSD_INTEGER, Graph, Iri, Pred, Seq, Star,
+)
 from httplift.turtle import parse_turtle
 from httplift.uri import QueryParam, UriParts, parse_uri
 from httplift.validate import Finding, ValidationReport
 
 
+CLASSES = {1: "Informational", 2: "Successful", 3: "Redirection",
+           4: "ClientError", 5: "ServerError"}
+
+
+def status_classes(code):
+    """The status classes whose interval in the ontology holds `code`."""
+    return [term for term, (_, lo, hi) in vocab.registry().intervals.items()
+            if term != vocab.THREE_DIGIT and lo <= code <= hi]
+
+
 class TestStatusClass:
     def test_exhaustive_over_all_codes(self):
-        by_digit = {1: StatusClass.INFORMATIONAL, 2: StatusClass.SUCCESSFUL,
-                    3: StatusClass.REDIRECTION, 4: StatusClass.CLIENT_ERROR,
-                    5: StatusClass.SERVER_ERROR}
         for code in range(1000):
             if code < 100 or code > 599:
-                assert status_class(code) is None, code
+                assert status_classes(code) == [], code
             else:
-                assert status_class(code) is by_digit[code // 100], code
+                assert status_classes(code) == [
+                    Iri(vocab.SC + CLASSES[code // 100])], code
 
     def test_class_names(self):
-        assert status_class(200) is StatusClass.SUCCESSFUL
-        assert status_class(101) is StatusClass.INFORMATIONAL
-        assert status_class(302) is StatusClass.REDIRECTION
-        assert status_class(404) is StatusClass.CLIENT_ERROR
-        assert status_class(503) is StatusClass.SERVER_ERROR
+        assert status_classes(200) == [Iri(vocab.SC + "Successful")]
+        assert status_classes(101) == [Iri(vocab.SC + "Informational")]
+        assert status_classes(302) == [Iri(vocab.SC + "Redirection")]
+        assert status_classes(404) == [Iri(vocab.SC + "ClientError")]
+        assert status_classes(503) == [Iri(vocab.SC + "ServerError")]
+
+    def test_is_interim_is_informational(self):
+        # is_interim is written by hand, as ingest runs before the
+        # ontology is read; it must agree with sc:Informational.
+        informational = [Iri(vocab.SC + "Informational")]
+        for code in range(1000):
+            assert is_interim(Response(code)) == (
+                status_classes(code) == informational), code
 
     def test_is_interim(self):
         assert is_interim(Response(status_code=100))
@@ -74,10 +93,24 @@ class TestRegistry:
         assert declared == {Iri(vocab.HTTP + n) for n in names}
         assert vocab.registry().functional == declared
 
+    def test_intervals_are_the_ontology_datatype_restrictions(self):
+        # The five status classes and :threeDigit, the range of
+        # :statusCodeNumber, whose xsd:nonNegativeInteger base states no
+        # minInclusive; :notEmptyToken restricts by xsd:minLength only.
+        assert dict(vocab.registry().intervals) == {
+            Iri(vocab.SC + "Informational"): (XSD_INTEGER, 100, 199),
+            Iri(vocab.SC + "Successful"): (XSD_INTEGER, 200, 299),
+            Iri(vocab.SC + "Redirection"): (XSD_INTEGER, 300, 399),
+            Iri(vocab.SC + "ClientError"): (XSD_INTEGER, 400, 499),
+            Iri(vocab.SC + "ServerError"): (XSD_INTEGER, 500, 599),
+            vocab.THREE_DIGIT: (Iri(XSD + "nonNegativeInteger"), None, 999),
+        }
+
     def test_shared_mappings_are_read_only(self):
         r = vocab.registry()
         for mapping, key in ((r.methods, "FOO"), (r.statuses, 299),
-                             (r.codes, Iri(vocab.SC + "Foo"))):
+                             (r.codes, Iri(vocab.SC + "Foo")),
+                             (r.intervals, vocab.THREE_DIGIT)):
             with pytest.raises(TypeError):
                 mapping[key] = None
 

@@ -305,10 +305,11 @@ def _short(lexical):
 
 class TestStatusCodeLexical:
     """R4 reads a status code number by the xsd:integer lexical form
-    [+-]?[0-9]+, not by what int() accepts."""
+    [+-]?[0-9]+, not by what int() accepts, takes it only with an integer
+    datatype of the ontology's :threeDigit, and checks that range."""
 
     @staticmethod
-    def findings(clean, lexical):
+    def findings(clean, lexical, datatype=XSD_INTEGER, language=None):
         g = clean.default_graph
         r = node(g, vocab.FINAL_RESPONSE, SC_PROP=Iri(vocab.SC + "Created"))
         (t,) = g.match(r, vocab.SC_PROP, None)
@@ -316,7 +317,7 @@ class TestStatusCodeLexical:
         g = Graph(set(g) - {t} | {
             Triple(r, vocab.SC_PROP, status),
             Triple(status, vocab.STATUS_CODE_NUMBER,
-                   Literal(lexical, datatype=XSD_INTEGER))})
+                   Literal(lexical, datatype, language))})
         return [(f.severity, f.message)
                 for f in validate(with_graph(clean, g)).findings]
 
@@ -338,3 +339,36 @@ class TestStatusCodeLexical:
     def test_out_of_range_warns(self, clean):
         assert self.findings(clean, "+0600") == [
             ("warning", "status code 600 belongs to no status class")]
+
+    @pytest.mark.parametrize("lexical", ["600", "799", "999", "0", "-0"])
+    def test_three_digit_without_a_class_warns(self, clean, lexical):
+        assert self.findings(clean, lexical) == [
+            ("warning", "status code %d belongs to no status class"
+             % int(lexical))]
+
+    @pytest.mark.parametrize("lexical", ["-5", "-1", "1000", "+01000",
+                                         "1" * 640], ids=_short)
+    def test_outside_three_digit_is_a_violation(self, clean, lexical):
+        assert self.findings(clean, lexical) == [
+            ("violation", "status code %d is not a :threeDigit"
+             % int(lexical))]
+
+    @pytest.mark.parametrize("datatype", [
+        XSD_INTEGER, vocab.THREE_DIGIT,
+        Iri(vocab.XSD + "nonNegativeInteger")], ids=lambda d: d.value)
+    def test_integer_datatypes(self, clean, datatype):
+        assert self.findings(clean, "201", datatype) == []
+
+    @pytest.mark.parametrize("datatype,language", [
+        (Iri(vocab.XSD + "string"), None), (None, "en"),
+        (Iri(vocab.XSD + "int"), None),
+        (Iri(vocab.XSD + "positiveInteger"), None),
+        (Iri(vocab.XSD + "decimal"), None),
+        (Iri(vocab.HTTP + "StatusCode"), None)],
+        ids=["string", "lang", "int", "positiveInteger", "decimal", "iri"])
+    def test_other_datatypes_are_not_integers(self, clean, datatype,
+                                              language):
+        literal = Literal("201", datatype, language)
+        assert self.findings(clean, "201", datatype, language) == [
+            ("violation", "status code number is not an integer: %s"
+             % format_term(literal, vocab.PREFIXES))]
