@@ -301,9 +301,9 @@ def load_har(text: str) -> Conversation:
     # Imported here, as only HAR input is JSON.
     import json
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=lambda s: _Long(s) if len(
+            s.lstrip("-")) > 3 else int(s))
     except (ValueError, RecursionError) as e:
-        # A ValueError is a JSONDecodeError or a number too long for int().
         raise IngestError("not a HAR document: %s" % e)
     if not isinstance(doc, dict) or "log" not in doc:
         raise IngestError("not a HAR document: missing 'log'")
@@ -332,15 +332,19 @@ def load_har(text: str) -> Conversation:
 _NO_WHITESPACE = str.maketrans("", "", " \t\n\r\x0b\x0c")
 
 
-# The JSON name of each type that json.loads gives, but str.
+class _Long(str):
+    """A JSON integer of 4+ digits, as its text: int() refuses thousands."""
+
+
+# The JSON name of each type that load_har's json.loads gives, but str.
 _JSON_TYPES = {type(None): "null", bool: "boolean", int: "number",
-               float: "number", list: "array", dict: "object"}
+               _Long: "number", float: "number", list: "array", dict: "object"}
 
 
 def _har_text(text: str) -> str:
     """`text`, if it is a string that UTF-8 can encode. JSON's "\\ud800"
     escape gives a lone surrogate, which it cannot."""
-    if not isinstance(text, str):
+    if type(text) is not str:
         raise TypeError("not a string: %s" % _JSON_TYPES[type(text)])
     if not text.isascii():
         try:
@@ -352,9 +356,15 @@ def _har_text(text: str) -> str:
 
 def _har_status(status) -> int:
     """`status`, if it is a JSON integer or a string of ASCII digits."""
-    if type(status) is int or (isinstance(status, str) and status.isascii()
-                               and status.isdigit()):
-        return int(status)
+    if type(status) is _Long or (type(status) is str and status.isascii()
+                                   and status.isdigit()):
+        digits = status.lstrip("0")
+        if len(digits) > 3:
+            raise ValueError("status code must have at most 3 digits: %s%s"
+                             % (digits[:20], "..." * (len(digits) > 20)))
+        status = int(digits or "0")
+    if type(status) is int:
+        return status
     if isinstance(status, float):
         int(status)  # An infinity overflows, as it always did.
     raise ValueError("status is not an integer: %s" % (

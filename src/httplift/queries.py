@@ -6,10 +6,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from . import vocab
-from .rdf import (
-    RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, Dataset, Graph, Iri, Literal,
-    Pred, Seq, Term, eval_path, path_lexicals,
-)
+from .rdf import (RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, Dataset, Graph,
+                  Iri, Literal, Term, eval_path, path_lexicals)
 from .turtle import format_term
 
 Row = Dict[str, Term]
@@ -67,7 +65,7 @@ def cq4_conversation_status(d: Dataset) -> List[Row]:
                     for n in eval_path(g, r, vocab.STATUS_NUMBER)])
 
 
-_DECLARED_TYPE = Seq(Pred(vocab.RESP), Pred(vocab.CONTENT_TYPE))
+_DECLARED_TYPE = (vocab.RESP, vocab.CONTENT_TYPE)  # :resp/hds:content-type
 
 
 def cq5_negotiation(d: Dataset, request: Term) -> bool:

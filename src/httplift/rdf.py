@@ -17,11 +17,10 @@ has been checked against every tuple.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -267,40 +266,18 @@ class Dataset:
 
 
 # --------------------------------------------------------------------------
-# Property paths
+# Property paths: SPARQL 1.1 sequence paths, as tuples of predicate IRIs.
 
-Pred = namedtuple("Pred", "iri")
-Seq = namedtuple("Seq", "left right")
-Star = namedtuple("Star", "inner")
-
-
-PathExpr = Union[Pred, Seq, Star]
-
-
-def eval_path(graph: Graph, start: Term, path: PathExpr) -> set:
-    """Nodes reachable from `start` along `path`. Star always includes the
-    start node itself; cycles are handled by visited-set semantics."""
-    if isinstance(path, Pred):
-        return graph.objects(start, path.iri)
-    if isinstance(path, Seq):
-        out = set()
-        for mid in eval_path(graph, start, path.left):
-            out |= eval_path(graph, mid, path.right)
-        return out
-    if isinstance(path, Star):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for nxt in eval_path(graph, node, path.inner):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
-    raise TypeError("not a path expression: %r" % (path,))
+def eval_path(graph: Graph, start: Term, path: Tuple[Iri, ...]) -> set:
+    """Nodes reached from `start` by following the predicates of `path` in
+    turn; the empty path gives {start}."""
+    nodes = {start}
+    for p in path:
+        nodes = {o for n in nodes for o in graph.objects(n, p)}
+    return nodes
 
 
-def path_lexicals(graph: Graph, start: Term, path: PathExpr) -> set:
+def path_lexicals(graph: Graph, start: Term, path: Tuple[Iri, ...]) -> set:
     """Lexical forms of the literals reachable from `start` along `path`."""
     return {o.lexical for o in eval_path(graph, start, path)
             if isinstance(o, Literal)}

@@ -156,7 +156,7 @@ def validate(dataset: Dataset) -> ValidationReport:
 
     # R5 single final response, R7 HEAD responses without a body and R8
     # content negotiation, over each request-response pair.
-    head = vocab.method_iri("HEAD")
+    head = vocab.registry().methods["HEAD"]
     finals = Counter()
     for q, _, r in g.match(None, vocab.RESP, None):
         if vocab.INTERIM_RESPONSE not in g.objects(r, RDF_TYPE):

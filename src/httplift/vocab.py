@@ -8,7 +8,7 @@ import os
 from collections import namedtuple
 from types import MappingProxyType
 
-from .rdf import RDF, RDF_TYPE, XSD, BlankNode, Iri, Pred, Seq
+from .rdf import RDF, RDF_TYPE, XSD, BlankNode, Iri
 from . import turtle
 
 HTTP = "http://w3id.org/http#"
@@ -85,13 +85,10 @@ ACCEPT_HEADER = Iri(HDS + "AcceptHeader")
 ACCEPT = Iri(HDS + "accept")
 MEDIA_TYPE = Iri(HDS + "media-type")
 
-# Property paths shared by the competency questions and the rules.
-STATUS_NUMBER = Seq(Pred(SC_PROP), Pred(STATUS_CODE_NUMBER))
-ACCEPTED_RANGE = Seq(Pred(ACCEPT), Pred(MEDIA_TYPE))
-
-
-def method_iri(name: str) -> Iri:
-    return Iri(MTHD + name)
+# SPARQL 1.1 sequence paths (tuples of predicates, for rdf.eval_path) shared
+# by CQs and rules: :sc/:statusCodeNumber and hds:accept/hds:media-type.
+STATUS_NUMBER = (SC_PROP, STATUS_CODE_NUMBER)
+ACCEPTED_RANGE = (ACCEPT, MEDIA_TYPE)
 
 
 def ontology_text(extensions: bool = False) -> str:

@@ -122,7 +122,8 @@ def lifted_nodes(method, code):
 
 def _mutations(g):
     """One graph mutation per validation rule, keyed by the rule it breaks."""
-    POST, GET = vocab.method_iri("POST"), vocab.method_iri("GET")
+    methods = vocab.registry().methods
+    POST, GET = methods["POST"], methods["GET"]
     OK, Created = Iri(vocab.SC + "OK"), Iri(vocab.SC + "Created")
 
     def pick(rdf_type, pred, value):
@@ -149,7 +150,7 @@ def _mutations(g):
     (t_link,) = g.match(hdr, vocab.LINK, None)
 
     bad = BlankNode("badmethod")
-    head = vocab.method_iri("HEAD")
+    head = vocab.registry().methods["HEAD"]
     return {
         "R1": Graph([*g, Triple(q1, vocab.MTHD_PROP, GET)]),
         "R2": drop(t_q1m),

@@ -205,6 +205,10 @@ class TestOntology:
 
 # A subject and predicate before deeply nested objects.
 _NEST = "<http://x/s> <http://x/p> "
+_HAR_STATUS = ('{"log": {"entries": [{"request": {"method": "GET", "url": '
+               '"http://h/"}, "response": {"status": %s}}]}}')
+_TOO_MANY_DIGITS = ("HAR entry 1: status code must have at most 3 digits: "
+                    + "2" * 20 + "...")
 
 
 class TestErrors:
@@ -290,6 +294,12 @@ class TestErrors:
         (".har", '{"log": {"entries": [{"request": {"method": "GET", "url": '
          '"http://h/"}, "response": {"status": 1e999}}]}}',
          "HAR entry 1: cannot convert float infinity to integer"),
+        # More status digits than int() converts at its lowest limit, as
+        # a string and as a JSON number.
+        (".har", _HAR_STATUS % ('"%s"' % ("2" * 700)), _TOO_MANY_DIGITS),
+        (".har", _HAR_STATUS % ('"%s"' % ("2" * 5000)), _TOO_MANY_DIGITS),
+        (".har", _HAR_STATUS % ("2" * 700), _TOO_MANY_DIGITS),
+        (".har", _HAR_STATUS % ("2" * 5000), _TOO_MANY_DIGITS),
         (".har", '{"log": {"entries": %s%s}}' % ("[" * 1200, "]" * 1200),
          "not a HAR document: "),
         (".trig", _NEST + "(" * 10000 + ")" * 10000 + " .",
@@ -330,7 +340,9 @@ class TestErrors:
             "transcript-not-utf-8", "differing-content-lengths",
             "chunk-size-not-hex", "chunk-truncated",
             "chunk-size-3000-hex-digits", "chunk-size-3700-hex-digits",
-            "har-status-infinite",
+            "har-status-infinite", "har-status-700-digit-string",
+            "har-status-5000-digit-string", "har-status-700-digit-number",
+            "har-status-5000-digit-number",
             "har-nesting-too-deep", "trig-nested-collections",
             "trig-nested-property-lists", "body-nested-collections",
             "body-nested-property-lists", "body-second-line",
@@ -535,3 +547,28 @@ class TestStartup:
             found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
                       if isinstance(node, ast.Global)]
         assert found == []
+
+    def test_every_imported_name_is_used(self):
+        # A name that a module imports and never refers to is left over
+        # from deleted code. __init__.py imports names to export them, and
+        # `from __future__ import annotations` binds no name.
+        package_dir = os.path.dirname(httplift.__file__)
+        sources = sorted(name for name in os.listdir(package_dir)
+                         if name.endswith(".py") and name != "__init__.py")
+        assert "rdf.py" in sources and "cli.py" in sources
+        unused = []
+        for name in sources:
+            with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) \
+                        and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    unused += ["%s:%d %s" % (name, node.lineno, bound)
+                               for bound in ((a.asname or a.name).split(".")[0]
+                                             for a in node.names)
+                               if bound not in used]
+        assert unused == []

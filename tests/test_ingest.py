@@ -1,9 +1,11 @@
 """Raw message parsing, transcript and HAR loading."""
 
 import base64
+import contextlib
 import json
 import os
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -506,6 +508,33 @@ class TestTranscript:
 SAMPLE_HAR = open(__file__.rsplit("/", 1)[0] + "/fixtures/registration.har").read()
 
 
+def _one_entry_har(status: str) -> str:
+    """A HAR document of one GET entry whose response status is the JSON
+    text `status`."""
+    return ('{"log": {"entries": [{"request": {"method": "GET", "url": '
+            '"http://h/"}, "response": {"status": %s}}]}}' % status)
+
+
+# The interpreter's own int() digit limit, and 640, the lowest it accepts
+# (Python 3.11, 3.10.7 and later).
+_INT_DIGIT_LIMITS = [None] + (
+    [640] if hasattr(sys, "set_int_max_str_digits") else [])
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    """Run the block with int()'s digit limit at `limit`, None leaving it."""
+    if limit is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 class TestHar:
     def test_fixture_loads(self):
         c = load_har(SAMPLE_HAR)
@@ -668,6 +697,52 @@ class TestHar:
         with pytest.raises(IngestError, match=r"^(not a HAR document: "
                            r"Exceeds the limit|HAR entry 1: status code)"):
             load_har(text)
+
+    # A status of more than three digits after its leading zeros is an
+    # error before int() is called: int() refuses more than 640 digits at
+    # the lowest limit an interpreter may set, and json.loads calls it on
+    # every JSON integer. The message is the same at any limit.
+    @pytest.mark.parametrize("status, shown", [
+        ('"%s"' % ("2" * 700), "2" * 20 + "..."),
+        ('"%s"' % ("2" * 5000), "2" * 20 + "..."),
+        ("2" * 700, "2" * 20 + "..."),
+        ("2" * 5000, "2" * 20 + "..."),
+        ("-" + "2" * 5000, "-" + "2" * 19 + "..."),
+        ('"%s1000"' % ("0" * 4400), "1000"),
+        ("1000", "1000"), ('"1000"', "1000"), ("-1000", "-1000")],
+        ids=["string-700-digits", "string-5000-digits", "number-700-digits",
+             "number-5000-digits", "negative-number-5000-digits",
+             "string-1000-after-4400-zeros", "number-1000", "string-1000",
+             "negative-number-1000"])
+    def test_status_of_more_than_three_digits_errors(self, status, shown):
+        text = _one_entry_har(status)
+        for limit in _INT_DIGIT_LIMITS:
+            with _int_digit_limit(limit), pytest.raises(
+                    IngestError, match="^%s$" % re.escape(
+                        "HAR entry 1: status code must have at most 3 "
+                        "digits: %s" % shown)):
+                load_har(text)
+
+    @pytest.mark.parametrize("zeros", [700, 4400])
+    def test_status_after_leading_zeros_loads(self, zeros):
+        text = _one_entry_har('"%s200"' % ("0" * zeros))
+        for limit in _INT_DIGIT_LIMITS:
+            with _int_digit_limit(limit):
+                i = load_har(text).interactions[0]
+            assert i.final_response.status_code == 200
+
+    def test_long_number_where_no_number_is_read(self):
+        # A 5000-digit number in a field the loader skips is no error, and
+        # in a string field it is a number like any other.
+        skipped = _one_entry_har("200, \"bodySize\": %s" % ("9" * 5000))
+        method = _one_entry_har("200").replace('"GET"', "9" * 5000)
+        for limit in _INT_DIGIT_LIMITS:
+            with _int_digit_limit(limit):
+                i = load_har(skipped).interactions[0]
+                assert i.final_response.status_code == 200
+                with pytest.raises(IngestError, match="^HAR entry 1: not a "
+                                   "string: number$"):
+                    load_har(method)
 
 
 # Mutation fuzzing: any text gives a Conversation or an IngestError, and

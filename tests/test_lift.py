@@ -152,7 +152,7 @@ class TestConversationLift:
 
     def test_standard_individuals_carry_their_facts(self):
         g = lift_fixture().default_graph
-        post = vocab.method_iri("POST")
+        post = vocab.registry().methods["POST"]
         assert g.value(post, vocab.METHOD_NAME) == Literal("POST")
         created = Iri(vocab.SC + "Created")
         assert g.value(created, vocab.STATUS_CODE_NUMBER) == \

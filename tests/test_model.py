@@ -10,9 +10,7 @@ from httplift.model import (
     is_interim, is_token, header_value,
 )
 from httplift import vocab
-from httplift.rdf import (
-    RDF_TYPE, XSD, XSD_INTEGER, Graph, Iri, Pred, Seq, Star,
-)
+from httplift.rdf import RDF_TYPE, XSD, XSD_INTEGER, Graph, Iri
 from httplift.turtle import parse_turtle
 from httplift.uri import QueryParam, UriParts, parse_uri
 from httplift.validate import Finding, ValidationReport
@@ -177,7 +175,6 @@ class TestMessages:
 
 _URI = UriParts("http", "h", "/p", "a=1", None, (QueryParam("a", "1"),))
 _GET = Request(Method("GET"), _URI)
-_P = Pred(Iri("http://x/p"))
 
 # One field list per record type, every field given, in declaration order.
 RECORDS = [
@@ -198,9 +195,6 @@ RECORDS = [
     (Finding, {"rule_id": "R6", "severity": "violation",
                "focus": Iri("http://x/m"), "message": "no type"}),
     (ValidationReport, {"findings": (), "checked_rules": ("R1",)}),
-    (Pred, {"iri": Iri("http://x/p")}),
-    (Seq, {"left": _P, "right": _P}),
-    (Star, {"inner": _P}),
 ]
 
 

@@ -54,8 +54,8 @@ class TestCleanFixture:
 
 def _mutations():
     """(rule, graph-mutator) pairs; each breaks exactly one rule."""
-    POST = vocab.method_iri("POST")
-    GET = vocab.method_iri("GET")
+    POST = vocab.registry().methods["POST"]
+    GET = vocab.registry().methods["GET"]
     OK = Iri(vocab.SC + "OK")
     Created = Iri(vocab.SC + "Created")
 
@@ -137,10 +137,10 @@ def test_mutation_trips_exactly_one_rule(clean, rule, mutate):
 
 def test_r7_head_with_body(clean):
     g = clean.default_graph
-    GET = vocab.method_iri("GET")
+    GET = vocab.registry().methods["GET"]
     q2 = node(g, vocab.REQUEST, MTHD_PROP=GET)
     (t,) = g.match(q2, vocab.MTHD_PROP, None)
-    head = vocab.method_iri("HEAD")
+    head = vocab.registry().methods["HEAD"]
     g = Graph(set(g) - {t} | {
         Triple(q2, vocab.MTHD_PROP, head),
         Triple(head, RDF_TYPE, vocab.METHOD),
@@ -172,7 +172,7 @@ class TestSeverities:
 
     def test_violations_fail_the_report(self, clean):
         g = clean.default_graph
-        GET = vocab.method_iri("GET")
+        GET = vocab.registry().methods["GET"]
         q = node(g, vocab.REQUEST, MTHD_PROP=GET)
         (t,) = g.match(q, vocab.MTHD_PROP, None)
         report = validate(with_graph(clean, Graph(set(g) - {t})))
@@ -187,7 +187,7 @@ class TestReporting:
 
     def test_to_text_and_tsv(self, clean):
         g = clean.default_graph
-        q = node(g, vocab.REQUEST, MTHD_PROP=vocab.method_iri("GET"))
+        q = node(g, vocab.REQUEST, MTHD_PROP=vocab.registry().methods["GET"])
         (t,) = g.match(q, vocab.MTHD_PROP, None)
         report = validate(with_graph(clean, Graph(set(g) - {t})))
         assert "R2" in report.to_text()
@@ -197,7 +197,7 @@ class TestReporting:
     def test_findings_sorted_by_rule(self, clean):
         # break two rules at once; R2 must come before R3
         g = clean.default_graph
-        q = node(g, vocab.REQUEST, MTHD_PROP=vocab.method_iri("GET"))
+        q = node(g, vocab.REQUEST, MTHD_PROP=vocab.registry().methods["GET"])
         r = node(g, vocab.FINAL_RESPONSE, SC_PROP=Iri(vocab.SC + "Created"))
         (t1,) = g.match(q, vocab.MTHD_PROP, None)
         (t2,) = g.match(r, vocab.SC_PROP, None)
@@ -258,7 +258,7 @@ class TestFunctionalProperties:
 class TestResponsePairs:
     """R5, R7 and R8 read each request-response pair of :resp."""
 
-    HEAD = vocab.method_iri("HEAD")
+    HEAD = vocab.registry().methods["HEAD"]
 
     def findings(self, triples, rule):
         report = validate(Dataset(Graph(triples)))
