@@ -18,7 +18,6 @@ from .ingest import IngestError, load_har, load_transcript
 from .lift import lift_conversation
 from .rdf import BlankNode, Dataset, Iri, Literal
 from .turtle import ParseError, format_term, parse_trig
-from .uri import UriError
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -96,16 +95,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lift = subs.add_parser("lift", help="lift traffic to TriG/Turtle")
     _add_input_args(p_lift)
+    p_lift.set_defaults(run=_cmd_lift)
     p_lift.add_argument("--turtle", action="store_true",
                         help="emit Turtle (default graph only) instead of TriG")
 
     p_val = subs.add_parser("validate", help="run the conformance rules")
     _add_input_args(p_val)
+    p_val.set_defaults(run=_cmd_validate)
     p_val.add_argument("--report", choices=("text", "tsv"), default="text")
 
     p_query = subs.add_parser("query", help="answer a competency question")
     p_query.add_argument("cq", help="competency question number (1-7)")
     _add_input_args(p_query)
+    p_query.set_defaults(run=_cmd_query)
     p_query.add_argument("--name", help="query parameter name (CQ7)")
     p_query.add_argument("--prop", metavar="IRI", type=Iri,
                          help="body property IRI (CQ6)")
@@ -114,6 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_onto.add_argument("--extensions", action="store_true",
                         help="include the extension term declarations")
     p_onto.add_argument("--out", metavar="PATH")
+    p_onto.set_defaults(run=_cmd_ontology)
     return parser
 
 
@@ -189,14 +192,6 @@ def _cmd_ontology(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "lift": _cmd_lift,
-    "validate": _cmd_validate,
-    "query": _cmd_query,
-    "ontology": _cmd_ontology,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -209,8 +204,8 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _COMMANDS[args.command](args)
-    except (IngestError, ParseError, UriError, OSError) as e:
+        return args.run(args)
+    except (IngestError, ParseError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
     finally:

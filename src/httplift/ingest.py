@@ -5,21 +5,17 @@ from __future__ import annotations
 
 import base64
 import re
+import reprlib
 from itertools import chain
 from typing import List, Optional, Tuple, Union
 
 from . import turtle
 from .model import (
-    Body, Conversation, Header, Interaction, Method, Request, Response,
-    header_value, is_interim,
+    Body, Conversation, Header, IngestError, Interaction, Method, Request,
+    Response, header_value, is_interim,
 )
 from .rdf import Graph
-from .uri import UriError, effective_request_uri, parse_uri, require_host
-
-
-class IngestError(ValueError):
-    pass
-
+from .uri import effective_request_uri, parse_uri, require_host
 
 # Media types whose bodies are parsed into RDF graphs.
 RDF_MEDIA_TYPES = ("text/turtle", "application/trig")
@@ -55,7 +51,7 @@ _HTTP_VERSION = re.compile(r"HTTP/[0-9]\.[0-9]")
 
 def _check_version(version: str) -> None:
     if not _HTTP_VERSION.fullmatch(version):
-        raise IngestError("bad HTTP version: %r" % version)
+        raise IngestError("bad HTTP version: %s" % reprlib.repr(version))
 
 
 def _parse_headers(lines: List[str], request: bool) -> List[Header]:
@@ -65,20 +61,17 @@ def _parse_headers(lines: List[str], request: bool) -> List[Header]:
         if not line:
             continue
         if ":" not in line:
-            raise IngestError("malformed header line: %r" % line)
+            raise IngestError("malformed header line: " + reprlib.repr(line))
         name, value = line.split(":", 1)
         if name.endswith((" ", "\t")):
             # RFC 9112 section 5.1: a server rejects whitespace between a
             # field name and the colon; a proxy removes it from a response.
             if request:
                 raise IngestError("whitespace before the colon in header "
-                                  "line: %r" % line)
+                                  "line: %s" % reprlib.repr(line))
             name = name.rstrip(" \t")
-        try:
-            # RFC 9110 section 5.5: OWS around a value is SP or HTAB.
-            headers.append(Header(name, value.strip(" \t")))
-        except ValueError as e:
-            raise IngestError(str(e))
+        # RFC 9110 section 5.5: OWS around a value is SP or HTAB.
+        headers.append(Header(name, value.strip(" \t")))
     return headers
 
 
@@ -102,7 +95,8 @@ def _dechunk(data: bytes) -> bytes:
             if pos == len(data):
                 raise error("truncated chunked body: no last chunk", pos)
             line = data[pos:].split(b"\n", 1)[0].rstrip(b"\r")
-            raise error("bad chunk size: %r" % line.decode("iso-8859-1"), pos)
+            raise error("bad chunk size: %s"
+                        % reprlib.repr(line.decode("iso-8859-1")), pos)
         if len(m.group(1).lstrip(b"0")) > 16:
             raise error("chunk size of more than 64 bits", pos)
         size, pos = int(m.group(1), 16), m.end()
@@ -129,7 +123,8 @@ def _frame_body(headers: List[Header], rest: bytes) -> bytes:
         # RFC 9112 section 6.3: Transfer-Encoding overrides Content-Length.
         return _dechunk(rest)
     if coding and coding.lower() != "identity":
-        raise IngestError("transfer-coding %r is not supported" % coding)
+        raise IngestError("transfer-coding %s is not supported"
+                          % reprlib.repr(coding))
     # RFC 9112 section 6.3: Content-Length = 1*DIGIT, and field lines
     # with differing values are an error; identical ones count as one.
     lengths = [h.value for h in headers
@@ -137,10 +132,11 @@ def _frame_body(headers: List[Header], rest: bytes) -> bytes:
     if not lengths:
         return rest
     if len(set(lengths)) > 1:
-        raise IngestError("differing Content-Length values: %s"
-                          % ", ".join(map(repr, dict.fromkeys(lengths))))
+        # The first two distinct values, so that many make one short line.
+        raise IngestError("differing Content-Length values: %s" % ", ".join(
+            map(reprlib.repr, list(dict.fromkeys(lengths))[:2])))
     if not (lengths[0].isascii() and lengths[0].isdecimal()):
-        raise IngestError("bad Content-Length: %r" % lengths[0])
+        raise IngestError("bad Content-Length: " + reprlib.repr(lengths[0]))
     # No int() of more digits than len(rest) has: such a length takes it all.
     digits = lengths[0].lstrip("0") or "0"
     return rest if len(digits) > len(str(len(rest))) else rest[:int(digits)]
@@ -176,18 +172,13 @@ def parse_http_request(raw: Union[bytes, str]) -> Request:
     head, rest = _split_head_body(raw)
     lines = head.split("\n")
     parts = _START_LINE_WORD.findall(lines[0])
-    if len(parts) != 3:
-        raise IngestError("malformed request line: %r" % lines[0])
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        raise IngestError("malformed request line: " + reprlib.repr(lines[0]))
     method_token, target, version = parts
-    if not version.startswith("HTTP/"):
-        raise IngestError("malformed request line: %r" % lines[0])
     _check_version(version)
     headers = _parse_headers(lines[1:], request=True)
-    try:
-        method = Method(method_token)
-        uri = effective_request_uri(target, header_value(headers, "Host"))
-    except (ValueError, UriError) as e:
-        raise IngestError(str(e))
+    method = Method(method_token)
+    uri = effective_request_uri(target, header_value(headers, "Host"))
     octets = _frame_body(headers, rest)
     return Request(method=method, uri=uri, headers=tuple(headers),
                    body=_make_body(headers, octets), http_version=version)
@@ -199,20 +190,19 @@ def parse_http_response(raw: Union[bytes, str]) -> Response:
     head, rest = _split_head_body(raw)
     lines = head.split("\n")
     parts = _START_LINE_WORD.findall(lines[0])
-    if len(parts) < 2:
-        raise IngestError("malformed status line: %r" % lines[0])
-    if parts[0].startswith("HTTP/"):
+    if len(parts) >= 2 and parts[0].startswith("HTTP/"):
         version, code_token = parts[0], parts[1]
-    elif parts[-1].startswith("HTTP/"):
+    elif len(parts) >= 2 and parts[-1].startswith("HTTP/"):
         version, code_token = parts[-1], parts[0]
     else:
-        raise IngestError("malformed status line: %r" % lines[0])
+        raise IngestError("malformed status line: " + reprlib.repr(lines[0]))
     _check_version(version)
     if not (code_token.isascii() and code_token.isdigit()):
-        raise IngestError("non-numeric status code: %r" % code_token)
+        raise IngestError("non-numeric status code: %s"
+                          % reprlib.repr(code_token))
     if len(code_token) != 3:
-        raise IngestError("status code must have exactly 3 digits: %r"
-                          % code_token)
+        raise IngestError("status code must have exactly 3 digits: %s"
+                          % reprlib.repr(code_token))
     headers = _parse_headers(lines[1:], request=False)
     octets = _frame_body(headers, rest)
     return Response(status_code=int(code_token), headers=tuple(headers),
@@ -368,7 +358,7 @@ def _har_status(status) -> int:
     if isinstance(status, float):
         int(status)  # An infinity overflows, as it always did.
     raise ValueError("status is not an integer: %s" % (
-        repr(status) if isinstance(status, (str, float))
+        reprlib.repr(status) if isinstance(status, (str, float))
         else _JSON_TYPES[type(status)]))
 
 

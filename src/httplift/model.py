@@ -4,8 +4,14 @@ responses (interim or final), interactions and conversations."""
 from __future__ import annotations
 
 import re
+import reprlib
 from collections import namedtuple
 from typing import Optional, Tuple
+
+
+class IngestError(ValueError):
+    """Input that breaks a rule of HTTP, a URI or the input format."""
+
 
 # RFC 9110 section 5.6.2: token = 1*tchar.
 _TOKEN_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
@@ -32,8 +38,8 @@ class Method(_Checked, namedtuple("Method", "name")):
 
     def __new__(cls, name: str):
         if not is_token(name):
-            raise ValueError("method name must be a non-empty token: %r"
-                             % name)
+            raise IngestError("method name must be a non-empty token: %s"
+                              % reprlib.repr(name))
         return tuple.__new__(cls, (name,))
 
 
@@ -44,8 +50,8 @@ class Header(_Checked, namedtuple("Header", "name value")):
 
     def __new__(cls, name: str, value: str):
         if not is_token(name):
-            raise ValueError("header name must be a non-empty token: %r"
-                             % name)
+            raise IngestError("header name must be a non-empty token: %s"
+                              % reprlib.repr(name))
         return tuple.__new__(cls, (name, value))
 
 
@@ -66,8 +72,8 @@ class Response(_Checked, namedtuple(
                 body: Optional[Body] = None,
                 http_version: Optional[str] = None):
         if not (0 <= status_code <= 999):
-            raise ValueError("status code must have at most 3 digits: %r"
-                             % status_code)
+            raise IngestError("status code must have at most 3 digits: %s"
+                              % reprlib.repr(status_code))
         return tuple.__new__(cls, (status_code, headers, body, http_version))
 
 
@@ -96,10 +102,10 @@ class Interaction(_Checked, namedtuple(
                 final_response: Optional[Response] = None):
         for r in interim_responses:
             if not is_interim(r):
-                raise ValueError("interim response must have a 1xx status, "
-                                 "got %d" % r.status_code)
+                raise IngestError("interim response must have a 1xx status, "
+                                  "got %d" % r.status_code)
         if final_response is not None and is_interim(final_response):
-            raise ValueError("final response must not have a 1xx status")
+            raise IngestError("final response must not have a 1xx status")
         return tuple.__new__(cls, (request, interim_responses, final_response))
 
     @property

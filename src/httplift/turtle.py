@@ -18,6 +18,7 @@ position: only on an error is the text scanned again, for its location.
 from __future__ import annotations
 
 import re
+import reprlib
 from itertools import count, islice
 from typing import Dict, List, Optional
 
@@ -120,7 +121,7 @@ def _fault(text: str, pos: int, tok: str) -> Optional[ParseError]:
         return _error("malformed language tag", text, pos)
     elif tok.isalpha() and tok.isascii():
         if tok not in ('a', 'true', 'false'):
-            return _error("unexpected token %r" % tok, text, pos)
+            return _error("unexpected token " + reprlib.repr(tok), text, pos)
     # A one-character token that no other alternative matched: say why.
     elif len(tok) == 1 and tok not in '.;,()[]{}:0123456789':
         if tok == '<':
@@ -129,7 +130,7 @@ def _fault(text: str, pos: int, tok: str) -> Optional[ParseError]:
             return _error("malformed blank node label", text, pos)
         if tok in '+-' or tok.isdigit():
             return _error("malformed numeric literal", text, pos)
-        return _error("unexpected character %r" % tok, text, pos)
+        return _error("unexpected character " + reprlib.repr(tok), text, pos)
     return None
 
 
@@ -164,7 +165,8 @@ class _Parser:
     def expect(self, symbol: str):
         tok = self.tokens[self.pos]
         if tok != symbol:
-            self.fail("expected %r, found %r" % (symbol, tok or 'eof'))
+            self.fail("expected '%s', found %s"
+                      % (symbol, reprlib.repr(tok or 'eof')))
         self.pos += 1
 
     def fresh_bnode(self) -> BlankNode:
@@ -191,13 +193,15 @@ class _Parser:
         self.expect('@prefix')
         tok = self.tokens[self.pos]
         if ':' not in tok or tok[0] in '"<_':
-            self.fail("expected 'PNAME_NS', found %r" % (tok or 'eof'))
+            self.fail("expected 'PNAME_NS', found %s"
+                      % reprlib.repr(tok or 'eof'))
         prefix, _, local = tok.partition(':')
         if local:
             self.fail("prefix declaration must end with ':'")
         iri = self.tokens[self.pos + 1]
         if iri[:1] != '<' or len(iri) == 1:
-            self.fail("expected 'IRIREF', found %r" % (iri or 'eof'),
+            self.fail("expected 'IRIREF', found %s"
+                      % reprlib.repr(iri or 'eof'),
                       self.pos + 1)
         self.pos += 2
         self.prefixes[prefix] = iri[1:-1]
@@ -247,7 +251,7 @@ class _Parser:
         elif first != '"' and ':' in tok:
             prefix, _, local = tok.partition(':')
             if prefix not in self.prefixes:
-                self.fail("unknown prefix %r" % (prefix + ':'), i)
+                self.fail("unknown prefix %s" % reprlib.repr(prefix + ':'), i)
             term = Iri(self.prefixes[prefix] + local)
         else:
             return None
@@ -400,7 +404,7 @@ def format_term(term: Term, prefixes: Optional[Dict[str, str]] = None) -> str:
             return term.lexical
         return '"%s"^^%s' % (_escape_string(term.lexical),
                              format_term(term.datatype, prefixes))
-    raise TypeError("not a term: %r" % (term,))
+    raise TypeError("not a term: %s" % reprlib.repr(term))
 
 
 class _Rendered(dict):

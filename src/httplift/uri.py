@@ -4,12 +4,15 @@ effective request URI computation."""
 from __future__ import annotations
 
 import re
+import reprlib
 from collections import namedtuple
 from typing import List, Optional
 from urllib.parse import unquote_to_bytes
 
+from .model import IngestError
 
-class UriError(ValueError):
+
+class UriError(IngestError):
     pass
 
 
@@ -82,7 +85,8 @@ def parse_uri(text: str) -> UriParts:
     scheme, authority, path, query, fragment = \
         _REFERENCE_RE.fullmatch(text).groups()
     if authority is None or not _SCHEME_RE.fullmatch(scheme or ""):
-        raise UriError("not an absolute URI with authority: %r" % text)
+        raise UriError("not an absolute URI with authority: %s"
+                       % reprlib.repr(text))
     params = tuple(decode_query_params(query)) if query is not None else ()
     return UriParts(scheme=scheme, authority=authority, path=path,
                     query=query, fragment=fragment, params=params)
@@ -112,11 +116,11 @@ def effective_request_uri(target: str, host: Optional[str]) -> UriParts:
         if not host:
             raise UriError("origin-form request target requires a Host header")
         if not _HOST_RE.fullmatch(host):
-            raise UriError("bad Host header: %r" % host)
+            raise UriError("bad Host header: %s" % reprlib.repr(host))
         return parse_uri("http://%s%s" % (host, target))
     if "://" in target:
         return require_host(parse_uri(target))
-    raise UriError("unsupported request-target form: %r" % target)
+    raise UriError("unsupported request-target form: " + reprlib.repr(target))
 
 
 def require_host(u: UriParts) -> UriParts:
@@ -125,10 +129,10 @@ def require_host(u: UriParts) -> UriParts:
     authority, after any userinfo, is not uri-host [ ":" port ]."""
     if u.scheme.lower() in ("http", "https"):
         host_port = u.authority.rpartition("@")[2]
-        if not host_port.partition(":")[0]:
-            raise UriError("empty host in request target: %r" % recompose(u))
-        if not _HOST_RE.fullmatch(host_port):
-            raise UriError("bad host in request target: %r" % recompose(u))
+        empty = not host_port.partition(":")[0]
+        if empty or not _HOST_RE.fullmatch(host_port):
+            raise UriError("%s host in request target: %s" % (
+                "empty" if empty else "bad", reprlib.repr(recompose(u))))
     return u
 
 

@@ -211,6 +211,12 @@ _TOO_MANY_DIGITS = ("HAR entry 1: status code must have at most 3 digits: "
                     + "2" * 20 + "...")
 
 
+def _cut(c: str) -> str:
+    """How an error quotes a long run of the character `c`: 30 characters,
+    with '...' in the middle."""
+    return "'%s...%s'" % (c * 12, c * 13)
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "lift", "/nonexistent/input.http")
@@ -325,6 +331,39 @@ class TestErrors:
          "target: 'http://:80/a'"),
         (".http", "\n---\nGET http://h:8x/a HTTP/1.1", "transcript "
          "message 2 (line 5): bad host in request target: 'http://h:8x/a'"),
+        # A long outside value is quoted cut to 30 characters.
+        (".http", "\n---\n" + "@" * 3000 + " /a HTTP/1.1\nHost: h",
+         "transcript message 2 (line 5): method name must be a non-empty "
+         "token: " + _cut("@")),
+        (".http", "@" * 6000 + ": x", "transcript message 1 (line 1): "
+         "header name must be a non-empty token: " + _cut("@")),
+        (".http", "Content-Length: " + "x" * 6000, "transcript message 1 "
+         "(line 1): bad Content-Length: " + _cut("x")),
+        (".http", "".join("Content-Length: %d\n" % n for n in range(500)),
+         "transcript message 1 (line 1): differing Content-Length values: "
+         "'0', '1'"),
+        (".http", "\n---\nGET /a HTTP/" + "1" * 6000, "transcript message "
+         "2 (line 5): bad HTTP version: 'HTTP/1111111...1111111111111'"),
+        (".http", "\n---\nGET /a HTTP/1.1\nHost: " + "/" * 6000,
+         "transcript message 2 (line 5): bad Host header: " + _cut("/")),
+        (".http", "Transfer-Encoding: " + "x" * 6000, "transcript message 1 "
+         "(line 1): transfer-coding %s is not supported" % _cut("x")),
+        (".http", "\n---\nHTTP/1.1 " + "2" * 6000 + " OK", "transcript "
+         "message 2 (line 5): status code must have exactly 3 digits: "
+         + _cut("2")),
+        (".http", "Transfer-Encoding: chunked\n\n" + "g" * 6000,
+         "transcript message 1 (line 1): bad chunk size: %s (body line 1)"
+         % _cut("g")),
+        (".har", lambda d: d["log"]["entries"][0]["request"].update(
+            url="http://:80/" + "a" * 4989), "HAR entry 1: empty host in "
+         "request target: 'http://:80/a...aaaaaaaaaaaaa'"),
+        (".har", lambda d: d["log"]["entries"][1]["response"].update(
+            status="a" * 5000), "HAR entry 2: status is not an integer: "
+         + _cut("a")),
+        (".trig", _NEST + "b" * 4000 + " .", "unexpected token %s (line 1, "
+         "column 27)" % _cut("b")),
+        (".trig", "x" * 5000 + ":s <http://x/p> <http://x/o> .", "unknown "
+         "prefix 'xxxxxxxxxxxx...xxxxxxxxxxxx:' (line 1, column 1)"),
         ("argv", ["query", "6", SAMPLE, "--prop", "a b"],
          "argument --prop: invalid Iri value: 'a b'"),
         ("argv", ["lift", SAMPLE, "--base", "http://x/<q>"],
@@ -348,6 +387,11 @@ class TestErrors:
             "body-nested-property-lists", "body-second-line",
             "host-with-slash", "host-empty", "har-url-empty-host",
             "absolute-form-bad-host",
+            "long-method", "long-header-name", "long-content-length",
+            "500-differing-content-lengths", "long-http-version",
+            "long-host", "long-transfer-coding", "long-status-code",
+            "long-chunk-size", "har-long-url-empty-host", "har-long-status",
+            "trig-long-word", "trig-long-prefix",
             "prop-not-an-iri",
             "base-not-an-iri"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
@@ -546,6 +590,23 @@ class TestStartup:
                 tree = ast.parse(fh.read(), name)
             found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
                       if isinstance(node, ast.Global)]
+        assert found == []
+
+    def test_errors_quote_outside_values_with_reprlib(self):
+        # An error quotes a value from the input with reprlib.repr, which
+        # cuts it to 30 characters, so that no message grows with its
+        # input: these modules use no %r, !r or builtin repr.
+        package_dir = os.path.dirname(httplift.__file__)
+        found = []
+        for name in ("model.py", "uri.py", "ingest.py", "turtle.py"):
+            with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant)
+                      and isinstance(node.value, str) and "%r" in node.value
+                      or isinstance(node, ast.FormattedValue)
+                      and node.conversion == ord("r")
+                      or isinstance(node, ast.Name) and node.id == "repr"]
         assert found == []
 
     def test_every_imported_name_is_used(self):

@@ -253,6 +253,24 @@ class TestParseResponse:
         r = parse_http_response(text)
         assert r.body.rdf is not None and len(r.body.rdf) == 1
 
+    def test_trig_body_flattens_its_graphs(self):
+        # The default graph and every named graph make one body graph.
+        body = ("<http://x/s> <http://x/p> 1 .\n"
+                "<http://x/g> { <http://x/s> <http://x/q> 2 . }\n")
+        r = parse_http_response("HTTP/1.1 200 OK\nContent-Type: "
+                                "application/trig\n\n" + body)
+        assert r.body.rdf == parse_trig("<http://x/s> <http://x/p> 1 . "
+                                        "<http://x/s> <http://x/q> 2 ."
+                                        ).default_graph
+
+    def test_rdf_body_that_is_not_utf_8_errors(self):
+        with pytest.raises(IngestError) as info:
+            parse_http_response(b"HTTP/1.1 200 OK\r\nContent-Type: "
+                                b"text/turtle\r\n\r\n\xff")
+        assert str(info.value) == (
+            "unparseable RDF body: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte")
+
     def test_non_rdf_body_not_parsed(self):
         text = ('HTTP/1.1 200 OK\nContent-Type: application/json\n'
                 'Content-Length: 2\n\n{}')
@@ -433,6 +451,13 @@ class TestTranscript:
                            r"\(line 1\): response before any request$"):
             load_transcript("HTTP/1.1 200 OK\n")
 
+    def test_status_line_without_a_version_errors(self):
+        # "200" makes the block a response, but no word is HTTP/x.y.
+        with pytest.raises(IngestError) as info:
+            load_transcript("GET /a HTTP/1.1\nHost: h\n---\n200 OK\n")
+        assert str(info.value) == ("transcript message 2 (line 4): "
+                                   "malformed status line: '200 OK'")
+
     def test_errors_name_the_message_and_its_line(self):
         text = ("GET /a HTTP/1.1\nHost: h\n"
                 "---\n"
@@ -597,6 +622,16 @@ class TestHar:
     def test_not_json_errors(self):
         with pytest.raises(IngestError):
             load_har("not json at all")
+
+    def test_entry_that_is_not_an_object_errors(self):
+        with pytest.raises(IngestError, match=r"^not a HAR document: "
+                           r"'entries' is not a list of objects$"):
+            load_har('{"log": {"entries": [1]}}')
+
+    def test_lone_interim_entry_has_no_final_response(self):
+        (i,) = load_har(_one_entry_har("101")).interactions
+        assert [r.status_code for r in i.interim_responses] == [101]
+        assert i.final_response is None
 
     def test_missing_log_errors(self):
         with pytest.raises(IngestError):

@@ -5,9 +5,12 @@ ontology's datatype restrictions, read through vocab.registry()."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import httplift.ingest
+import httplift.uri
 from httplift.model import (
     Method, Header, Body, Request, Response, Interaction, Conversation,
     is_interim, is_token, header_value,
+    IngestError,
 )
 from httplift import vocab
 from httplift.rdf import RDF_TYPE, XSD, XSD_INTEGER, Graph, Iri
@@ -166,6 +169,19 @@ class TestMessages:
         i = Interaction(req, (Response(status_code=100),))
         assert i.final_response is None
         assert i.responses == (Response(status_code=100),)
+
+    def test_checks_raise_one_error_type(self):
+        # Ingest passes these on as they are, and the CLI catches one type.
+        req = Request(method=Method("GET"), uri=parse_uri("http://h/p"))
+        for make in (lambda: Method("G T"), lambda: Header("A B", "v"),
+                     lambda: Response(1000),
+                     lambda: Interaction(req, (Response(200),)),
+                     lambda: parse_uri("h/p")):
+            with pytest.raises(IngestError):
+                make()
+        assert issubclass(httplift.uri.UriError, IngestError)
+        assert issubclass(IngestError, ValueError)
+        assert httplift.ingest.IngestError is IngestError
 
     def test_conversation_holds_interactions(self):
         req = Request(method=Method("GET"), uri=parse_uri("http://h/p"))

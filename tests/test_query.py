@@ -132,6 +132,22 @@ class TestCq6:
         assert cq6_body_values(d, Iri("http://example.org/v")) == \
             [Literal("7", datatype=XSD_INTEGER)]
 
+    @pytest.mark.parametrize("value, members", [
+        ("()", []),
+        # The second node has no rdf:first: the list ends before it.
+        ("_:l1 . _:l1 rdf:first 1 ; rdf:rest _:l2 . _:l2 rdf:rest rdf:nil",
+         [Literal("1", datatype=XSD_INTEGER)]),
+    ])
+    def test_list_members(self, value, members):
+        body = ("@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
+                ".\n<http://example.org/s> <http://example.org/v> %s .\n"
+                % value)
+        text = ("GET /p HTTP/1.1\nHost: h\n---\n"
+                "HTTP/1.1 200 OK\nContent-Type: text/turtle\n"
+                "Content-Length: %d\n\n%s" % (len(body), body))
+        d = lift_conversation(load_transcript(text))
+        assert cq6_body_values(d, Iri("http://example.org/v")) == members
+
 
 class TestCq7:
     def test_count_param(self, turtle_conv):

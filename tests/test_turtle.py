@@ -189,6 +189,14 @@ class TestSerialize:
         assert format_term(Literal("42", datatype=XSD_INTEGER), {}) == "42"
         assert format_term(Literal("true", datatype=XSD_BOOLEAN), {}) == "true"
 
+    def test_format_term_of_a_non_term_errors(self):
+        with pytest.raises(TypeError, match=r"^not a term: 'x'$"):
+            format_term("x")
+        with pytest.raises(TypeError) as info:
+            format_term("y" * 100)
+        assert str(info.value) == "not a term: '%s...%s'" % ("y" * 12,
+                                                             "y" * 13)
+
     def test_format_term_language(self):
         lit = Literal("chat", language="fr")
         assert format_term(lit, {}) == '"chat"@fr'

@@ -1,6 +1,7 @@
 """URI decomposition, recomposition, resource identity and query params."""
 
 import re
+import reprlib
 import urllib.parse
 
 import pytest
@@ -198,6 +199,13 @@ class TestResolveReference:
     def test_normal_examples(self, ref, target):
         assert resolve_reference(ref, self.BASE) == target
 
+    # Section 5.2.4, steps 2A and 2D: a leading "../" or "./" is dropped,
+    # and a lone "." or ".." leaves nothing.
+    @pytest.mark.parametrize("path, result", [
+        ("../a", "a"), ("./a", "a"), (".", ""), ("..", "")])
+    def test_remove_dot_segments_of_a_relative_path(self, path, result):
+        assert remove_dot_segments(path) == result
+
     # Section 5.4.2, abnormal examples; "http:g" by the strict parser.
     @pytest.mark.parametrize("ref, target", [
         ("../../../g", "http://a/g"),
@@ -279,7 +287,8 @@ def _old_parse_uri(text):
         raise UriError("empty URI")
     m = _OLD_URI_RE.match(text)
     if not m:
-        raise UriError("not an absolute URI with authority: %r" % text)
+        raise UriError("not an absolute URI with authority: %s"
+                       % reprlib.repr(text))
     scheme, authority, path, query, fragment = m.groups()
     params = tuple(decode_query_params(query)) if query is not None else ()
     return UriParts(scheme, authority, path, query, fragment, params)

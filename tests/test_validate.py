@@ -185,6 +185,17 @@ class TestReporting:
             text = explain(rule)
             assert rule in text or text
 
+    def test_explain_unknown_rule_errors(self):
+        with pytest.raises(KeyError):
+            explain("R99")
+
+    def test_status_instance_without_a_number(self):
+        r, s = BlankNode("r"), BlankNode("s")
+        g = Graph({Triple(r, RDF_TYPE, vocab.RESPONSE),
+                   Triple(r, vocab.SC_PROP, s)})
+        assert validate(Dataset(g, {})).to_text() == (
+            "VIOLATION [R3] _:s: status instance has no status code number\n")
+
     def test_to_text_and_tsv(self, clean):
         g = clean.default_graph
         q = node(g, vocab.REQUEST, MTHD_PROP=vocab.registry().methods["GET"])
