@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import reprlib
 import sys
 from typing import Optional
 
@@ -74,11 +75,20 @@ def _write_output(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
+def _iri(text: str) -> Iri:
+    """An option's IRI; argparse would quote a bad one whole."""
+    try:
+        return Iri(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid Iri value: "
+                                         + reprlib.repr(text))
+
+
 def _add_input_args(sub):
     sub.add_argument("input", help="input file, or '-' for stdin")
     sub.add_argument("--format", choices=("transcript", "har", "trig"),
                      help="input format (default: by file extension)")
-    sub.add_argument("--base", metavar="IRI", type=Iri,
+    sub.add_argument("--base", metavar="IRI", type=_iri,
                      help="mint stable message IRIs under this base")
     sub.add_argument("--out", metavar="PATH", help="write output to PATH")
 
@@ -109,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input_args(p_query)
     p_query.set_defaults(run=_cmd_query)
     p_query.add_argument("--name", help="query parameter name (CQ7)")
-    p_query.add_argument("--prop", metavar="IRI", type=Iri,
+    p_query.add_argument("--prop", metavar="IRI", type=_iri,
                          help="body property IRI (CQ6)")
 
     p_onto = subs.add_parser("ontology", help="print the vendored ontology")
@@ -174,8 +184,8 @@ def _format_row(row) -> str:
 
 def _cmd_query(args) -> int:
     if args.cq not in _CQS:
-        print("error: unknown competency question %r" % args.cq,
-              file=sys.stderr)
+        print("error: unknown competency question %s"
+              % reprlib.repr(args.cq), file=sys.stderr)
         return EXIT_ERROR
     answer, option = _CQS[args.cq]
     if option and not getattr(args, option):

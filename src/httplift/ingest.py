@@ -245,46 +245,33 @@ def _transcript_blocks(text: str) -> List[Tuple[int, str]]:
 
 def load_transcript(text: str) -> Conversation:
     """Pair a transcript's messages into interactions: each request opens
-    one, 1xx responses accumulate as interims, the first non-1xx response
-    closes it. A trailing request without a final response is allowed. A
-    malformed message raises IngestError naming the message, counted from
-    1, and the line it starts on."""
-    interactions = []
-    pending: Optional[Request] = None
-    interims: List[Response] = []
+    one, and the responses after it join it in order up to the first
+    final (non-1xx) one. A request may have no response. A malformed
+    message, or a response with no open interaction, raises IngestError
+    naming the message, counted from 1, and the line it starts on."""
+    groups: List[list] = []  # [request, response, ...] of each interaction
     for n, (line, block) in enumerate(_transcript_blocks(text), 1):
         try:
-            is_response = _is_response_block(block)
-            if is_response:
-                message = parse_http_response(block)
-                if pending is None:
+            if _is_response_block(block):
+                response = parse_http_response(block)
+                if not groups or len(groups[-1]) > 1 \
+                        and not is_interim(groups[-1][-1]):
                     raise IngestError("response before any request")
+                groups[-1].append(response)
             else:
-                message = parse_http_request(block)
+                groups.append([parse_http_request(block)])
         except IngestError as e:
             raise IngestError("transcript message %d (line %d): %s"
                               % (n, line, e))
-        if not is_response:
-            if pending is not None:
-                interactions.append(Interaction(pending, tuple(interims)))
-                interims = []
-            pending = message
-        elif is_interim(message):
-            interims.append(message)
-        else:
-            interactions.append(Interaction(pending, tuple(interims),
-                                            message))
-            pending, interims = None, []
-    if pending is not None:
-        interactions.append(Interaction(pending, tuple(interims)))
-    return Conversation(tuple(interactions))
+    return Conversation(tuple(Interaction(g[0], tuple(g[1:]))
+                              for g in groups))
 
 
 # --------------------------------------------------------------------------
 # HAR 1.2 subset.
 
 def load_har(text: str) -> Conversation:
-    """Each HAR entry becomes one interaction with a final response. Entries
+    """Each HAR entry becomes one interaction with one response. Entries
     are ordered by startedDateTime, falling back to file order. A malformed
     entry raises IngestError naming the entry by its position in the file,
     counted from 1."""
@@ -401,7 +388,4 @@ def _har_interaction(entry: dict) -> Interaction:
                         body=_make_body(resp_headers, octets),
                         http_version=_har_text(resp.get("httpVersion")
                                                or "HTTP/1.1"))
-    if is_interim(response):
-        # A lone 1xx entry: carried as an interim with no final response.
-        return Interaction(request, (response,))
-    return Interaction(request, (), response)
+    return Interaction(request, (response,))

@@ -72,8 +72,11 @@ class Response(_Checked, namedtuple(
                 body: Optional[Body] = None,
                 http_version: Optional[str] = None):
         if not (0 <= status_code <= 999):
-            raise IngestError("status code must have at most 3 digits: %s"
-                              % reprlib.repr(status_code))
+            # repr() refuses an int of more digits than the interpreter's
+            # limit, 640 at the lowest: so a long one is given by its size.
+            raise IngestError("status code must have at most 3 digits: %s" % (
+                reprlib.repr(status_code) if status_code.bit_length() < 2000
+                else "an integer of %d bits" % status_code.bit_length()))
         return tuple.__new__(cls, (status_code, headers, body, http_version))
 
 
@@ -91,28 +94,17 @@ def header_value(headers, name: str) -> Optional[str]:
     return None
 
 
-class Interaction(_Checked, namedtuple(
-        "Interaction", "request interim_responses final_response")):
-    """One request with its interim (1xx) responses and at most one final
-    response."""
+class Interaction(_Checked, namedtuple("Interaction", "request responses")):
+    """One request with its responses in wire order: 1xx (interim) ones,
+    then at most one final response (RFC 9110 section 15.2)."""
     __slots__ = ()
 
-    def __new__(cls, request: Request,
-                interim_responses: Tuple[Response, ...] = (),
-                final_response: Optional[Response] = None):
-        for r in interim_responses:
+    def __new__(cls, request: Request, responses: Tuple[Response, ...] = ()):
+        for r in responses[:-1]:
             if not is_interim(r):
                 raise IngestError("interim response must have a 1xx status, "
                                   "got %d" % r.status_code)
-        if final_response is not None and is_interim(final_response):
-            raise IngestError("final response must not have a 1xx status")
-        return tuple.__new__(cls, (request, interim_responses, final_response))
-
-    @property
-    def responses(self) -> Tuple[Response, ...]:
-        if self.final_response is None:
-            return self.interim_responses
-        return self.interim_responses + (self.final_response,)
+        return tuple.__new__(cls, (request, responses))
 
 
 Conversation = namedtuple("Conversation", "interactions", defaults=((),))

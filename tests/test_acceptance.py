@@ -13,7 +13,7 @@ import pytest
 from httplift.ingest import load_transcript, load_har
 from httplift.lift import lift_conversation, uri_node, vocabulary_scan
 from httplift.model import (
-    Conversation, Interaction, Method, Request, Response, is_interim,
+    Conversation, Interaction, Method, Request, Response,
 )
 from httplift.queries import (
     cq2_interaction_status, cq3_locations, cq4_conversation_status,
@@ -111,9 +111,7 @@ def lifted_nodes(method, code):
     """The method and status nodes that one request with `method`,
     answered with `code`, lifts to."""
     request = Request(Method(method), parse_uri("http://h/p"))
-    response = Response(code)
-    interaction = (Interaction(request, (response,)) if is_interim(response)
-                   else Interaction(request, (), response))
+    interaction = Interaction(request, (Response(code),))
     g = lift_conversation(Conversation((interaction,))).default_graph
     (m,) = g.match(None, vocab.MTHD_PROP, None)
     (s,) = g.match(None, vocab.SC_PROP, None)

@@ -423,6 +423,21 @@ class TestErrors:
             assert len(err) < 200, err
         assert message in err and "Traceback" not in err
 
+    # A long value on the command line is quoted cut, as an input value is.
+    @pytest.mark.parametrize("argv, message", [
+        (["query", "9" * 3000, SAMPLE],
+         "error: unknown competency question " + _cut("9")),
+        (["query", "6", SAMPLE, "--prop", "<" * 3000],
+         "argument --prop: invalid Iri value: " + _cut("<")),
+        (["lift", SAMPLE, "--base", "{" * 3000],
+         "argument --base: invalid Iri value: " + _cut("{")),
+    ], ids=["long-cq", "long-prop", "long-base"])
+    def test_long_command_line_value_gives_a_short_line(self, capsys, argv,
+                                                         message):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_ERROR and out == ""
+        assert message in err and max(map(len, err.splitlines())) < 200, err
+
     # RFC 9112 whitespace: only SP, HTAB, VT, FF and bare CR separate the
     # words of a start line, and field names are never trimmed.
     @pytest.mark.parametrize("text, message", [
@@ -593,12 +608,13 @@ class TestStartup:
         assert found == []
 
     def test_errors_quote_outside_values_with_reprlib(self):
-        # An error quotes a value from the input with reprlib.repr, which
-        # cuts it to 30 characters, so that no message grows with its
-        # input: these modules use no %r, !r or builtin repr.
+        # An error quotes a value from the input or the command line with
+        # reprlib.repr, which cuts it to 30 characters, so that no message
+        # grows with its input: these modules use no %r, !r or builtin repr.
         package_dir = os.path.dirname(httplift.__file__)
         found = []
-        for name in ("model.py", "uri.py", "ingest.py", "turtle.py"):
+        for name in ("model.py", "uri.py", "ingest.py", "turtle.py",
+                     "cli.py"):
             with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), name)
             found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)

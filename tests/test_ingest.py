@@ -368,7 +368,7 @@ class TestWireWhitespace:
                                 "request line: '\\xa0HTTP/1.1 200 OK'")
         text = "GET /a HTTP/1.1\nHost: h\n---\n\tHTTP/1.1\t200 OK\n"
         [i] = load_transcript(text).interactions
-        assert i.final_response.status_code == 200
+        assert i.responses[-1].status_code == 200
 
 
 def render(start_line, message) -> bytes:
@@ -433,8 +433,8 @@ class TestTranscript:
         c = load_transcript(SAMPLE_TRANSCRIPT)
         assert len(c.interactions) == 2
         assert c.interactions[0].request.method == Method("POST")
-        assert c.interactions[0].final_response.status_code == 201
-        assert c.interactions[1].final_response.status_code == 200
+        assert c.interactions[0].responses[-1].status_code == 201
+        assert c.interactions[1].responses[-1].status_code == 200
 
     def test_interim_responses_attach_to_same_interaction(self):
         text = ("GET /p HTTP/1.1\nHost: h\n"
@@ -483,8 +483,8 @@ class TestTranscript:
                 "  \n"
                 "POST /b HTTP/1.1\nHost: h\nContent-Length: 2\n\nhi\n")
         c = load_transcript(text)
-        assert [i.final_response.status_code if i.final_response else None
-                for i in c.interactions] == [200, None]
+        assert [[r.status_code for r in i.responses]
+                for i in c.interactions] == [[200], []]
         assert c.interactions[1].request.body.octets == b"hi"
         # Message 3 is counted from its request line, not the blank lines.
         with pytest.raises(IngestError) as info:
@@ -497,7 +497,7 @@ class TestTranscript:
     def test_separator_and_blank_lines_allow_only_ascii_whitespace(self):
         text = "GET /a HTTP/1.1\nHost: h\n \t---\r\n\t\r\nHTTP/1.1 200 OK\n"
         [i] = load_transcript(text).interactions
-        assert i.final_response.status_code == 200
+        assert i.responses[-1].status_code == 200
 
     def test_no_break_space_separator_splits_nothing(self):
         text = "GET /a HTTP/1.1\nHost: h\n\xa0---\xa0\nHTTP/1.1 200 OK\n"
@@ -516,7 +516,7 @@ class TestTranscript:
     def test_dangling_request_allowed(self):
         c = load_transcript("GET /p HTTP/1.1\nHost: h\n")
         (i,) = c.interactions
-        assert i.final_response is None
+        assert i.responses == ()
 
     def test_consecutive_requests(self):
         text = ("GET /a HTTP/1.1\nHost: h\n"
@@ -526,8 +526,44 @@ class TestTranscript:
                 "HTTP/1.1 200 OK\n")
         c = load_transcript(text)
         assert len(c.interactions) == 2
-        assert c.interactions[0].final_response is None
-        assert c.interactions[1].final_response.status_code == 200
+        assert c.interactions[0].responses == ()
+        assert c.interactions[1].responses[-1].status_code == 200
+
+    # Requests, 1xx responses and final responses in any order, against a
+    # written-out pairing: a request opens a group, and a response joins
+    # the open group unless there is none or it already has a final one.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.builds("GET /p{} HTTP/1.1\nHost: h{}\n".format,
+                  st.integers(0, 99), st.integers(0, 9)),
+        st.builds("HTTP/1.1 {} Info\n".format, st.integers(100, 199)),
+        st.builds("HTTP/1.1 {:03d} Done\nX: {}\n".format,
+                  st.integers(0, 99) | st.integers(200, 999),
+                  st.integers(0, 9))), max_size=12))
+    def test_pairing_follows_the_status_classes(self, blocks):
+        text = "---\n".join(blocks)
+        groups, error = [], None
+        line = 1
+        for n, block in enumerate(blocks, 1):
+            if block.startswith("GET"):
+                groups.append((parse_http_request(block), ()))
+            elif not groups or groups[-1][1] and not (
+                    100 <= groups[-1][1][-1].status_code <= 199):
+                error = ("transcript message %d (line %d): response before "
+                         "any request" % (n, line))
+                break
+            else:
+                request, responses = groups[-1]
+                groups[-1] = (request,
+                              responses + (parse_http_response(block),))
+            line += block.count("\n") + 1
+        if error is not None:
+            with pytest.raises(IngestError) as info:
+                load_transcript(text)
+            assert str(info.value) == error
+        else:
+            assert [(i.request, i.responses)
+                    for i in load_transcript(text).interactions] == groups
 
 
 SAMPLE_HAR = open(__file__.rsplit("/", 1)[0] + "/fixtures/registration.har").read()
@@ -564,7 +600,7 @@ class TestHar:
     def test_fixture_loads(self):
         c = load_har(SAMPLE_HAR)
         assert len(c.interactions) == 2
-        assert c.interactions[1].final_response.body.media_type == "text/turtle"
+        assert c.interactions[1].responses[-1].body.media_type == "text/turtle"
 
     def test_entries_sorted_by_start_time(self):
         doc = json.loads(SAMPLE_HAR)
@@ -579,7 +615,7 @@ class TestHar:
             content["text"].encode()).decode("ascii")
         content["encoding"] = "base64"
         c = load_har(json.dumps(doc))
-        assert c.interactions[1].final_response.body.rdf is not None
+        assert c.interactions[1].responses[-1].body.rdf is not None
 
     def test_base64_content_is_strict(self):
         doc = json.loads(SAMPLE_HAR)
@@ -589,7 +625,7 @@ class TestHar:
         # Line-wrapped base64 decodes to the same body.
         content["text"] = "\r\n".join(encoded[i:i + 16]
                                       for i in range(0, len(encoded), 16))
-        body = load_har(json.dumps(doc)).interactions[1].final_response.body
+        body = load_har(json.dumps(doc)).interactions[1].responses[-1].body
         assert body.octets == base64.b64decode(encoded)
         # Characters outside the alphabet are an error, not dropped.
         for bad in ("!!", "\u00a0", "-"):
@@ -599,7 +635,7 @@ class TestHar:
 
     def test_mime_type_becomes_content_type_header(self):
         c = load_har(SAMPLE_HAR)
-        resp = c.interactions[1].final_response
+        resp = c.interactions[1].responses[-1]
         assert header_value(resp.headers, "content-type") == "text/turtle"
 
     def test_explicit_header_wins_over_mime_type(self):
@@ -607,7 +643,7 @@ class TestHar:
         entry = doc["log"]["entries"][1]["response"]
         entry["headers"] = [{"name": "Content-Type", "value": "text/x-turtle"}]
         c = load_har(json.dumps(doc))
-        resp = c.interactions[1].final_response
+        resp = c.interactions[1].responses[-1]
         assert header_value(resp.headers, "content-type") == "text/x-turtle"
 
     def test_http_version_is_free_form(self):
@@ -617,7 +653,7 @@ class TestHar:
         doc["log"]["entries"][0]["response"]["httpVersion"] = "http/2.0"
         i = next(i for i in load_har(json.dumps(doc)).interactions
                  if i.request.http_version == "h2")
-        assert i.final_response.http_version == "http/2.0"
+        assert i.responses[-1].http_version == "http/2.0"
 
     def test_not_json_errors(self):
         with pytest.raises(IngestError):
@@ -630,8 +666,7 @@ class TestHar:
 
     def test_lone_interim_entry_has_no_final_response(self):
         (i,) = load_har(_one_entry_har("101")).interactions
-        assert [r.status_code for r in i.interim_responses] == [101]
-        assert i.final_response is None
+        assert [r.status_code for r in i.responses] == [101]
 
     def test_missing_log_errors(self):
         with pytest.raises(IngestError):
@@ -709,7 +744,7 @@ class TestHar:
         doc = json.loads(SAMPLE_HAR)
         doc["log"]["entries"][0]["response"]["status"] = status
         i = load_har(json.dumps(doc)).interactions[0]
-        assert i.final_response.status_code == code
+        assert i.responses[-1].status_code == code
 
     @pytest.mark.parametrize("status, message", [
         (True, "boolean"), (False, "boolean"), (200.7, "200.7"),
@@ -764,7 +799,7 @@ class TestHar:
         for limit in _INT_DIGIT_LIMITS:
             with _int_digit_limit(limit):
                 i = load_har(text).interactions[0]
-            assert i.final_response.status_code == 200
+            assert i.responses[-1].status_code == 200
 
     def test_long_number_where_no_number_is_read(self):
         # A 5000-digit number in a field the loader skips is no error, and
@@ -774,7 +809,7 @@ class TestHar:
         for limit in _INT_DIGIT_LIMITS:
             with _int_digit_limit(limit):
                 i = load_har(skipped).interactions[0]
-                assert i.final_response.status_code == 200
+                assert i.responses[-1].status_code == 200
                 with pytest.raises(IngestError, match="^HAR entry 1: not a "
                                    "string: number$"):
                     load_har(method)

@@ -15,7 +15,7 @@ from httplift.lift import (
     DEFAULT_URI_NODE_BASE,
 )
 from httplift.model import (
-    Conversation, Interaction, Method, Request, Response, is_interim,
+    Conversation, Interaction, Method, Request, Response,
 )
 from httplift.rdf import (
     Iri, BlankNode, Literal, Triple, Dataset, Graph, isomorphic_datasets,
@@ -205,7 +205,7 @@ class TestMessageLift:
         req = parse_http_request("GET /p HTTP/1.1\nHost: h\n\n")
         interim = parse_http_response("HTTP/1.1 100 Continue\n\n")
         final = parse_http_response("HTTP/1.1 200 OK\n\n")
-        d = lift_interaction(Interaction(req, (interim,), final))
+        d = lift_interaction(Interaction(req, (interim, final)))
         g = d.default_graph
         (i_node,) = g.subjects(RDF_TYPE, vocab.INTERIM_RESPONSE)
         (f_node,) = g.subjects(RDF_TYPE, vocab.FINAL_RESPONSE)
@@ -227,7 +227,7 @@ class TestMessageLift:
 
     def test_responses_lift_in_order(self):
         req = parse_http_request("GET /p HTTP/1.1\nHost: h\n\n")
-        i = Interaction(req, (Response(100), Response(103)), Response(200))
+        i = Interaction(req, (Response(100), Response(103), Response(200)))
         lifter = Lifter()
         q = lifter.lift_interaction(i)
         g = Graph(lifter.triples)
@@ -250,7 +250,7 @@ class TestMessageLift:
 
     def test_nonstandard_status_gets_fresh_node(self):
         req = parse_http_request("GET /p HTTP/1.1\nHost: h\n\n")
-        d = lift_interaction(Interaction(req, (), Response(status_code=299)))
+        d = lift_interaction(Interaction(req, (Response(status_code=299),)))
         g = d.default_graph
         (r,) = g.subjects(RDF_TYPE, vocab.FINAL_RESPONSE)
         sc = g.value(r, vocab.SC_PROP)
@@ -276,11 +276,7 @@ def lifted_method_and_status(method, code):
     """The method and status nodes that one request with `method`,
     answered with `code`, lifts to."""
     request = Request(method=Method(method), uri=parse_uri("http://h/p"))
-    response = Response(status_code=code)
-    if is_interim(response):
-        interaction = Interaction(request, (response,))
-    else:
-        interaction = Interaction(request, (), response)
+    interaction = Interaction(request, (Response(status_code=code),))
     g = lift_interaction(interaction).default_graph
     (m,) = g.match(None, vocab.MTHD_PROP, None)
     (s,) = g.match(None, vocab.SC_PROP, None)

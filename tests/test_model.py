@@ -2,6 +2,8 @@
 and the value semantics of every record type. The status classes are the
 ontology's datatype restrictions, read through vocab.registry()."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,28 +148,49 @@ class TestMessages:
         with pytest.raises(ValueError):
             Response(status_code=-1)
 
+    # 10**5000 has more digits than repr() of an int gives at the
+    # interpreter's default limit, or at 640, the lowest it accepts.
+    @pytest.mark.parametrize("limit", [None] + (
+        [640] if hasattr(sys, "set_int_max_str_digits") else []))
+    @pytest.mark.parametrize("code", [10**5000, -10**5000],
+                             ids=["10**5000", "-10**5000"])
+    def test_response_rejects_a_status_too_long_to_print(self, limit, code):
+        if limit:
+            saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(limit)
+        try:
+            with pytest.raises(IngestError) as e:
+                Response(code)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(saved)
+        assert str(e.value).startswith(
+            "status code must have at most 3 digits: ")
+        assert len(str(e.value)) < 200
+
     def test_interaction_orders_responses(self):
         req = Request(method=Method("GET"), uri=parse_uri("http://h/p"))
         interim = Response(status_code=100)
         final = Response(status_code=200)
-        i = Interaction(req, (interim,), final)
+        i = Interaction(req, (interim, final))
         assert i.responses == (interim, final)
 
     def test_interaction_rejects_final_in_interims(self):
         req = Request(method=Method("GET"), uri=parse_uri("http://h/p"))
         with pytest.raises(ValueError):
-            Interaction(req, (Response(status_code=200),),
-                        Response(status_code=200))
+            Interaction(req, (Response(status_code=200),
+                              Response(status_code=200)))
 
     def test_interaction_rejects_interim_final(self):
+        # A 1xx response may not come after the final one.
         req = Request(method=Method("GET"), uri=parse_uri("http://h/p"))
         with pytest.raises(ValueError):
-            Interaction(req, (), Response(status_code=100))
+            Interaction(req, (Response(status_code=200),
+                              Response(status_code=100)))
 
     def test_interaction_without_final(self):
         req = Request(method=Method("GET"), uri=parse_uri("http://h/p"))
         i = Interaction(req, (Response(status_code=100),))
-        assert i.final_response is None
         assert i.responses == (Response(status_code=100),)
 
     def test_checks_raise_one_error_type(self):
@@ -175,7 +198,7 @@ class TestMessages:
         req = Request(method=Method("GET"), uri=parse_uri("http://h/p"))
         for make in (lambda: Method("G T"), lambda: Header("A B", "v"),
                      lambda: Response(1000),
-                     lambda: Interaction(req, (Response(200),)),
+                     lambda: Interaction(req, (Response(200),) * 2),
                      lambda: parse_uri("h/p")):
             with pytest.raises(IngestError):
                 make()
@@ -185,7 +208,7 @@ class TestMessages:
 
     def test_conversation_holds_interactions(self):
         req = Request(method=Method("GET"), uri=parse_uri("http://h/p"))
-        c = Conversation((Interaction(req, (), Response(status_code=200)),))
+        c = Conversation((Interaction(req, (Response(status_code=200),)),))
         assert len(c.interactions) == 1
 
 
@@ -202,8 +225,8 @@ RECORDS = [
                "http_version": "HTTP/1.1"}),
     (Response, {"status_code": 201, "headers": (), "body": Body(),
                 "http_version": None}),
-    (Interaction, {"request": _GET, "interim_responses": (Response(100),),
-                   "final_response": Response(200)}),
+    (Interaction, {"request": _GET,
+                   "responses": (Response(100), Response(200))}),
     (Conversation, {"interactions": (Interaction(_GET),)}),
     (QueryParam, {"name": "a", "value": "1"}),
     (UriParts, {"scheme": "http", "authority": "h", "path": "/",
@@ -240,10 +263,8 @@ class TestValueRecords:
          "status code must have at most 3 digits: 1000"),
         (lambda: Response(status_code=-1),
          "status code must have at most 3 digits: -1"),
-        (lambda: Interaction(_GET, (Response(200),)),
+        (lambda: Interaction(_GET, (Response(200), Response(200))),
          "interim response must have a 1xx status, got 200"),
-        (lambda: Interaction(request=_GET, final_response=Response(101)),
-         "final response must not have a 1xx status"),
     ])
     def test_checks_keep_their_messages(self, make, message):
         with pytest.raises(ValueError) as e:
@@ -264,10 +285,11 @@ class TestValueRecords:
          "status code must have at most 3 digits: 5000"),
         (lambda: Response._make([-1, (), None, None]),
          "status code must have at most 3 digits: -1"),
-        (lambda: Interaction._make([_GET, (Response(200),), None]),
+        (lambda: Interaction._make([_GET, (Response(200), Response(200))]),
          "interim response must have a 1xx status, got 200"),
-        (lambda: Interaction(_GET)._replace(final_response=Response(101)),
-         "final response must not have a 1xx status"),
+        (lambda: Interaction(_GET)._replace(
+            responses=(Response(200), Response(101))),
+         "interim response must have a 1xx status, got 200"),
     ], ids=["method-make", "method-replace", "header-make", "header-replace",
             "response-replace", "response-make", "interaction-make",
             "interaction-replace"])
@@ -281,8 +303,8 @@ class TestValueRecords:
                 (Method._make(["GET"]), Method("GET")),
                 (Header("A", "v")._replace(value="w"), Header("A", "w")),
                 (Response(200)._replace(status_code=404), Response(404)),
-                (Interaction(_GET)._replace(final_response=Response(204)),
-                 Interaction(_GET, (), Response(204)))]:
+                (Interaction(_GET)._replace(responses=(Response(204),)),
+                 Interaction(_GET, (Response(204),)))]:
             assert type(made) is type(want) and made == want
 
 
