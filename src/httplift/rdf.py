@@ -17,6 +17,7 @@ has been checked against every tuple.
 from __future__ import annotations
 
 import re
+import reprlib
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
@@ -46,7 +47,7 @@ class Iri(tuple):
 
     def __new__(cls, value: str):
         if not _IRI.fullmatch(value):
-            raise ValueError("not an IRI: %r" % value)
+            raise ValueError("not an IRI: " + reprlib.repr(value))
         return _tuple_new(cls, (value,))
 
     def __getnewargs__(self):
@@ -109,6 +110,8 @@ class Literal(tuple):
 
 
 Term = Union[Iri, BlankNode, Literal]
+_NODE_TYPES = (Iri, BlankNode)
+_TERM_TYPES = (Iri, BlankNode, Literal)
 
 
 class Triple(tuple):
@@ -118,11 +121,11 @@ class Triple(tuple):
     object = property(itemgetter(2))
 
     def __new__(cls, subject: Term, predicate: Term, object: Term):
-        if not isinstance(subject, (Iri, BlankNode)):
+        if not isinstance(subject, _NODE_TYPES):
             raise ValueError("triple subject must be an IRI or blank node")
         if not isinstance(predicate, Iri):
             raise ValueError("triple predicate must be an IRI")
-        if not isinstance(object, (Iri, BlankNode, Literal)):
+        if not isinstance(object, _TERM_TYPES):
             raise ValueError("triple object must be a term")
         return _tuple_new(cls, (subject, predicate, object))
 
@@ -164,7 +167,7 @@ class Graph:
         triples = frozenset(triples)
         for t in triples:
             if not isinstance(t, Triple):
-                raise TypeError("not a Triple: %r" % (t,))
+                raise TypeError("not a Triple: " + reprlib.repr(t))
         self._triples = triples
         self._index = None
 
@@ -239,7 +242,7 @@ class Dataset:
         self._default = default_graph
         named = dict(named_graphs or {})
         for name, g in named.items():
-            if not isinstance(name, (Iri, BlankNode)):
+            if not isinstance(name, _NODE_TYPES):
                 raise ValueError("graph name must be an IRI or blank node")
             if not isinstance(g, Graph):
                 raise TypeError("named graph value must be a Graph")

@@ -138,36 +138,41 @@ def _fault(text: str, pos: int, tok: str) -> Optional[ParseError]:
 # Parser
 
 class _Parser:
+    """Each production takes the index of its first token and returns the
+    index after its last; one that yields a term returns (term, index)."""
+
     def __init__(self, text: str, trig: bool):
         self.text = text
         self.tokens = _TOKEN.findall(text)
-        self.pos = 0
+        self.pos = 0        # where the innermost '[' or '(' began
         self.trig = trig
         self.prefixes: Dict[str, str] = {}
         self.default: set = set()
         self.named: Dict[Term, set] = {}
         self.sink = self.default
         self.anon = count(1)
-        # One object per distinct term for the call, and the term of each
-        # node token while the prefixes stay the same.
+        # One object per distinct term for the call; the term of each node
+        # token while the prefixes stay the same, and the literal of each
+        # string token that has no language tag or datatype. Strings are
+        # kept apart, so that no string is taken for a subject.
         self.terms: dict = {}
         self.nodes: dict = {}
+        self.strings: dict = {}
 
-    def fail(self, message: str, i: Optional[int] = None):
-        """Raise the error of token i (the next by default), where parsing
-        stopped: its own error if it is malformed, else `message`. No token
-        before i is malformed, so this is the first error in the text."""
-        i = self.pos if i is None else i
+    def fail(self, message: str, i: int):
+        """Raise the error of token i, where parsing stopped: its own error
+        if it is malformed, else `message`. No token before i is malformed,
+        so this is the first error in the text."""
         m = next(islice(_TOKEN.finditer(self.text), i, None))
         raise (_fault(self.text, m.start(1), m.group(1))
                or _error(message, self.text, m.start(1)))
 
-    def expect(self, symbol: str):
-        tok = self.tokens[self.pos]
+    def expect(self, symbol: str, i: int) -> int:
+        tok = self.tokens[i]
         if tok != symbol:
             self.fail("expected '%s', found %s"
-                      % (symbol, reprlib.repr(tok or 'eof')))
-        self.pos += 1
+                      % (symbol, reprlib.repr(tok or 'eof')), i)
+        return i + 1
 
     def fresh_bnode(self) -> BlankNode:
         return BlankNode("anon-%d" % next(self.anon))
@@ -175,66 +180,61 @@ class _Parser:
     # grammar
 
     def parse(self):
-        tokens = self.tokens
+        tokens, i = self.tokens, 0
         try:
-            while tokens[self.pos]:
-                if tokens[self.pos] == '@prefix':
-                    self.directive()
-                elif (self.trig and tokens[self.pos + 1] == '{'
-                      and (name := self.node(self.pos)) is not None):
-                    self.graph_block(name)
+            while tokens[i]:
+                if tokens[i] == '@prefix':
+                    i = self.directive(i + 1)
+                elif (self.trig and tokens[i + 1] == '{'
+                      and (name := self.node(i)) is not None):
+                    i = self.graph_block(name, i + 2)
                 else:
-                    self.triples_statement()
-                    self.expect('.')
+                    i = self.expect('.', self.triples_statement(i))
         except RecursionError:
-            self.fail("nesting too deep")
+            self.fail("nesting too deep", self.pos)
 
-    def directive(self):
-        self.expect('@prefix')
-        tok = self.tokens[self.pos]
+    def directive(self, i: int) -> int:
+        tok = self.tokens[i]
         if ':' not in tok or tok[0] in '"<_':
             self.fail("expected 'PNAME_NS', found %s"
-                      % reprlib.repr(tok or 'eof'))
+                      % reprlib.repr(tok or 'eof'), i)
         prefix, _, local = tok.partition(':')
         if local:
-            self.fail("prefix declaration must end with ':'")
-        iri = self.tokens[self.pos + 1]
+            self.fail("prefix declaration must end with ':'", i)
+        iri = self.tokens[i + 1]
         if iri[:1] != '<' or len(iri) == 1:
             self.fail("expected 'IRIREF', found %s"
-                      % reprlib.repr(iri or 'eof'),
-                      self.pos + 1)
-        self.pos += 2
+                      % reprlib.repr(iri or 'eof'), i + 1)
         self.prefixes[prefix] = iri[1:-1]
         self.nodes.clear()
-        self.expect('.')
+        return self.expect('.', i + 2)
 
-    def graph_block(self, name: Term):
-        self.pos += 2       # the name and '{'
+    def graph_block(self, name: Term, i: int) -> int:
         self.sink = self.named.setdefault(name, set())
         tokens = self.tokens
-        while tokens[self.pos] != '}':
-            self.triples_statement()
-            if tokens[self.pos] == '.':
-                self.pos += 1
-            elif tokens[self.pos] != '}':
-                self.fail("expected '.' or '}'")
-        self.pos += 1
+        while tokens[i] != '}':
+            i = self.triples_statement(i)
+            if tokens[i] == '.':
+                i += 1
+            elif tokens[i] != '}':
+                self.fail("expected '.' or '}'", i)
         self.sink = self.default
+        return i + 1
 
-    def triples_statement(self):
-        tok = self.tokens[self.pos]
+    def triples_statement(self, i: int) -> int:
+        tok = self.tokens[i]
         if tok == '[':
-            subject = self.bnode_property_list()
-            if self.tokens[self.pos] not in ('.', '}'):
-                self.predicate_object_list(subject)
+            subject, i = self.bnode_property_list(i)
+            if self.tokens[i] in ('.', '}'):
+                return i
         elif tok == '(':
-            self.predicate_object_list(self.collection())
+            subject, i = self.collection(i)
         else:
-            subject = self.node(self.pos)
+            subject = self.nodes.get(tok) or self.node(i)
             if subject is None:
-                self.fail("expected subject")
-            self.pos += 1
-            self.predicate_object_list(subject)
+                self.fail("expected subject", i)
+            i += 1
+        return self.predicate_object_list(subject, i)
 
     def node(self, i: int) -> Optional[Term]:
         """The term of token i if it is an IRI, a prefixed name or a blank
@@ -261,45 +261,51 @@ class _Parser:
     def shared(self, term: Term) -> Term:
         return self.terms.setdefault(term, term)
 
-    def predicate_object_list(self, subject: Term):
-        tokens = self.tokens
-        while True:
-            self.object_list(subject, self.verb())
-            if tokens[self.pos] != ';':
-                return
-            # Trailing ';' before '.', ']' or '}' is permitted.
-            while tokens[self.pos] == ';':
-                self.pos += 1
-            if tokens[self.pos] in ('.', ']', '}'):
-                return
-
-    def verb(self) -> Iri:
-        i = self.pos
-        term = RDF_TYPE if self.tokens[i] == 'a' else self.node(i)
-        if not isinstance(term, Iri):
-            self.fail("expected predicate")
-        self.pos += 1
-        return term
-
-    def object_list(self, subject: Term, predicate: Iri):
+    def predicate_object_list(self, subject: Term, i: int) -> int:
+        tokens, nodes, strings = self.tokens, self.nodes, self.strings
         add = self.sink.add
         while True:
-            add(Triple(subject, predicate, self.object_term()))
-            if self.tokens[self.pos] != ',':
-                return
-            self.pos += 1
+            tok = tokens[i]
+            predicate = (RDF_TYPE if tok == 'a'
+                         else nodes.get(tok) or self.node(i))
+            if not isinstance(predicate, Iri):
+                self.fail("expected predicate", i)
+            i += 1
+            while True:
+                # A memoized token is one whole object, unless a string is
+                # followed by a language tag or a datatype (or the end).
+                tok = tokens[i]
+                term = nodes.get(tok)
+                if term is None:
+                    term = strings.get(tok)
+                    if term is None or tokens[i + 1][:1] in '@^':
+                        term, i = self.object_term(i)
+                    else:
+                        i += 1
+                else:
+                    i += 1
+                add(Triple(subject, predicate, term))
+                if tokens[i] != ',':
+                    break
+                i += 1
+            if tokens[i] != ';':
+                return i
+            # Trailing ';' before '.', ']' or '}' is permitted.
+            while tokens[i] == ';':
+                i += 1
+            if tokens[i] in ('.', ']', '}'):
+                return i
 
-    def object_term(self) -> Term:
-        tokens, i = self.tokens, self.pos
+    def object_term(self, i: int) -> tuple:
+        tokens = self.tokens
         tok = tokens[i]
         if tok == '[':
-            return self.bnode_property_list()
+            return self.bnode_property_list(i)
         if tok == '(':
-            return self.collection()
+            return self.collection(i)
         term = self.node(i)
-        self.pos = i + 1
         if term is not None:
-            return term
+            return term, i + 1
         if tok[:1] == '"':
             try:
                 value = _string(tok)
@@ -307,44 +313,45 @@ class _Parser:
                 self.fail("expected object", i)   # the token's error wins
             tag = tokens[i + 1]
             if tag[:1] == '@' and tag != '@prefix' and _LANGTAG.fullmatch(tag):
-                self.pos += 1
-                return self.shared(Literal(value, language=tag[1:]))
+                return self.shared(Literal(value, language=tag[1:])), i + 2
             if tag == '^^':
                 dt = self.node(i + 2)
                 if not isinstance(dt, Iri):
                     self.fail("expected datatype IRI", i + 2)
-                self.pos += 2
-                return self.shared(Literal(value, dt))
-            return self.shared(Literal(value))
+                return self.shared(Literal(value, dt)), i + 3
+            term = self.strings[tok] = self.shared(Literal(value))
+            return term, i + 1
         if tok[-1:].isdigit() and tok[0] in '+-0123456789':
-            return self.shared(Literal(tok, XSD_INTEGER))
+            return self.shared(Literal(tok, XSD_INTEGER)), i + 1
         if tok == 'true' or tok == 'false':
-            return self.shared(Literal(tok, XSD_BOOLEAN))
+            return self.shared(Literal(tok, XSD_BOOLEAN)), i + 1
         self.fail("expected object", i)
 
-    def bnode_property_list(self) -> BlankNode:
-        self.expect('[')
+    def bnode_property_list(self, i: int) -> tuple:
+        self.pos = i
         node = self.fresh_bnode()
-        if self.tokens[self.pos] != ']':
-            self.predicate_object_list(node)
-        self.expect(']')
-        return node
+        i += 1
+        if self.tokens[i] != ']':
+            i = self.predicate_object_list(node, i)
+        return node, self.expect(']', i)
 
-    def collection(self) -> Term:
-        self.expect('(')
+    def collection(self, i: int) -> tuple:
+        self.pos = i
+        tokens = self.tokens
         items = []
-        while self.tokens[self.pos] != ')':
-            if not self.tokens[self.pos]:
-                self.fail("unterminated collection")
-            items.append(self.object_term())
-        self.pos += 1
+        i += 1
+        while tokens[i] != ')':
+            if not tokens[i]:
+                self.fail("unterminated collection", i)
+            item, i = self.object_term(i)
+            items.append(item)
         if not items:
-            return RDF_NIL
+            return RDF_NIL, i + 1
         nodes = [self.fresh_bnode() for _ in items]
         for node, item, rest in zip(nodes, items, nodes[1:] + [RDF_NIL]):
             self.sink.add(Triple(node, RDF_FIRST, item))
             self.sink.add(Triple(node, RDF_REST, rest))
-        return nodes[0]
+        return nodes[0], i + 1
 
 
 def parse_turtle(text: str) -> Graph:
@@ -422,13 +429,12 @@ class _Rendered(dict):
 def _triple_lines(graph: Graph, text: _Rendered,
                   indent: str = "") -> List[str]:
     rdf_type = text[RDF_TYPE]
-    lines = []
-    for t in graph:
-        pred = text[t.predicate]
-        lines.append("%s%s %s %s ." % (indent, text[t.subject],
-                                       "a" if pred == rdf_type else pred,
-                                       text[t.object]))
-    return sorted(lines)
+    lines = ["%s%s %s %s ." % (indent, text[s],
+                               "a" if (pred := text[p]) == rdf_type else pred,
+                               text[o])
+             for s, p, o in graph]
+    lines.sort()
+    return lines
 
 
 def _prefix_header(prefixes: Dict[str, str]) -> List[str]:

@@ -7,6 +7,7 @@ cannot express; every problem is reported as a finding, never an exception.
 from __future__ import annotations
 
 import re
+import reprlib
 from collections import Counter, namedtuple
 from typing import List, Tuple
 
@@ -79,7 +80,7 @@ _INTEGER = re.compile(r"[+-]?[0-9]{1,640}")
 
 def explain(rule_id: str) -> str:
     if rule_id not in _RULES:
-        raise KeyError("unknown rule id: %r" % rule_id)
+        raise KeyError("unknown rule id: " + reprlib.repr(rule_id))
     return "%s: %s" % (rule_id, _RULES[rule_id])
 
 
@@ -170,8 +171,8 @@ def validate(dataset: Dataset) -> ValidationReport:
             if isinstance(ct, Literal) and not any(
                     _media_match(ct.lexical, mr) for mr in ranges):
                 report("R8", WARNING, r,
-                       "content type %r matches no accepted media range"
-                       % ct.lexical)
+                       "content type %s matches no accepted media range"
+                       % reprlib.repr(ct.lexical))
     for q, n in finals.items():
         if n > 1:
             report("R5", VIOLATION, q, "request has %d non-interim responses"

@@ -610,19 +610,25 @@ class TestStartup:
     def test_errors_quote_outside_values_with_reprlib(self):
         # An error quotes a value from the input or the command line with
         # reprlib.repr, which cuts it to 30 characters, so that no message
-        # grows with its input: these modules use no %r, !r or builtin repr.
+        # grows with its input: these modules use no %r, !r or builtin repr,
+        # except in the bodies of __repr__ methods, which spell a value whole.
         package_dir = os.path.dirname(httplift.__file__)
         found = []
         for name in ("model.py", "uri.py", "ingest.py", "turtle.py",
-                     "cli.py"):
+                     "cli.py", "rdf.py", "validate.py"):
             with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), name)
+            exempt = {id(node) for method in ast.walk(tree)
+                      if isinstance(method, ast.FunctionDef)
+                      and method.name == "__repr__"
+                      for node in ast.walk(method)}
             found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                      if isinstance(node, ast.Constant)
+                      if id(node) not in exempt
+                      and (isinstance(node, ast.Constant)
                       and isinstance(node.value, str) and "%r" in node.value
                       or isinstance(node, ast.FormattedValue)
                       and node.conversion == ord("r")
-                      or isinstance(node, ast.Name) and node.id == "repr"]
+                      or isinstance(node, ast.Name) and node.id == "repr")]
         assert found == []
 
     def test_every_imported_name_is_used(self):

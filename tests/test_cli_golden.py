@@ -34,20 +34,31 @@ COMMANDS = (
 )
 
 
+def command_argv(command, path):
+    """`command` run on the input `path`."""
+    return command[:2] + [path] + command[2:] if command[0] == "query" \
+        else command + [path]
+
+
+def run_cli(argv):
+    """The exit code, stdout and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_all(name):
     """One record per command: argv (input path relative to the fixtures),
     exit code, and stdout and stderr as lists of lines with their ends."""
     records = []
     for command in COMMANDS:
-        argv = command[:2] + [name] + command[2:] if command[0] == "query" \
-            else command + [name]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([os.path.join(FIXTURES, a) if a == name else a
-                         for a in argv])
+        argv = command_argv(command, name)
+        code, out, err = run_cli(command_argv(command,
+                                              os.path.join(FIXTURES, name)))
         records.append({"argv": argv, "exit": code,
-                        "stdout": out.getvalue().splitlines(keepends=True),
-                        "stderr": err.getvalue().splitlines(keepends=True)})
+                        "stdout": out.splitlines(keepends=True),
+                        "stderr": err.splitlines(keepends=True)})
     return records
 
 
@@ -64,6 +75,24 @@ def test_cli_output_matches_golden(name):
     for g, e in zip(got, expected):
         assert (g["exit"], "".join(g["stdout"]), "".join(g["stderr"])) == \
             (e["exit"], "".join(e["stdout"]), "".join(e["stderr"])), g["argv"]
+
+
+# validate, its TSV report and the seven questions with their arguments.
+REREAD = COMMANDS[2:11]
+
+
+@pytest.mark.parametrize("name", [n for n in INPUTS
+                                  if not n.endswith(".trig")])
+def test_lifted_trig_reads_back_as_its_source(name, tmp_path):
+    # lift --out lifted.trig, then validate or query lifted.trig: each
+    # command answers as it does on the source.
+    source = os.path.join(FIXTURES, name)
+    lifted = str(tmp_path / "lifted.trig")
+    assert run_cli(["lift", source, "--out", lifted])[0] == 0
+    for command in REREAD:
+        on_source, on_lifted = (run_cli(command_argv(command, path))[:2]
+                                for path in (source, lifted))
+        assert on_lifted == on_source, command
 
 
 if __name__ == "__main__":

@@ -106,6 +106,13 @@ class TestConversationLift:
                         ids.setdefault(x, set()).add(id(x))
             assert ids and all(len(same) == 1 for same in ids.values())
 
+    def test_long_bad_base_gives_a_short_message(self):
+        c = load_transcript("GET /a HTTP/1.1\nHost: h\n")
+        with pytest.raises(ValueError) as info:
+            lift_conversation(c, "http://x/" + "<" * 3000)
+        assert str(info.value).startswith("not an IRI: ")
+        assert len(str(info.value)) < 200
+
     def test_relative_location_is_resolved(self):
         # RFC 3986 section 5.2 against the request URI; R10 used to flag it.
         d = lift_conversation(load_transcript(

@@ -59,6 +59,17 @@ class TestTerms:
         with pytest.raises(ValueError, match="not an IRI"):
             Iri(text)
 
+    def test_long_values_are_quoted_cut(self):
+        # A message quotes the bad value with reprlib.repr, so it stays
+        # short however long the value is.
+        with pytest.raises(ValueError) as info:
+            Iri("http://x/" + "<" * 3000)
+        assert str(info.value) == "not an IRI: 'http://x/<<<...<<<<<<<<<<<<<'"
+        with pytest.raises(TypeError) as info:
+            Graph([("x" * 3000,)])
+        assert str(info.value) == (
+            "not a Triple: ('xxxxxxxxxxxx...xxxxxxxxxxxxx',)")
+
     def test_iri_allows_non_ascii_whitespace(self):
         text = "http://x/a\u00a0b\u2003c"
         assert Iri(text).value == text

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from httplift.rdf import (
-    IRI_CHARS, Iri, BlankNode, Literal, Triple, Graph, isomorphic,
+    IRI_CHARS, Iri, BlankNode, Literal, Triple, Graph, Dataset, isomorphic,
     isomorphic_datasets, XSD_INTEGER, XSD_BOOLEAN, RDF_TYPE,
 )
 from httplift import turtle
@@ -167,6 +167,78 @@ class TestParseTrig:
                      Literal("v", Iri(EX + "x"))):
             found = [x for x in terms if x == term]
             assert len(found) >= 3 and len(set(map(id, found))) == 1, term
+
+    def test_memoized_string_keeps_its_tag_and_datatype(self):
+        d = parse_trig('@prefix ex: <%s> .\n'
+                       'ex:s ex:p "v" , "v"@en , "v"^^ex:d .' % EX)
+        assert d.default_graph.objects(Iri(EX + "s"), Iri(EX + "p")) == {
+            Literal("v"), Literal("v", language="en"),
+            Literal("v", Iri(EX + "d"))}
+
+    @pytest.mark.parametrize("text, message, col", [
+        ('ex:s ex:p "v" .\n"v" ex:p ex:o .', "expected subject", 1),
+        ('ex:s ex:p "v" .\nex:s "v" ex:o .', "expected predicate", 6),
+        ('ex:s ex:p "v" .\n"v" { ex:s ex:p ex:o . }', "expected subject",
+         1),
+        ('ex:s ex:p "v" .\nex:s ex:p "w"^^"v" .', "expected datatype IRI",
+         16),
+    ], ids=["subject", "predicate", "graph-name", "datatype"])
+    def test_memoized_string_is_only_an_object(self, text, message, col):
+        # A string seen as an object is still no node in any other place.
+        with pytest.raises(ParseError) as info:
+            parse_trig('@prefix ex: <%s> .\n' % EX + text)
+        assert (info.value.message, info.value.line, info.value.col) == (
+            message, 3, col)
+
+
+# Statements built from a small pool of tokens, strings among them in
+# every place: a document must parse as the union of its statements, each
+# parsed alone, or fail with the error of the first statement that fails.
+# Repeats in a pool make its tokens that are errors rarer.
+_NODE_TOKENS = ["ex:a", "<http://example.org/a>", "_:b"]
+_OBJECT_TOKENS = 2 * (_NODE_TOKENS + [
+    '"v"', '"w"', '"v"@en', '"v"^^ex:d', '"v"^^<http://example.org/d>', "1",
+    "-2"])
+_bodies = st.builds(
+    lambda s, p, objects: "%s %s %s" % (s, p, " , ".join(objects)),
+    st.sampled_from(_NODE_TOKENS * 4 + ['"v"']),
+    st.sampled_from(["ex:p", "<http://example.org/p>", "a"] * 3 + ['"v"']),
+    st.lists(st.sampled_from(_OBJECT_TOKENS + ['"w"^^"v"']),
+             min_size=1, max_size=3))
+_statements = st.builds(
+    lambda name, body: body + " ." if name is None
+    else "%s { %s . }" % (name, body),
+    st.sampled_from([None] * 4 + ["ex:g", "_:g"] * 2 + ['"v"']), _bodies)
+
+
+def _parse_or_error(text):
+    try:
+        return parse_trig('@prefix ex: <%s> .\n' % EX + text)
+    except ParseError as e:
+        return e
+
+
+@settings(max_examples=300)
+@given(st.lists(_statements, min_size=1, max_size=8))
+def test_memo_carries_no_term_across_positions(statements):
+    whole = _parse_or_error("\n".join(statements))
+    parts = [_parse_or_error(s) for s in statements]
+    failed = [(k, e) for k, e in enumerate(parts)
+              if isinstance(e, ParseError)]
+    if failed:
+        # Statement k is on line k + 2 of the document, and alone on line 2.
+        k, e = failed[0]
+        assert isinstance(whole, ParseError), whole
+        assert (whole.message, whole.line, whole.col) == (
+            e.message, e.line + k, e.col)
+        return
+    named = {}
+    for d in parts:
+        for name, g in d.named_graphs.items():
+            named.setdefault(name, set()).update(g)
+    assert whole == Dataset(
+        Graph(set().union(*(d.default_graph for d in parts))),
+        {name: Graph(ts) for name, ts in named.items()})
 
 
 class TestSerialize:

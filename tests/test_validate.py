@@ -189,6 +189,28 @@ class TestReporting:
         with pytest.raises(KeyError):
             explain("R99")
 
+    def test_explain_quotes_a_long_rule_id_cut(self):
+        with pytest.raises(KeyError) as info:
+            explain("R" * 3000)
+        assert info.value.args == (
+            "unknown rule id: 'RRRRRRRRRRRR...RRRRRRRRRRRRR'",)
+
+    def test_long_content_type_gives_short_report_lines(self):
+        # R8 quotes the content type with reprlib.repr; a short one prints
+        # whole, as the golden reports have it.
+        content_type = "text/" + "x" * 3000
+        report = validate(lift_conversation(load_transcript(
+            "GET /a HTTP/1.1\nHost: h\nAccept: text/turtle\n---\n"
+            "HTTP/1.1 200 OK\nContent-Type: %s\n\nbody\n" % content_type)))
+        (finding,) = report.findings
+        assert finding.rule_id == "R8"
+        assert finding.message == (
+            "content type 'text/xxxxxxx...xxxxxxxxxxxxx' matches no accepted"
+            " media range")
+        for text in (report.to_text(), report.to_tsv()):
+            lines = [line for line in text.splitlines() if "R8" in line]
+            assert lines and all(len(line) < 200 for line in lines), text
+
     def test_status_instance_without_a_number(self):
         r, s = BlankNode("r"), BlankNode("s")
         g = Graph({Triple(r, RDF_TYPE, vocab.RESPONSE),
