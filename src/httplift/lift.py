@@ -14,7 +14,7 @@ from .model import (
 )
 from .rdf import (
     RDF_TYPE, XSD_INTEGER, BlankNode, Dataset, Graph, Iri, Literal, Term,
-    Triple,
+    Triple, _new_bnode, _new_literal, _new_triple,
 )
 from .uri import (
     UriError, UriParts, id_res, parse_uri, recompose, require_host,
@@ -32,14 +32,14 @@ def uri_node(u: UriParts, base: Optional[str] = None) -> Iri:
 
 
 class Lifter:
-    """One lifting run: a monotonic blank-node counter plus a URI-node cache
-    so identical URIs share one node across the whole conversation, and
-    one xsd:string literal per lexical form."""
+    """One lifting run: a monotonic blank-node counter, the nodes already
+    described, so that a URI, method or status node is described once per
+    conversation, and one xsd:string literal per lexical form."""
 
     def __init__(self, base: Optional[str] = None):
         self.base = base
         self._counter = 0
-        self._lifted_uris: Set[Iri] = set()
+        self._described: Set[Term] = set()
         self._literals: Dict[str, Literal] = {}
         self.triples: Set[Triple] = set()
         self.named: Dict[Term, Graph] = {}
@@ -47,15 +47,15 @@ class Lifter:
 
     def bnode(self) -> BlankNode:
         self._counter += 1
-        return BlankNode("b%d" % self._counter)
+        return _new_bnode(BlankNode, "b%d" % self._counter)
 
     def add(self, s: Term, p: Iri, o: Term):
-        self.triples.add(Triple(s, p, o))
+        self.triples.add(_new_triple(Triple, s, p, o))
 
     def literal(self, lexical: str) -> Literal:
         term = self._literals.get(lexical)
         if term is None:
-            term = self._literals[lexical] = Literal(lexical)
+            term = self._literals[lexical] = _new_literal(Literal, lexical)
         return term
 
     def _message_node(self, kind: str) -> Term:
@@ -68,9 +68,9 @@ class Lifter:
 
     def lift_uri(self, u: UriParts) -> Iri:
         node = uri_node(u, self.base)
-        if node in self._lifted_uris:
+        if node in self._described:
             return node
-        self._lifted_uris.add(node)
+        self._described.add(node)
         self.add(node, RDF_TYPE, vocab.URI)
         self.add(node, vocab.SCHEME, self.literal(u.scheme))
         self.add(node, vocab.AUTHORITY, self.literal(u.authority))
@@ -148,30 +148,37 @@ class Lifter:
             # Blank-node labels are dataset-scoped: keep the body graph's
             # labels out of the lifter's namespace, one node per label.
             tag = len(self.named) + 1
-            nodes = {x for t in b.rdf for x in (t.subject, t.object)
+            nodes = {x for s, _, o in b.rdf for x in (s, o)
                      if isinstance(x, BlankNode)}
-            renamed = {x: BlankNode("body%d-%s" % (tag, x.label))
-                       for x in nodes}
-            self.named[gname] = Graph(
-                Triple(*(renamed.get(x, x) for x in t)) for t in b.rdf)
+            get = {x: _new_bnode(BlankNode, "body%d-%s" % (tag, x.label))
+                   for x in nodes}.get
+            self.named[gname] = Graph([
+                _new_triple(Triple, get(s, s), p, get(o, o))
+                for s, p, o in b.rdf])
             self.add(gname, RDF_TYPE, vocab.SD_GRAPH)
             self.add(cnode, vocab.ABOUT, gname)
 
     # -- Messages -----------------------------------------------------------
 
     # A standard method or status code lifts to its individual in the
-    # vendored ontology, any other to a blank node.
+    # vendored ontology, described once, any other to a blank node.
     def _lift_method(self, name: str) -> Term:
-        node = vocab.registry().methods.get(name) or self.bnode()
-        self.add(node, RDF_TYPE, vocab.METHOD)
-        self.add(node, vocab.METHOD_NAME, self.literal(name))
+        node = vocab.registry().methods.get(name)
+        if node not in self._described:
+            node = node or self.bnode()
+            self._described.add(node)
+            self.add(node, RDF_TYPE, vocab.METHOD)
+            self.add(node, vocab.METHOD_NAME, self.literal(name))
         return node
 
     def _lift_status(self, code: int) -> Term:
-        node = vocab.registry().statuses.get(code) or self.bnode()
-        self.add(node, RDF_TYPE, vocab.STATUS_CODE)
-        self.add(node, vocab.STATUS_CODE_NUMBER,
-                 Literal(str(code), XSD_INTEGER))
+        node = vocab.registry().statuses.get(code)
+        if node not in self._described:
+            node = node or self.bnode()
+            self._described.add(node)
+            self.add(node, RDF_TYPE, vocab.STATUS_CODE)
+            self.add(node, vocab.STATUS_CODE_NUMBER,
+                     _new_literal(Literal, str(code), XSD_INTEGER))
         return node
 
     def lift_request(self, r: Request) -> Term:

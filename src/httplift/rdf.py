@@ -36,7 +36,8 @@ _IRI = re.compile(IRI_CHARS)
 # its own, so terms of different kinds never compare equal: an IRI is
 # (value,), a blank node (None, label) and a literal (lexical, datatype,
 # language). A triple's first item is a term, never a str, so no triple
-# equals a literal.
+# equals a literal. BlankNode, Literal and Triple check their items in a
+# function installed as __new__, which the lifter and parser call directly.
 
 _tuple_new = tuple.__new__
 
@@ -57,14 +58,16 @@ class Iri(tuple):
         return "Iri(%r)" % self.value
 
 
+def _new_bnode(cls, label: str):
+    if not label:
+        raise ValueError("blank node label must be non-empty")
+    return _tuple_new(cls, (None, label))
+
+
 class BlankNode(tuple):
     __slots__ = ()
     label = property(itemgetter(1))
-
-    def __new__(cls, label: str):
-        if not label:
-            raise ValueError("blank node label must be non-empty")
-        return _tuple_new(cls, (None, label))
+    __new__ = _new_bnode
 
     def __getnewargs__(self):
         return (self[1],)
@@ -84,18 +87,20 @@ RDF_NIL = Iri(RDF + "nil")
 RDF_LANG_STRING = Iri(RDF + "langString")
 
 
+def _new_literal(cls, lexical: str, datatype: Iri = XSD_STRING,
+                 language: Optional[str] = None):
+    # A language-tagged literal always carries the langString datatype.
+    if language is not None:
+        datatype = RDF_LANG_STRING
+    return _tuple_new(cls, (lexical, datatype, language))
+
+
 class Literal(tuple):
     __slots__ = ()
     lexical = property(itemgetter(0))
     datatype = property(itemgetter(1))
     language = property(itemgetter(2))
-
-    def __new__(cls, lexical: str, datatype: Iri = XSD_STRING,
-                language: Optional[str] = None):
-        # A language-tagged literal always carries the langString datatype.
-        if language is not None:
-            datatype = RDF_LANG_STRING
-        return _tuple_new(cls, (lexical, datatype, language))
+    __new__ = _new_literal
 
     def __getnewargs__(self):
         return tuple(self)
@@ -114,20 +119,22 @@ _NODE_TYPES = (Iri, BlankNode)
 _TERM_TYPES = (Iri, BlankNode, Literal)
 
 
+def _new_triple(cls, subject: Term, predicate: Term, object: Term):
+    if not isinstance(subject, _NODE_TYPES):
+        raise ValueError("triple subject must be an IRI or blank node")
+    if not isinstance(predicate, Iri):
+        raise ValueError("triple predicate must be an IRI")
+    if not isinstance(object, _TERM_TYPES):
+        raise ValueError("triple object must be a term")
+    return _tuple_new(cls, (subject, predicate, object))
+
+
 class Triple(tuple):
     __slots__ = ()
     subject = property(itemgetter(0))
     predicate = property(itemgetter(1))
     object = property(itemgetter(2))
-
-    def __new__(cls, subject: Term, predicate: Term, object: Term):
-        if not isinstance(subject, _NODE_TYPES):
-            raise ValueError("triple subject must be an IRI or blank node")
-        if not isinstance(predicate, Iri):
-            raise ValueError("triple predicate must be an IRI")
-        if not isinstance(object, _TERM_TYPES):
-            raise ValueError("triple object must be a term")
-        return _tuple_new(cls, (subject, predicate, object))
+    __new__ = _new_triple
 
     def __getnewargs__(self):
         return tuple(self)

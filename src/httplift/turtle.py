@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from .rdf import (
     IRI_CHARS, RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN,
     XSD_INTEGER, XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Term,
-    Triple,
+    Triple, _new_bnode, _new_literal, _new_triple,
 )
 
 
@@ -175,7 +175,7 @@ class _Parser:
         return i + 1
 
     def fresh_bnode(self) -> BlankNode:
-        return BlankNode("anon-%d" % next(self.anon))
+        return _new_bnode(BlankNode, "anon-%d" % next(self.anon))
 
     # grammar
 
@@ -247,7 +247,7 @@ class _Parser:
         if first == '<' and len(tok) > 1:
             term = Iri(tok[1:-1])
         elif first == '_' and len(tok) > 1:
-            term = BlankNode(tok[2:])
+            term = _new_bnode(BlankNode, tok[2:])
         elif first != '"' and ':' in tok:
             prefix, _, local = tok.partition(':')
             if prefix not in self.prefixes:
@@ -284,7 +284,7 @@ class _Parser:
                         i += 1
                 else:
                     i += 1
-                add(Triple(subject, predicate, term))
+                add(_new_triple(Triple, subject, predicate, term))
                 if tokens[i] != ',':
                     break
                 i += 1
@@ -313,18 +313,20 @@ class _Parser:
                 self.fail("expected object", i)   # the token's error wins
             tag = tokens[i + 1]
             if tag[:1] == '@' and tag != '@prefix' and _LANGTAG.fullmatch(tag):
-                return self.shared(Literal(value, language=tag[1:])), i + 2
+                return (self.shared(_new_literal(Literal, value,
+                                                 language=tag[1:])), i + 2)
             if tag == '^^':
                 dt = self.node(i + 2)
                 if not isinstance(dt, Iri):
                     self.fail("expected datatype IRI", i + 2)
-                return self.shared(Literal(value, dt)), i + 3
-            term = self.strings[tok] = self.shared(Literal(value))
+                return self.shared(_new_literal(Literal, value, dt)), i + 3
+            term = self.shared(_new_literal(Literal, value))
+            self.strings[tok] = term
             return term, i + 1
         if tok[-1:].isdigit() and tok[0] in '+-0123456789':
-            return self.shared(Literal(tok, XSD_INTEGER)), i + 1
+            return self.shared(_new_literal(Literal, tok, XSD_INTEGER)), i + 1
         if tok == 'true' or tok == 'false':
-            return self.shared(Literal(tok, XSD_BOOLEAN)), i + 1
+            return self.shared(_new_literal(Literal, tok, XSD_BOOLEAN)), i + 1
         self.fail("expected object", i)
 
     def bnode_property_list(self, i: int) -> tuple:
@@ -349,8 +351,8 @@ class _Parser:
             return RDF_NIL, i + 1
         nodes = [self.fresh_bnode() for _ in items]
         for node, item, rest in zip(nodes, items, nodes[1:] + [RDF_NIL]):
-            self.sink.add(Triple(node, RDF_FIRST, item))
-            self.sink.add(Triple(node, RDF_REST, rest))
+            self.sink.add(_new_triple(Triple, node, RDF_FIRST, item))
+            self.sink.add(_new_triple(Triple, node, RDF_REST, rest))
         return nodes[0], i + 1
 
 

@@ -278,6 +278,42 @@ class TestMessageLift:
         assert t.subject not in {s for tr in d.default_graph
                                  for s in (tr.subject, tr.object)}
 
+    @staticmethod
+    def _lift_bodies(*bodies):
+        """The dataset of one GET per body, each answered with that body as
+        Turtle, and the bodies' own parsed graphs."""
+        text = "\n---\n".join(
+            "GET /p%d HTTP/1.1\nHost: h\n\n---\n"
+            "HTTP/1.1 200 OK\nContent-Type: text/turtle\n"
+            "Content-Length: %d\n\n%s" % (n, len(body.encode()), body)
+            for n, body in enumerate(bodies))
+        conversation = load_transcript(text)
+        return lift_conversation(conversation), [
+            i.responses[0].body.rdf for i in conversation.interactions]
+
+    def test_two_bodies_share_no_blank_node(self):
+        body = ("@prefix ex: <http://example.org/> .\n"
+                "_:x ex:p [ ex:q _:x ] .\n")
+        d, parsed = self._lift_bodies(body, body)
+
+        def bnodes(g):
+            return {x for t in g for x in (t.subject, t.object)
+                    if isinstance(x, BlankNode)}
+
+        first, second = (bnodes(g) for g in d.named_graphs.values())
+        default = bnodes(d.default_graph) | set(d.named_graphs)
+        assert len(first) == len(second) == 2
+        assert not first & second and not (first | second) & default
+        for g, source in zip(d.named_graphs.values(), parsed):
+            assert isomorphic_datasets(Dataset(g), Dataset(source))
+
+    def test_ground_body_lifts_unchanged(self):
+        body = ("@prefix ex: <http://example.org/> .\n"
+                "ex:a ex:p ex:b , \"v\"@en , 3 .\n")
+        d, (parsed,) = self._lift_bodies(body)
+        (g,) = d.named_graphs.values()
+        assert len(g) == 3 and g == parsed
+
 
 def lifted_method_and_status(method, code):
     """The method and status nodes that one request with `method`,

@@ -1,5 +1,6 @@
 """Term, graph, dataset and isomorphism behaviour."""
 
+import copy
 import itertools
 import os
 import pickle
@@ -26,6 +27,10 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def iri(s):
     return Iri(EX + s)
+
+
+class _SubTriple(Triple):
+    __slots__ = ()
 
 
 class TestTerms:
@@ -73,6 +78,57 @@ class TestTerms:
     def test_iri_allows_non_ascii_whitespace(self):
         text = "http://x/a\u00a0b\u2003c"
         assert Iri(text).value == text
+
+    # The lifter and the parser call the checking functions directly; a
+    # class call runs the same function as the class's __new__.
+    @pytest.mark.parametrize("cls, new, args", [
+        (Triple, rdf._new_triple, (Literal("x"), iri("p"), iri("o"))),
+        (Triple, rdf._new_triple, (iri("s"), BlankNode("p"), iri("o"))),
+        (Triple, rdf._new_triple, (iri("s"), Literal("p"), iri("o"))),
+        (Triple, rdf._new_triple, (iri("s"), iri("p"), "o")),
+        (BlankNode, rdf._new_bnode, ("",)),
+    ], ids=["literal-subject", "blank-predicate", "literal-predicate",
+            "str-object", "empty-label"])
+    def test_direct_call_rejects_what_the_class_call_does(self, cls, new,
+                                                           args):
+        with pytest.raises(Exception) as by_class:
+            cls(*args)
+        with pytest.raises(Exception) as direct:
+            new(cls, *args)
+        assert type(direct.value) is type(by_class.value) is ValueError
+        assert str(direct.value) == str(by_class.value)
+
+    @pytest.mark.parametrize("x", [
+        iri("a"), BlankNode("b"), Literal("c"), Literal("1", XSD_INTEGER),
+        Literal("chat", language="fr"),
+        Triple(iri("s"), iri("p"), Literal("o")),
+        _SubTriple(BlankNode("s"), iri("p"), iri("o"))],
+        ids=lambda x: type(x).__name__)
+    def test_copies_keep_their_exact_class(self, x):
+        copies = [copy.copy(x), copy.deepcopy(x)] + [
+            pickle.loads(pickle.dumps(x, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in copies:
+            assert type(y) is type(x) and y == x
+
+    def test_subclass_call_builds_the_subclass(self):
+        t = _SubTriple(iri("s"), iri("p"), iri("o"))
+        assert type(t) is _SubTriple and t.object == iri("o")
+        with pytest.raises(ValueError, match="predicate must be an IRI"):
+            _SubTriple(iri("s"), BlankNode("p"), iri("o"))
+
+    @pytest.mark.parametrize("bad, message", [
+        (tuple.__new__(Triple, (Literal("x"), iri("p"), iri("o"))),
+         "triple subject must be an IRI or blank node"),
+        (tuple.__new__(BlankNode, (None, "")),
+         "blank node label must be non-empty")],
+        ids=["triple", "blank-node"])
+    def test_unpickling_runs_the_checks(self, bad, message):
+        # An instance built around the checks pickles, but its unpickling
+        # calls __new__ and fails there.
+        data = pickle.dumps(bad)
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(data)
 
 
 # hypothesis: terms compare and hash by kind and value, also when one text
