@@ -11,7 +11,7 @@ from .queries import (
     cq7_query_param,
 )
 from .rdf import (
-    BlankNode, Dataset, Graph, Iri, Literal, Triple, eval_path, isomorphic,
+    BlankNode, Dataset, Graph, Iri, Literal, Triple, eval_path,
     isomorphic_datasets,
 )
 from .turtle import parse_trig, parse_turtle, serialize_trig, serialize_turtle
@@ -23,7 +23,7 @@ __all__ = [
     "cq1_media_types", "cq2_interaction_status", "cq3_locations",
     "cq4_conversation_status", "cq5_negotiation", "cq6_body_values",
     "cq7_query_param",
-    "eval_path", "explain", "isomorphic", "isomorphic_datasets",
+    "eval_path", "explain", "isomorphic_datasets",
     "lift_conversation",
     "load_har", "load_transcript", "parse_http_request",
     "parse_http_response", "parse_trig", "parse_turtle", "serialize_trig",

@@ -154,8 +154,7 @@ def _fmt(term) -> str:
 
 def _cq5_rows(dataset, args):
     """One (request, "true"/"false") row per request with a response."""
-    requests = {t.subject
-                for t in dataset.default_graph.match(None, vocab.RESP, None)}
+    requests = dataset.default_graph.subjects(vocab.RESP, None)
     return [(q, str(queries.cq5_negotiation(dataset, q)).lower())
             for q in sorted(requests, key=_fmt)]
 

@@ -145,25 +145,24 @@ def _frame_body(headers: List[Header], rest: bytes) -> bytes:
 def _make_body(headers: List[Header], octets: bytes) -> Optional[Body]:
     if not octets:
         return None
-    media_type = header_value(headers, "Content-Type")
+    media_type = header_value(headers, "Content-Type") or ""
+    base = media_type.split(";", 1)[0].strip().lower()
     rdf = None
-    if media_type:
-        base = media_type.split(";", 1)[0].strip().lower()
-        if base in RDF_MEDIA_TYPES:
-            try:
-                text = octets.decode("utf-8")
-                if base == "application/trig":
-                    dataset = turtle.parse_trig(text)
-                    rdf = Graph(chain(dataset.default_graph,
-                                      *dataset.named_graphs.values()))
-                else:
-                    rdf = turtle.parse_turtle(text)
-            except UnicodeDecodeError as e:
-                raise IngestError("unparseable RDF body: %s" % e)
-            except turtle.ParseError as e:
-                raise IngestError("unparseable RDF body: %s (body line %d, "
-                                  "column %d)" % (e.message, e.line, e.col))
-    return Body(media_type=media_type, octets=octets, rdf=rdf)
+    if base in RDF_MEDIA_TYPES:
+        try:
+            text = octets.decode("utf-8")
+            if base == "application/trig":
+                dataset = turtle.parse_trig(text)
+                rdf = Graph(chain(dataset.default_graph,
+                                  *dataset.named_graphs.values()))
+            else:
+                rdf = turtle.parse_turtle(text)
+        except UnicodeDecodeError as e:
+            raise IngestError("unparseable RDF body: %s" % e)
+        except turtle.ParseError as e:
+            raise IngestError("unparseable RDF body: %s (body line %d, "
+                              "column %d)" % (e.message, e.line, e.col))
+    return Body(octets=octets, rdf=rdf)
 
 
 def parse_http_request(raw: Union[bytes, str]) -> Request:
@@ -298,8 +297,7 @@ def load_har(text: str) -> Conversation:
     for n, entry in indexed:
         try:
             interactions.append(_har_interaction(entry))
-        except (KeyError, TypeError, ValueError, AttributeError,
-                OverflowError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             reason = "missing %s" % e if isinstance(e, KeyError) else e
             raise IngestError("HAR entry %d: %s" % (n, reason))
     return Conversation(tuple(interactions))
@@ -313,9 +311,10 @@ class _Long(str):
     """A JSON integer of 4+ digits, as its text: int() refuses thousands."""
 
 
-# The JSON name of each type that load_har's json.loads gives, but str.
+# The JSON name of each type that load_har's json.loads gives.
 _JSON_TYPES = {type(None): "null", bool: "boolean", int: "number",
-               _Long: "number", float: "number", list: "array", dict: "object"}
+               _Long: "number", float: "number", str: "string", list: "array",
+               dict: "object"}
 
 
 def _har_text(text: str) -> str:
@@ -329,6 +328,16 @@ def _har_text(text: str) -> str:
         except UnicodeEncodeError as e:
             raise ValueError("lone surrogate at offset %d" % e.start)
     return text
+
+
+def _har_json(value, kind: type = dict):
+    """`value`, a JSON object or array (`kind`); null or empty is kind()."""
+    if not value:
+        return kind()
+    if type(value) is not kind:
+        raise TypeError("not an %s: %s" % (_JSON_TYPES[kind],
+                                           _JSON_TYPES[type(value)]))
+    return value
 
 
 def _har_status(status) -> int:
@@ -353,17 +362,17 @@ def _har_headers(items, mime_type: Optional[str]) -> List[Header]:
     """A HAR message's headers, plus a Content-Type of `mime_type` when
     there is none."""
     headers = [Header(_har_text(h["name"]), _har_text(h.get("value", "")))
-               for h in (items or [])]
+               for h in map(_har_json, _har_json(items, list))]
     if mime_type and not header_value(headers, "Content-Type"):
         headers.append(Header("Content-Type", _har_text(mime_type)))
     return headers
 
 
 def _har_interaction(entry: dict) -> Interaction:
-    req = entry.get("request") or {}
-    resp = entry.get("response") or {}
+    req = _har_json(entry.get("request"))
+    resp = _har_json(entry.get("response"))
     uri = require_host(parse_uri(_har_text(req["url"])))
-    post = req.get("postData") or {}
+    post = _har_json(req.get("postData"))
     text = _har_text(post.get("text") or "")
     req_headers = _har_headers(req.get("headers"),
                                text and post.get("mimeType"))
@@ -373,7 +382,7 @@ def _har_interaction(entry: dict) -> Interaction:
                       http_version=_har_text(req.get("httpVersion")
                                              or "HTTP/1.1"))
 
-    content = resp.get("content") or {}
+    content = _har_json(resp.get("content"))
     resp_headers = _har_headers(resp.get("headers"), content.get("mimeType"))
     text = _har_text(content.get("text") or "")
     if content.get("encoding") == "base64":

@@ -23,7 +23,7 @@ def is_token(text: str) -> bool:
 
 # Value records are namedtuples; those with a check subclass one, with
 # empty __slots__ so that instances stay immutable, and _Checked, so that
-# _make and _replace make the check too.
+# _make, _replace, copy and every pickle protocol make the check too.
 
 class _Checked:
     __slots__ = ()
@@ -31,6 +31,9 @@ class _Checked:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 class Method(_Checked, namedtuple("Method", "name")):
@@ -55,9 +58,8 @@ class Header(_Checked, namedtuple("Header", "name value")):
         return tuple.__new__(cls, (name, value))
 
 
-# A body: its media type, its octets and, for an RDF media type, the parsed
-# rdf.Graph.
-Body = namedtuple("Body", "media_type octets rdf", defaults=(None, b"", None))
+# A body: its octets and, for an RDF Content-Type, the parsed rdf.Graph.
+Body = namedtuple("Body", "octets rdf", defaults=(b"", None))
 
 # A request: a Method, a uri.UriParts and a tuple of Headers.
 Request = namedtuple("Request", "method uri headers body http_version",

@@ -38,6 +38,7 @@ _IRI = re.compile(IRI_CHARS)
 # language). A triple's first item is a term, never a str, so no triple
 # equals a literal. BlankNode, Literal and Triple check their items in a
 # function installed as __new__, which the lifter and parser call directly.
+# Each kind pickles as a call of its class, so every protocol checks too.
 
 _tuple_new = tuple.__new__
 
@@ -51,8 +52,8 @@ class Iri(tuple):
             raise ValueError("not an IRI: " + reprlib.repr(value))
         return _tuple_new(cls, (value,))
 
-    def __getnewargs__(self):
-        return tuple(self)
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def __repr__(self):
         return "Iri(%r)" % self.value
@@ -69,8 +70,8 @@ class BlankNode(tuple):
     label = property(itemgetter(1))
     __new__ = _new_bnode
 
-    def __getnewargs__(self):
-        return (self[1],)
+    def __reduce__(self):
+        return type(self), (self[1],)
 
     def __repr__(self):
         return "BlankNode(%r)" % self.label
@@ -102,8 +103,8 @@ class Literal(tuple):
     language = property(itemgetter(2))
     __new__ = _new_literal
 
-    def __getnewargs__(self):
-        return tuple(self)
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def __repr__(self):
         lexical, datatype, language = self
@@ -136,8 +137,8 @@ class Triple(tuple):
     object = property(itemgetter(2))
     __new__ = _new_triple
 
-    def __getnewargs__(self):
-        return tuple(self)
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def __repr__(self):
         return "Triple(subject=%r, predicate=%r, object=%r)" % self
@@ -506,11 +507,6 @@ def _tuples_isomorphic(a: list, b: list) -> bool:
                 break
         else:
             return False
-
-
-def isomorphic(a: Graph, b: Graph) -> bool:
-    """True iff some blank-node bijection maps graph a exactly onto b."""
-    return a == b or _tuples_isomorphic(list(a), list(b))
 
 
 def isomorphic_datasets(a: Dataset, b: Dataset) -> bool:

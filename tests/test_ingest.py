@@ -101,7 +101,7 @@ class TestParseRequest:
                 "Content-Length: 5\n\nhelloTRAILING GARBAGE")
         r = parse_http_request(text)
         assert r.body.octets == b"hello"
-        assert r.body.media_type == "text/plain"
+        assert header_value(r.headers, "Content-Type") == "text/plain"
 
     def test_negative_content_length_rejected(self):
         # rest[:-5] would silently cut the body short
@@ -185,7 +185,7 @@ class TestChunkedBody:
     def test_decoded(self, body):
         r = parse_http_request(CHUNKED + body)
         assert r.body.octets == b"Wikipedia in \r\nchunks."
-        assert r.body.media_type == "text/plain"
+        assert header_value(r.headers, "Content-Type") == "text/plain"
 
     def test_overrides_content_length(self):
         text = CHUNKED.replace("\r\n\r\n", "\r\nContent-Length: 2\r\n\r\n")
@@ -600,7 +600,8 @@ class TestHar:
     def test_fixture_loads(self):
         c = load_har(SAMPLE_HAR)
         assert len(c.interactions) == 2
-        assert c.interactions[1].responses[-1].body.media_type == "text/turtle"
+        assert header_value(c.interactions[1].responses[-1].headers,
+                            "content-type") == "text/turtle"
 
     def test_entries_sorted_by_start_time(self):
         doc = json.loads(SAMPLE_HAR)
@@ -710,8 +711,8 @@ class TestHar:
                 "HAR entry 1: bad host in request target: %r" % url)):
             load_har(json.dumps(doc))
 
-    # Every string of an entry is checked before it is used: a JSON
-    # number where a string belongs, or a lone surrogate, is named.
+    # Every string, object and array of an entry is checked where it is
+    # read: a value of another JSON type, or a lone surrogate, is named.
     @pytest.mark.parametrize("n, mutate, message", [
         (1, lambda e: e["request"].update(method=5), "not a string: number"),
         (1, lambda e: e["request"]["headers"][0].update(name=5),
@@ -726,15 +727,40 @@ class TestHar:
          "not a string: array"),
         (2, lambda e: e["response"]["content"].update(text="\ud800"),
          "lone surrogate at offset 0"),
+        (1, lambda e: e.update(request=[1]), "not an object: array"),
+        (2, lambda e: e.update(response=[1]), "not an object: array"),
+        (1, lambda e: e["request"].update(headers=[1]),
+         "not an object: number"),
+        (1, lambda e: e["request"].update(headers={"a": 1}),
+         "not an array: object"),
+        (1, lambda e: e["request"].update(postData="x"),
+         "not an object: string"),
+        (2, lambda e: e["response"].update(content=[1]),
+         "not an object: array"),
     ], ids=["method", "header-name", "post-data-text", "content-text",
             "content-text-base64", "content-text-array",
-            "content-text-surrogate"])
+            "content-text-surrogate", "request-array", "response-array",
+            "header-number", "headers-object", "post-data-string",
+            "content-array"])
     def test_value_that_is_not_a_string_errors(self, n, mutate, message):
         doc = json.loads(SAMPLE_HAR)
         mutate(doc["log"]["entries"][n - 1])
         with pytest.raises(IngestError, match="^%s$" % re.escape(
                 "HAR entry %d: %s" % (n, message))):
             load_har(json.dumps(doc))
+
+    # Null and empty objects and arrays are read as empty ones.
+    @pytest.mark.parametrize("empty", [None, {}, []])
+    def test_null_or_empty_values_are_empty(self, empty):
+        doc = json.loads(SAMPLE_HAR)
+        request = doc["log"]["entries"][0]["request"]
+        response = doc["log"]["entries"][1]["response"]
+        request.update(headers=empty, postData=empty)
+        response.update(headers=empty, content=empty)
+        c = load_har(json.dumps(doc))
+        assert c.interactions[0].request.headers == ()
+        assert c.interactions[0].request.body is None
+        assert c.interactions[1].responses[-1].body is None
 
     # A status is a JSON integer or a string of ASCII digits; browsers
     # write 0 for an aborted request.

@@ -2,6 +2,8 @@
 and the value semantics of every record type. The status classes are the
 ontology's datatype restrictions, read through vocab.registry()."""
 
+import copy
+import pickle
 import sys
 
 import pytest
@@ -219,7 +221,7 @@ _GET = Request(Method("GET"), _URI)
 RECORDS = [
     (Method, {"name": "GET"}),
     (Header, {"name": "A", "value": "b"}),
-    (Body, {"media_type": "text/plain", "octets": b"hi", "rdf": Graph()}),
+    (Body, {"octets": b"hi", "rdf": Graph()}),
     (Request, {"method": Method("GET"), "uri": _URI,
                "headers": (Header("Host", "h"),), "body": None,
                "http_version": "HTTP/1.1"}),
@@ -235,6 +237,8 @@ RECORDS = [
                "focus": Iri("http://x/m"), "message": "no type"}),
     (ValidationReport, {"findings": (), "checked_rules": ("R1",)}),
 ]
+CHECKED = [(cls, fields) for cls, fields in RECORDS
+           if cls in (Method, Header, Response, Interaction)]
 
 
 class TestValueRecords:
@@ -306,6 +310,35 @@ class TestValueRecords:
                 (Interaction(_GET)._replace(responses=(Response(204),)),
                  Interaction(_GET, (Response(204),)))]:
             assert type(made) is type(want) and made == want
+
+    # copy and every pickle protocol rebuild a checked record by a call of
+    # its class: a good one keeps its exact class, a bad one fails the check.
+    @pytest.mark.parametrize("cls, fields", CHECKED,
+                             ids=[cls.__name__ for cls, _ in CHECKED])
+    def test_copies_keep_their_exact_class(self, cls, fields):
+        a = cls(**fields)
+        for b in [copy.copy(a), copy.deepcopy(a)] + [
+                pickle.loads(pickle.dumps(a, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+            assert type(b) is cls and b == a
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("bad, message", [
+        (tuple.__new__(Method, ("a b",)),
+         "method name must be a non-empty token: 'a b'"),
+        (tuple.__new__(Header, ("a b", "v")),
+         "header name must be a non-empty token: 'a b'"),
+        (tuple.__new__(Response, (1000, (), None, None)),
+         "status code must have at most 3 digits: 1000"),
+        (tuple.__new__(Interaction, (_GET, (Response(200),) * 2)),
+         "interim response must have a 1xx status, got 200"),
+    ], ids=["method", "header", "response", "interaction"])
+    def test_every_protocol_runs_the_checks(self, bad, message, protocol):
+        for copy_of in (copy.copy, lambda x: pickle.loads(
+                pickle.dumps(x, protocol))):
+            with pytest.raises(IngestError) as e:
+                copy_of(bad)
+            assert str(e.value) == message
 
 
 # The character set that is_token replaced, kept as a reference.

@@ -16,7 +16,7 @@ from httplift.turtle import parse_trig, serialize_trig
 from httplift.validate import validate
 from httplift.rdf import (
     Iri, BlankNode, Literal, Triple, Graph, Dataset,
-    eval_path, isomorphic, isomorphic_datasets,
+    eval_path, isomorphic_datasets,
     XSD_STRING, XSD_INTEGER, RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL,
     RDF_LANG_STRING,
 )
@@ -129,6 +129,31 @@ class TestTerms:
         data = pickle.dumps(bad)
         with pytest.raises(ValueError, match=message):
             pickle.loads(data)
+
+    # copy and every pickle protocol rebuild a term or triple by a call of
+    # its class, so each runs the check.
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("bad, message", [
+        (tuple.__new__(Iri, ("a b",)), "not an IRI: 'a b'"),
+        (tuple.__new__(BlankNode, (None, "")),
+         "blank node label must be non-empty"),
+        (tuple.__new__(Triple, (Literal("x"), iri("p"), iri("p"))),
+         "triple subject must be an IRI or blank node")],
+        ids=["iri", "blank-node", "triple"])
+    def test_every_protocol_runs_the_checks(self, bad, message, protocol):
+        for copy_of in (copy.copy, lambda x: pickle.loads(
+                pickle.dumps(x, protocol))):
+            with pytest.raises(ValueError) as e:
+                copy_of(bad)
+            assert str(e.value) == message
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_every_protocol_tags_a_literal_as_its_class_does(self, protocol):
+        # A language-tagged literal carries rdf:langString.
+        bad = tuple.__new__(Literal, ("x", XSD_INTEGER, "en"))
+        for y in (copy.copy(bad), pickle.loads(pickle.dumps(bad, protocol))):
+            assert tuple(y) == ("x", RDF_LANG_STRING, "en")
+            assert type(y) is Literal
 
 
 # hypothesis: terms compare and hash by kind and value, also when one text
@@ -248,29 +273,29 @@ class TestIsomorphism:
     def test_ground_graphs_compare_by_equality(self):
         g = Graph([Triple(iri("s"), iri("p"), iri("o"))])
         h = Graph([Triple(iri("s"), iri("p"), iri("o"))])
-        assert isomorphic(g, h)
-        assert not isomorphic(g, Graph())
+        assert isomorphic_datasets(Dataset(g), Dataset(h))
+        assert not isomorphic_datasets(Dataset(g), Dataset(Graph()))
 
     def test_blank_relabelling_is_isomorphic(self):
         g = Graph([Triple(BlankNode("a"), iri("p"), BlankNode("b")),
                    Triple(BlankNode("b"), iri("p"), iri("end"))])
         h = Graph([Triple(BlankNode("x"), iri("p"), BlankNode("y")),
                    Triple(BlankNode("y"), iri("p"), iri("end"))])
-        assert isomorphic(g, h)
+        assert isomorphic_datasets(Dataset(g), Dataset(h))
 
     def test_structure_matters(self):
         g = Graph([Triple(BlankNode("a"), iri("p"), BlankNode("b")),
                    Triple(BlankNode("b"), iri("p"), iri("end"))])
         h = Graph([Triple(BlankNode("x"), iri("p"), BlankNode("y")),
                    Triple(BlankNode("x"), iri("p"), iri("end"))])
-        assert not isomorphic(g, h)
+        assert not isomorphic_datasets(Dataset(g), Dataset(h))
 
     def test_blank_mapping_must_be_injective(self):
         g = Graph([Triple(BlankNode("a"), iri("p"), iri("o")),
                    Triple(BlankNode("b"), iri("q"), iri("o"))])
         h = Graph([Triple(BlankNode("x"), iri("p"), iri("o")),
                    Triple(BlankNode("x"), iri("q"), iri("o"))])
-        assert not isomorphic(g, h)
+        assert not isomorphic_datasets(Dataset(g), Dataset(h))
 
     def test_dataset_iso_spans_graph_names(self):
         g = Graph([Triple(iri("s"), iri("p"), iri("o"))])
@@ -394,9 +419,10 @@ def _registration_header_swap():
                  True, id="lone-nodes-1000-relabelled"),
 ])
 def test_hard_isomorphism_cases(a, b, expected):
-    check = isomorphic_datasets if isinstance(a, Dataset) else isomorphic
-    assert check(a, b) is expected
-    assert check(b, a) is expected
+    if isinstance(a, Graph):
+        a, b = Dataset(a), Dataset(b)
+    assert isomorphic_datasets(a, b) is expected
+    assert isomorphic_datasets(b, a) is expected
 
 
 def test_search_backtracks_past_a_failed_branch():
@@ -411,7 +437,7 @@ def test_search_backtracks_past_a_failed_branch():
     for k in range(20):
         new = ["r%d-%d" % (k, i) for i in rng.sample(range(12), 12)]
         h = Graph(_cycle(new[:3]) + _cycle(new[3:6]) + _cycle(new[6:]))
-        assert isomorphic(g, h)
+        assert isomorphic_datasets(Dataset(g), Dataset(h))
 
 
 def test_undo_restores_the_colouring_at_its_mark(monkeypatch):
@@ -440,7 +466,7 @@ def test_undo_restores_the_colouring_at_its_mark(monkeypatch):
     hub = [Triple(BlankNode("hub"), iri("q"), BlankNode(x)) for x in labels]
     g = Graph(hub + _cycle(labels[:3]) + _cycle(labels[3:]))
     h = Graph(hub + _cycle(labels))
-    assert not isomorphic(g, h)
+    assert not isomorphic_datasets(Dataset(g), Dataset(h))
     assert len(undone) > 3
 
 
@@ -519,8 +545,8 @@ class TestEqualInputs:
         lifted, reparsed = _lifted_and_reparsed(name)
         assert _blank_nodes(lifted) and lifted == reparsed
         assert isomorphic_datasets(lifted, reparsed) is True
-        assert isomorphic(lifted.default_graph,
-                          reparsed.default_graph) is True
+        assert isomorphic_datasets(Dataset(lifted.default_graph),
+                                   Dataset(reparsed.default_graph)) is True
 
     @pytest.mark.parametrize("name", _LIFTED_FIXTURES)
     def test_relabelled_copy_still_refines(self, name, signature_calls):
@@ -529,8 +555,8 @@ class TestEqualInputs:
         assert isomorphic_datasets(lifted, relabelled) is True
         assert signature_calls
         signature_calls.clear()
-        assert isomorphic(lifted.default_graph,
-                          relabelled.default_graph) is True
+        assert isomorphic_datasets(Dataset(lifted.default_graph),
+                                   Dataset(relabelled.default_graph)) is True
         assert signature_calls
 
     @pytest.mark.parametrize("name", _LIFTED_FIXTURES)
@@ -563,7 +589,7 @@ def test_blank_permutation_preserves_isomorphism(triples, perm):
 
     g = Graph(triples)
     h = Graph(rename(t) for t in triples)
-    assert isomorphic(g, h)
+    assert isomorphic_datasets(Dataset(g), Dataset(h))
 
 
 # hypothesis: isomorphism agrees with a search over every bijection
@@ -609,7 +635,8 @@ def test_isomorphic_agrees_with_brute_force(ta, tb):
     expected = _isomorphic_by_brute_force(Dataset(Graph(ta)),
                                           Dataset(Graph(tb)))
     event("isomorphic" if expected else "not isomorphic")
-    assert isomorphic(Graph(ta), Graph(tb)) is expected
+    assert isomorphic_datasets(Dataset(Graph(ta)),
+                               Dataset(Graph(tb))) is expected
 
 
 def _dataset(quads) -> Dataset:

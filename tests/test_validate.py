@@ -11,11 +11,12 @@ import pytest
 from httplift.ingest import load_transcript
 from httplift.lift import lift_conversation
 from httplift.rdf import (
-    BlankNode, Iri, Literal, Triple, Graph, Dataset, RDF_TYPE, XSD_INTEGER,
+    BlankNode, Iri, Literal, Triple, Graph, Dataset, RDF_FIRST, RDF_NIL,
+    RDF_REST, RDF_TYPE, XSD_INTEGER,
 )
 from httplift.validate import validate, explain, RULE_IDS
 from httplift import cli, vocab
-from httplift.turtle import format_term
+from httplift.turtle import format_term, parse_trig, parse_turtle
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -405,3 +406,70 @@ class TestStatusCodeLexical:
         assert self.findings(clean, "201", datatype, language) == [
             ("violation", "status code number is not an integer: %s"
              % format_term(literal, vocab.PREFIXES))]
+
+
+class TestRequiredValues:
+    """R2, R3, R6 and R10 report each focus node with no value of a
+    required property, once per time the node is listed: a status node
+    shared by two responses, a message with two bodies and a header with
+    two names each give two identical lines."""
+
+    def test_every_missing_value_is_reported(self):
+        dataset = parse_trig(
+            "@prefix : <http://w3id.org/http#> .\n"
+            "@prefix ex: <http://example.org/> .\n"
+            "ex:q a :Request .\n"
+            "ex:r1 a :Response .\n"
+            "ex:r2 a :Response ; :sc ex:s .\n"
+            "ex:r3 a :Response ; :sc ex:s .\n"
+            "ex:m :body ex:b1 , ex:b2 .\n"
+            'ex:h :hdrName "Location" , "location" .\n')
+        assert validate(dataset).to_text() == (
+            "VIOLATION [R1] <http://example.org/h>: 2 values for functional"
+            " property :hdrName\n"
+            "VIOLATION [R1] <http://example.org/m>: 2 values for functional"
+            " property :body\n"
+            "VIOLATION [R2] <http://example.org/q>: request has no effective"
+            " URI\n"
+            "VIOLATION [R2] <http://example.org/q>: request has no method\n"
+            "VIOLATION [R3] <http://example.org/r1>: response has no status"
+            " instance\n"
+            "VIOLATION [R3] <http://example.org/s>: status instance has no"
+            " status code number\n"
+            "VIOLATION [R3] <http://example.org/s>: status instance has no"
+            " status code number\n"
+            "VIOLATION [R6] <http://example.org/m>: message has a body but no"
+            " declared content type\n"
+            "VIOLATION [R6] <http://example.org/m>: message has a body but no"
+            " declared content type\n"
+            "VIOLATION [R10] <http://example.org/h>: Location header value"
+            " could not be lifted to a URI\n"
+            "VIOLATION [R10] <http://example.org/h>: Location header value"
+            " could not be lifted to a URI\n")
+
+    def test_pairs_are_restrictions_of_the_ontology(self):
+        # R2's, R3's and R10's (class, property) pairs are the
+        # owl:someValuesFrom restrictions under each class's rdfs:subClassOf
+        # or owl:equivalentClass, directly or in an owl:intersectionOf list.
+        onto = parse_turtle(vocab.ontology_text(extensions=True))
+
+        def owl(name):
+            return Iri(vocab.OWL + name)
+
+        def restricted(cls):
+            """The properties of cls's owl:someValuesFrom restrictions."""
+            nodes = [n for axiom in (Iri(vocab.RDFS + "subClassOf"),
+                                     owl("equivalentClass"))
+                     for n in onto.objects(cls, axiom)]
+            for head in [h for n in nodes
+                         for h in onto.objects(n, owl("intersectionOf"))]:
+                while head != RDF_NIL:
+                    nodes.append(onto.value(head, RDF_FIRST))
+                    head = onto.value(head, RDF_REST)
+            return {onto.value(n, owl("onProperty")) for n in nodes
+                    if onto.objects(n, owl("someValuesFrom"))}
+
+        assert restricted(vocab.REQUEST) == {vocab.MTHD_PROP, vocab.URI_PROP}
+        assert restricted(vocab.RESPONSE) == {vocab.SC_PROP}
+        assert restricted(vocab.STATUS_CODE) == {vocab.STATUS_CODE_NUMBER}
+        assert restricted(vocab.LOCATION_HEADER) == {vocab.LINK}
