@@ -177,7 +177,11 @@ def parse_http_request(raw: Union[bytes, str]) -> Request:
     _check_version(version)
     headers = _parse_headers(lines[1:], request=True)
     method = Method(method_token)
-    uri = effective_request_uri(target, header_value(headers, "Host"))
+    # RFC 9112 section 3.2: a server rejects more than one Host field line.
+    hosts = [h.value for h in headers if h.name.lower() == "host"]
+    if len(hosts) > 1:
+        raise IngestError("more than one Host field line")
+    uri = effective_request_uri(target, hosts[0] if hosts else None)
     octets = _frame_body(headers, rest)
     return Request(method=method, uri=uri, headers=tuple(headers),
                    body=_make_body(headers, octets), http_version=version)

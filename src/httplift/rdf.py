@@ -2,9 +2,9 @@
 datasets, property paths and blank-node-aware isomorphism.
 
 Graphs and datasets are immutable after construction; all operations here
-are pure functions and safe to use from multiple threads. A graph builds
-its SPO and POS indexes together on its first lookup, not on
-construction.
+are pure functions and safe to use from multiple threads. A graph groups
+its triples by predicate, and one predicate's by subject or object, when a
+lookup first reads that grouping, never on construction.
 
 Isomorphism first tries the bijection that keeps every label: equal inputs
 are accepted by one comparison. Otherwise it seeds blank-node colours from
@@ -20,7 +20,6 @@ import re
 import reprlib
 from itertools import chain
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -144,30 +143,28 @@ class Triple(tuple):
         return "Triple(subject=%r, predicate=%r, object=%r)" % self
 
 
-_NO_KEYS: Mapping = MappingProxyType({})
-
-
-def _build_index(triples: Iterable[Triple]) -> tuple:
-    """The SPO index `s -> p -> [t]` and the POS index `p -> o -> [t]` of
-    `triples`, built in one pass. Every list keeps the order in which
-    `triples` yields its members."""
-    spo, pos = {}, {}
+def _build_index(triples: Iterable[Triple], pos: int) -> dict:
+    """`triples` grouped by their item at `pos`. Every list keeps the order
+    in which `triples` yields its members."""
+    groups = {}
     for t in triples:
-        s, p, o = t
-        spo.setdefault(s, {}).setdefault(p, []).append(t)
-        pos.setdefault(p, {}).setdefault(o, []).append(t)
-    return spo, pos
+        groups.setdefault(t[pos], []).append(t)
+    return groups
 
 
 class Graph:
     """An immutable, duplicate-free set of triples.
 
-    Lookups are answered from an SPO and a POS hash index (Weiss, Karras &
-    Bernstein, "Hexastore", VLDB 2008), both built on the first lookup
-    rather than on construction. `(s,·,o)` filters the triples of s, and
-    `(·,·,o)` visits o under every predicate. The pair lives in one slot
-    assigned once, so threads racing on that first lookup each see either
-    no index or a whole pair."""
+    Lookups read the triples grouped by predicate (vertical partitioning:
+    Abadi, Marcus, Madden & Hollenbach, VLDB 2007), and a predicate's
+    triples grouped by subject or by object, each grouping built by the
+    first lookup that reads it. They live in one dict, made on first use:
+    key None maps each predicate to its triples, and key (p, 0) or (p, 2)
+    maps p's triples by subject or by object. Each entry is assigned once
+    its grouping is complete, so threads racing on a first use build equal
+    groupings and a reader never sees a partial one. Patterns that leave
+    the predicate open chain over every predicate's triples. A graph
+    pickles and copies as a call of its class with its triples alone."""
 
     __slots__ = ("_triples", "_index")
 
@@ -179,29 +176,35 @@ class Graph:
         self._triples = triples
         self._index = None
 
-    def _indexes(self) -> tuple:
+    def __reduce__(self):
+        return type(self), (self._triples,)
+
+    def _group(self, key) -> dict:
+        """The grouping under `key`: None, or (predicate, 0 or 2)."""
         if self._index is None:
-            self._index = _build_index(self._triples)
-        return self._index
+            self._index = {}
+        found = self._index.get(key)
+        if found is None:
+            found = (_build_index(self._triples, 1) if key is None else
+                     _build_index(self._group(None).get(key[0], ()), key[1]))
+            self._index[key] = found
+        return found
 
     def _lookup(self, s: Optional[Term], p: Optional[Term],
                 o: Optional[Term]) -> Iterable[Triple]:
         """The triples matching a pattern, None being a wildcard. The result
         may be an internal container: callers copy it, never hand it out."""
-        if s is None and p is None and o is None:
-            return self._triples
-        spo, pos = self._indexes()
-        if s is not None:
-            by_p = spo.get(s, _NO_KEYS)
-            found = (chain.from_iterable(by_p.values()) if p is None
-                     else by_p.get(p, ()))
-            return found if o is None else [t for t in found if t[2] == o]
         if p is None:
-            return chain.from_iterable(by_o.get(o, ())
-                                       for by_o in pos.values())
-        by_o = pos.get(p, _NO_KEYS)
-        return (chain.from_iterable(by_o.values()) if o is None
-                else by_o.get(o, ()))
+            if s is None and o is None:
+                return self._triples
+            return chain.from_iterable(self._lookup(s, q, o)
+                                       for q in self._group(None))
+        if s is not None:
+            found = self._group((p, 0)).get(s, ())
+            return found if o is None else [t for t in found if t[2] == o]
+        if o is not None:
+            return self._group((p, 2)).get(o, ())
+        return self._group(None).get(p, ())
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> set:
@@ -215,7 +218,7 @@ class Graph:
 
     def value(self, s: Term, p: Iri) -> Optional[Term]:
         """A single object of (s, p, ·), or None. Arbitrary pick on >1."""
-        found = self._indexes()[0].get(s, _NO_KEYS).get(p)
+        found = self._group((p, 0)).get(s)
         return found[0].object if found else None
 
     def __len__(self):
@@ -255,6 +258,9 @@ class Dataset:
             if not isinstance(g, Graph):
                 raise TypeError("named graph value must be a Graph")
         self._named = named
+
+    def __reduce__(self):
+        return type(self), (self._default, self._named)
 
     @property
     def default_graph(self) -> Graph:

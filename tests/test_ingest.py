@@ -92,6 +92,25 @@ class TestParseRequest:
                                  % host).uri
         assert (uri.authority, uri.path, uri.query) == (host, "/a", "q=1")
 
+    # RFC 9112 section 3.2: more than one Host field line is rejected,
+    # whatever the values, the casing of the names or the target's form.
+    @pytest.mark.parametrize("target", ["/a", "http://h/a"])
+    @pytest.mark.parametrize("fields", [
+        "Host: h\nHost: h", "Host: h\nHost: other", "host: h\nHost: h",
+        "Host: h\nX: v\nHOST: other"])
+    def test_more_than_one_host_line_errors(self, fields, target):
+        with pytest.raises(IngestError,
+                           match="^more than one Host field line$"):
+            parse_http_request("GET %s HTTP/1.1\n%s\n\n" % (target, fields))
+
+    def test_transcript_names_the_message_with_two_host_lines(self):
+        text = ("GET /a HTTP/1.1\nHost: h\n---\nHTTP/1.1 200 OK\n---\n"
+                "GET /b HTTP/1.1\nHost: h\nhost: g\n")
+        with pytest.raises(IngestError, match=re.escape(
+                "transcript message 3 (line 6): more than one Host field "
+                "line")):
+            load_transcript(text)
+
     def test_malformed_request_line(self):
         with pytest.raises(IngestError):
             parse_http_request("GET /p\n\n")

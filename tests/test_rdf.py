@@ -5,6 +5,9 @@ import itertools
 import os
 import pickle
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -12,6 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 from httplift import cli, queries, rdf, vocab
 from httplift.ingest import load_transcript
 from httplift.lift import lift_conversation
+from httplift.model import Body
 from httplift.turtle import parse_trig, serialize_trig
 from httplift.validate import validate
 from httplift.rdf import (
@@ -241,6 +245,44 @@ class TestDatasetGraph:
         missing = self.d.graph(iri("nope"))
         assert isinstance(missing, Graph)
         assert len(missing) == 0 and missing == Graph()
+
+
+class _ForgedGraph:
+    """Pickles as a Graph call with a member that is not a Triple."""
+
+    def __reduce__(self):
+        return Graph, (frozenset({("a", "b", "c")}),)
+
+
+class TestGraphPickle:
+    g = Graph([Triple(iri("s"), iri("p"), Literal("v")),
+               Triple(BlankNode("b"), iri("q"), iri("o"))])
+
+    @pytest.mark.parametrize("x", [
+        g, Dataset(g, {iri("n"): g, BlankNode("m"): Graph()}),
+        Body(b"x", g)], ids=["graph", "dataset", "body"])
+    def test_round_trips_at_every_protocol_and_copy(self, x):
+        copies = [copy.copy(x)] + [
+            pickle.loads(pickle.dumps(x, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in copies:
+            assert type(y) is type(x) and y == x
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_built_groupings_stay_out_of_the_pickle(self, protocol):
+        g = Graph(self.g)
+        g.match(iri("s"), iri("p"))
+        g.match(None, iri("q"), iri("o"))
+        assert g._index
+        assert (pickle.dumps(g, protocol)
+                == pickle.dumps(Graph(self.g), protocol))
+        assert pickle.loads(pickle.dumps(g, protocol))._index is None
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_runs_the_triple_check(self, protocol):
+        data = pickle.dumps(_ForgedGraph(), protocol)
+        with pytest.raises(TypeError, match="^not a Triple: "):
+            pickle.loads(data)
 
 
 class TestPaths:
@@ -771,13 +813,14 @@ def test_lookups_agree_with_a_scan(triples, data):
 class TestIndexBuilds:
     @pytest.fixture
     def built(self, monkeypatch):
-        """The triples of every SPO/POS index pair that gets built."""
+        """(triples, position) of every grouping that gets built."""
         calls = []
         original = rdf._build_index
 
-        def counting(triples):
-            calls.append(frozenset(triples))
-            return original(triples)
+        def counting(triples, pos):
+            triples = list(triples)
+            calls.append((frozenset(triples), pos))
+            return original(triples, pos)
 
         monkeypatch.setattr(rdf, "_build_index", counting)
         return calls
@@ -799,29 +842,69 @@ class TestIndexBuilds:
             queries.cq5_negotiation(d, request)
         assert queries.cq6_body_values(d, Iri("http://example.org/ns#ids"))
         queries.cq7_query_param(d, "count")
-        assert built.count(frozenset(g)) == 1
+        assert built.count((frozenset(g), 1)) == 1
+        # No rule or query reads a header's value by subject or object, so
+        # :hdrValue is grouped by predicate only.
+        assert vocab.HDR_VALUE in g._index[None]
+        assert [key for key in g._index
+                if key is not None and key[0] == vocab.HDR_VALUE] == []
 
-    # `order` is the key positions of the index of the pair that answers
-    # the pattern: SPO (0, 1) or POS (1, 2).
+    # `order` holds the groupings within one predicate that answer the
+    # pattern, as their keys in `Graph._index`: (predicate, the position
+    # they are grouped by). None: the pattern reads no grouping at all.
     @pytest.mark.parametrize("pattern, order", [
-        ("spo", (0, 1)), ("sp-", (0, 1)), ("s--", (0, 1)),
-        ("-po", (1, 2)), ("-p-", (1, 2)),
-        ("s-o", (0, 1)), ("--o", (1, 2)), ("---", None)])
+        ("spo", {("p", 0)}), ("sp-", {("p", 0)}),
+        ("s--", {("p", 0), ("q", 0)}),
+        ("-po", {("p", 2)}), ("-p-", set()),
+        ("s-o", {("p", 0), ("q", 0)}), ("--o", {("p", 2), ("q", 2)}),
+        ("---", None)])
     def test_a_lookup_builds_only_the_index_it_reads(self, built, pattern,
                                                      order):
         t = Triple(iri("s"), iri("p"), iri("o"))
-        g = Graph([t])
+        u = Triple(iri("s"), iri("q"), iri("o"))
+        g = Graph([t, u, Triple(iri("s2"), iri("p"), iri("o2"))])
         s, p, o = (x if c != "-" else None for x, c in zip(t, pattern))
         for _ in range(2):
-            assert g.match(s, p, o) == {t}
-        assert built == ([frozenset(g)] if order else [])
-        if order:
-            # The answer stands with the other index of the pair emptied.
-            g._index = tuple(index if key == order else {} for key, index
-                             in zip([(0, 1), (1, 2)], g._index))
-            assert g.match(s, p, o) == {t}
+            assert g.match(s, p, o) == _scan(g, s, p, o)
+        if order is None:
+            assert built == [] and g._index is None
+            return
+        keys = {(iri(name), pos) for name, pos in order}
+        assert set(g._index) == {None} | keys
+        expected = [(frozenset(g), 1)] + [
+            (frozenset(_scan(g, None, q, None)), pos) for q, pos in keys]
+        assert len(built) == len(expected) and set(built) == set(expected)
 
     def test_lift_and_serialize_build_no_index(self, built):
         d = lift_conversation(self.conversation())
         serialize_trig(d, vocab.PREFIXES)
         assert built == []
+
+    def test_threads_racing_on_first_lookups_get_the_scan(self):
+        # Enough triples, and a short enough switch interval, that a first
+        # grouping is still being built when other threads ask for it.
+        g = Graph(Triple(iri("s%d" % (i % 50)), iri("p%d" % (i % 7)),
+                         Literal(str(i % 30))) for i in range(3000))
+        terms = (iri("s3"), iri("p3"), Literal("3"))
+        patterns = [tuple(x if b else None for x, b in zip(terms, bound))
+                    for bound in itertools.product((False, True), repeat=3)]
+        expected = [_scan(g, *pattern) for pattern in patterns]
+        values = {t.object for t in _scan(g, *terms[:2], None)}
+        start = threading.Barrier(8, timeout=30)
+
+        def first_lookups(k):
+            start.wait()
+            order = list(range(k, 8)) + list(range(k))
+            found = {i: g.match(*patterns[i]) for i in order}
+            return [found[i] for i in range(8)], g.value(*terms[:2])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                answers = list(pool.map(first_lookups, range(8),
+                                        timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(found == expected and value in values
+                   for found, value in answers)
