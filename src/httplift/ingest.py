@@ -26,20 +26,19 @@ RDF_MEDIA_TYPES = ("text/turtle", "application/trig")
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
 
 
-def _split_head_body(raw: Union[bytes, str]) -> Tuple[str, bytes]:
-    """The header section as text and the rest as bytes. Wire bytes are
-    read as ISO-8859-1 (RFC 9110 section 5.5); a str keeps its text, and
-    its body is encoded as UTF-8."""
+def _split_head_body(raw: Union[bytes, str]) -> Tuple[str, List[str], bytes]:
+    """The start line and the field lines as text, and the rest as bytes.
+    Wire bytes are read as ISO-8859-1 (RFC 9110 section 5.5); a str keeps
+    its text, and its body is encoded as UTF-8."""
     data, charset = raw, "iso-8859-1"
     if isinstance(raw, str):
         try:
             data, charset = raw.encode("utf-8"), "utf-8"
         except UnicodeEncodeError as e:
             raise IngestError("lone surrogate at offset %d" % e.start)
-    m = _HEAD_END.search(data)
-    if m is None:
-        return data.decode(charset), b""
-    return data[:m.start()].decode(charset), data[m.end():]
+    head, *rest = _HEAD_END.split(data, 1)
+    start, *fields = head.decode(charset).split("\n")
+    return start, fields, rest[0] if rest else b""
 
 
 # RFC 9112 section 3: the words of a start line are separated by SP, HTAB,
@@ -168,37 +167,35 @@ def _make_body(headers: List[Header], octets: bytes) -> Optional[Body]:
 def parse_http_request(raw: Union[bytes, str]) -> Request:
     """Parse a raw HTTP/1.1 request. The effective URI is computed from the
     request target and (for origin-form targets) the Host header."""
-    head, rest = _split_head_body(raw)
-    lines = head.split("\n")
-    parts = _START_LINE_WORD.findall(lines[0])
+    start, fields, rest = _split_head_body(raw)
+    parts = _START_LINE_WORD.findall(start)
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise IngestError("malformed request line: " + reprlib.repr(lines[0]))
+        raise IngestError("malformed request line: " + reprlib.repr(start))
     method_token, target, version = parts
     _check_version(version)
-    headers = _parse_headers(lines[1:], request=True)
+    headers = _parse_headers(fields, request=True)
     method = Method(method_token)
     # RFC 9112 section 3.2: a server rejects more than one Host field line.
     hosts = [h.value for h in headers if h.name.lower() == "host"]
     if len(hosts) > 1:
         raise IngestError("more than one Host field line")
     uri = effective_request_uri(target, hosts[0] if hosts else None)
-    octets = _frame_body(headers, rest)
     return Request(method=method, uri=uri, headers=tuple(headers),
-                   body=_make_body(headers, octets), http_version=version)
+                   body=_make_body(headers, _frame_body(headers, rest)),
+                   http_version=version)
 
 
 def parse_http_response(raw: Union[bytes, str]) -> Response:
     """Parse a raw HTTP/1.1 response. Both status-line orders are accepted:
     'HTTP/1.1 201 Created' and the inverted '201 Created HTTP/1.1'."""
-    head, rest = _split_head_body(raw)
-    lines = head.split("\n")
-    parts = _START_LINE_WORD.findall(lines[0])
+    start, fields, rest = _split_head_body(raw)
+    parts = _START_LINE_WORD.findall(start)
     if len(parts) >= 2 and parts[0].startswith("HTTP/"):
         version, code_token = parts[0], parts[1]
     elif len(parts) >= 2 and parts[-1].startswith("HTTP/"):
         version, code_token = parts[-1], parts[0]
     else:
-        raise IngestError("malformed status line: " + reprlib.repr(lines[0]))
+        raise IngestError("malformed status line: " + reprlib.repr(start))
     _check_version(version)
     if not (code_token.isascii() and code_token.isdigit()):
         raise IngestError("non-numeric status code: %s"
@@ -206,10 +203,10 @@ def parse_http_response(raw: Union[bytes, str]) -> Response:
     if len(code_token) != 3:
         raise IngestError("status code must have exactly 3 digits: %s"
                           % reprlib.repr(code_token))
-    headers = _parse_headers(lines[1:], request=False)
-    octets = _frame_body(headers, rest)
+    headers = _parse_headers(fields, request=False)
     return Response(status_code=int(code_token), headers=tuple(headers),
-                    body=_make_body(headers, octets), http_version=version)
+                    body=_make_body(headers, _frame_body(headers, rest)),
+                    http_version=version)
 
 
 # --------------------------------------------------------------------------

@@ -160,31 +160,23 @@ class Lifter:
 
     # -- Messages -----------------------------------------------------------
 
-    # A standard method or status code lifts to its individual in the
-    # vendored ontology, described once, any other to a blank node.
-    def _lift_method(self, name: str) -> Term:
-        node = vocab.registry().methods.get(name)
+    def _lift_individual(self, node: Optional[Iri], cls: Iri, prop: Iri,
+                         value: Literal) -> Term:
+        """A method or status code: `node`, its individual in the vendored
+        ontology, described once, or a new blank node if it has none."""
         if node not in self._described:
             node = node or self.bnode()
             self._described.add(node)
-            self.add(node, RDF_TYPE, vocab.METHOD)
-            self.add(node, vocab.METHOD_NAME, self.literal(name))
-        return node
-
-    def _lift_status(self, code: int) -> Term:
-        node = vocab.registry().statuses.get(code)
-        if node not in self._described:
-            node = node or self.bnode()
-            self._described.add(node)
-            self.add(node, RDF_TYPE, vocab.STATUS_CODE)
-            self.add(node, vocab.STATUS_CODE_NUMBER,
-                     _new_literal(Literal, str(code), XSD_INTEGER))
+            self.add(node, RDF_TYPE, cls)
+            self.add(node, prop, value)
         return node
 
     def lift_request(self, r: Request) -> Term:
         node = self._message_node("req")
         self.add(node, RDF_TYPE, vocab.REQUEST)
-        self.add(node, vocab.MTHD_PROP, self._lift_method(r.method.name))
+        self.add(node, vocab.MTHD_PROP, self._lift_individual(
+            vocab.registry().methods.get(r.method.name), vocab.METHOD,
+            vocab.METHOD_NAME, self.literal(r.method.name)))
         self.add(node, vocab.URI_PROP, self.lift_uri(r.uri))
         return self._lift_message_parts(r, node, r.uri)
 
@@ -193,7 +185,10 @@ class Lifter:
         self.add(node, RDF_TYPE, vocab.RESPONSE)
         self.add(node, RDF_TYPE, vocab.INTERIM_RESPONSE if is_interim(r)
                  else vocab.FINAL_RESPONSE)
-        self.add(node, vocab.SC_PROP, self._lift_status(r.status_code))
+        self.add(node, vocab.SC_PROP, self._lift_individual(
+            vocab.registry().statuses.get(r.status_code), vocab.STATUS_CODE,
+            vocab.STATUS_CODE_NUMBER,
+            _new_literal(Literal, str(r.status_code), XSD_INTEGER)))
         return self._lift_message_parts(r, node, request_uri)
 
     def _lift_message_parts(self, r: Union[Request, Response], node: Term,

@@ -250,6 +250,8 @@ class Dataset:
 
     def __init__(self, default_graph: Graph = _EMPTY_GRAPH,
                  named_graphs: Optional[Mapping] = None):
+        if not isinstance(default_graph, Graph):
+            raise TypeError("default graph must be a Graph")
         self._default = default_graph
         named = dict(named_graphs or {})
         for name, g in named.items():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 import reprlib
-from itertools import count, islice
+from itertools import count, filterfalse, islice
 from typing import Dict, List, Optional
 
 from .rdf import (
@@ -150,12 +150,11 @@ class _Parser:
         self.default: set = set()
         self.named: Dict[Term, set] = {}
         self.sink = self.default
-        self.anon = count(1)
-        # One object per distinct term for the call; the term of each node
-        # token while the prefixes stay the same, and the literal of each
-        # string token that has no language tag or datatype. Strings are
-        # kept apart, so that no string is taken for a subject.
-        self.terms: dict = {}
+        self.anon = None    # fresh blank-node labels, made on first use
+        # One object per recurring token: the term of each node token while
+        # the prefixes stay the same, and the literal of each string token
+        # that has no language tag or datatype. Strings are kept apart, so
+        # that no string is taken for a subject.
         self.nodes: dict = {}
         self.strings: dict = {}
 
@@ -175,7 +174,15 @@ class _Parser:
         return i + 1
 
     def fresh_bnode(self) -> BlankNode:
-        return _new_bnode(BlankNode, "anon-%d" % next(self.anon))
+        if self.anon is None:
+            # Labels are local to the document (RDF 1.1 Turtle section 2.6),
+            # so a fresh node takes no label that the text writes.
+            self.anon = map("anon-%d".__mod__, count(1))
+            if "_:anon-" in self.text:
+                written = {tok[2:] for tok in self.tokens
+                           if tok.startswith("_:anon-")}
+                self.anon = filterfalse(written.__contains__, self.anon)
+        return _new_bnode(BlankNode, next(self.anon))
 
     # grammar
 
@@ -255,11 +262,8 @@ class _Parser:
             term = Iri(self.prefixes[prefix] + local)
         else:
             return None
-        term = self.nodes[tok] = self.shared(term)
+        self.nodes[tok] = term
         return term
-
-    def shared(self, term: Term) -> Term:
-        return self.terms.setdefault(term, term)
 
     def predicate_object_list(self, subject: Term, i: int) -> int:
         tokens, nodes, strings = self.tokens, self.nodes, self.strings
@@ -313,20 +317,18 @@ class _Parser:
                 self.fail("expected object", i)   # the token's error wins
             tag = tokens[i + 1]
             if tag[:1] == '@' and tag != '@prefix' and _LANGTAG.fullmatch(tag):
-                return (self.shared(_new_literal(Literal, value,
-                                                 language=tag[1:])), i + 2)
+                return _new_literal(Literal, value, language=tag[1:]), i + 2
             if tag == '^^':
                 dt = self.node(i + 2)
                 if not isinstance(dt, Iri):
                     self.fail("expected datatype IRI", i + 2)
-                return self.shared(_new_literal(Literal, value, dt)), i + 3
-            term = self.shared(_new_literal(Literal, value))
-            self.strings[tok] = term
+                return _new_literal(Literal, value, dt), i + 3
+            term = self.strings[tok] = _new_literal(Literal, value)
             return term, i + 1
         if tok[-1:].isdigit() and tok[0] in '+-0123456789':
-            return self.shared(_new_literal(Literal, tok, XSD_INTEGER)), i + 1
+            return _new_literal(Literal, tok, XSD_INTEGER), i + 1
         if tok == 'true' or tok == 'false':
-            return self.shared(_new_literal(Literal, tok, XSD_BOOLEAN)), i + 1
+            return _new_literal(Literal, tok, XSD_BOOLEAN), i + 1
         self.fail("expected object", i)
 
     def bnode_property_list(self, i: int) -> tuple:

@@ -28,6 +28,11 @@ PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "pyproject.toml")
 
 
+def golden_dataset():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return parse_trig(fh.read())
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -39,13 +44,13 @@ class TestLift:
         code, out, _ = run(capsys, "lift", SAMPLE)
         assert code == EXIT_OK
         assert isomorphic_datasets(parse_trig(out),
-                                   parse_trig(open(GOLDEN).read()))
+                                   golden_dataset())
 
     def test_har_input_by_extension(self, capsys):
         code, out, _ = run(capsys, "lift", HAR)
         assert code == EXIT_OK
         assert isomorphic_datasets(parse_trig(out),
-                                   parse_trig(open(GOLDEN).read()))
+                                   golden_dataset())
 
     def test_turtle_flag_emits_default_graph_only(self, capsys):
         code, out, _ = run(capsys, "lift", "--turtle", SAMPLE)
@@ -63,7 +68,7 @@ class TestLift:
         code, out, _ = run(capsys, "lift", SAMPLE, "--out", str(target))
         assert code == EXIT_OK and out == ""
         assert isomorphic_datasets(parse_trig(target.read_text()),
-                                   parse_trig(open(GOLDEN).read()))
+                                   golden_dataset())
 
     def test_stdin_dash(self, capsys, monkeypatch):
         with open(SAMPLE, "rb") as fh:

@@ -412,7 +412,9 @@ class TestRender:
         assert parse_http_response(render("HTTP/1.1 200", r)) == r
 
 
-SAMPLE_TRANSCRIPT = open(__file__.rsplit("/", 1)[0] + "/fixtures/registration.http").read()
+with open(__file__.rsplit("/", 1)[0] + "/fixtures/registration.http",
+          encoding="utf-8") as fh:
+    SAMPLE_TRANSCRIPT = fh.read()
 
 
 class TestCharset:
@@ -585,7 +587,9 @@ class TestTranscript:
                     for i in load_transcript(text).interactions] == groups
 
 
-SAMPLE_HAR = open(__file__.rsplit("/", 1)[0] + "/fixtures/registration.har").read()
+with open(__file__.rsplit("/", 1)[0] + "/fixtures/registration.har",
+          encoding="utf-8") as fh:
+    SAMPLE_HAR = fh.read()
 
 
 def _one_entry_har(status: str) -> str:

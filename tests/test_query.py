@@ -95,10 +95,11 @@ class TestCq4:
 
     def test_join_is_on_shared_uri_node(self, turtle_conv):
         # remove interaction 2 and the join yields nothing
-        single = lift_conversation(load_transcript(
-            open(os.path.join(FIXTURES, "registration.http")).read().split("---")[0] +
-            "---" +
-            open(os.path.join(FIXTURES, "registration.http")).read().split("---")[1]))
+        with open(os.path.join(FIXTURES, "registration.http"),
+                  encoding="utf-8") as f:
+            blocks = f.read().split("---")
+        single = lift_conversation(
+            load_transcript(blocks[0] + "---" + blocks[1]))
         assert cq4_conversation_status(single) == []
 
 

@@ -246,12 +246,26 @@ class TestDatasetGraph:
         assert isinstance(missing, Graph)
         assert len(missing) == 0 and missing == Graph()
 
+    @pytest.mark.parametrize("default", [
+        "not a graph", frozenset(), [Triple(iri("s"), iri("p"), iri("o"))],
+        None], ids=["str", "frozenset", "triples", "none"])
+    def test_default_graph_must_be_a_graph(self, default):
+        with pytest.raises(TypeError, match="^default graph must be a Graph$"):
+            Dataset(default)
+
 
 class _ForgedGraph:
     """Pickles as a Graph call with a member that is not a Triple."""
 
     def __reduce__(self):
         return Graph, (frozenset({("a", "b", "c")}),)
+
+
+class _ForgedDataset:
+    """Pickles as a Dataset call whose default graph is a string."""
+
+    def __reduce__(self):
+        return Dataset, ("not a graph", {})
 
 
 class TestGraphPickle:
@@ -282,6 +296,12 @@ class TestGraphPickle:
     def test_unpickling_runs_the_triple_check(self, protocol):
         data = pickle.dumps(_ForgedGraph(), protocol)
         with pytest.raises(TypeError, match="^not a Triple: "):
+            pickle.loads(data)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_runs_the_default_graph_check(self, protocol):
+        data = pickle.dumps(_ForgedDataset(), protocol)
+        with pytest.raises(TypeError, match="^default graph must be a Graph$"):
             pickle.loads(data)
 
 

@@ -78,6 +78,21 @@ class TestParseTurtle:
         assert isinstance(t.subject, BlankNode)
         assert t.subject != t.object
 
+    # Labels are local to the document (RDF 1.1 Turtle section 2.6): a
+    # fresh node for [ ] or ( ) is never one that the text writes, before
+    # or after it.
+    @pytest.mark.parametrize("text", [
+        '_:anon-1 ex:p ex:a . [ ex:q ex:b ] . [ ex:q ex:c ] .\n'
+        '_:anon-3 ex:p ex:d .',
+        '[ ex:q ex:b ] . _:anon-1 ex:p ex:a .\n'
+        '( ex:c ) ex:q ex:c . _:anon-2 ex:p ex:d .',
+    ], ids=["written-first", "written-after"])
+    def test_fresh_blank_nodes_take_no_written_label(self, text):
+        g = parse_turtle('@prefix ex: <%s> .\n' % EX + text)
+        subjects = {t.subject for t in g}
+        assert len(subjects) == 4
+        assert all(isinstance(x, BlankNode) for x in subjects)
+
     def test_blank_node_property_list(self):
         g = parse_turtle(
             '@prefix ex: <%s> . ex:s ex:p [ ex:q ex:o ] .' % EX)
@@ -151,22 +166,33 @@ class TestParseTrig:
         assert t1.subject == t2.subject
 
     def test_one_object_per_distinct_term(self):
-        # ex:x and <...x> spell one IRI; it is also a graph name and a
-        # datatype. _:b and "v" recur in the default and the named graph.
-        x = "<%sx>" % EX
+        # One object per recurring node token and plain-string token: ex:x
+        # is also a graph name and a datatype, and _:b and "v" recur in the
+        # default and the named graph.
         text = ('@prefix ex: <%s> .\n' % EX
-                + "".join('ex:s%d %s _:b , "v" , "v"^^ex:x , ex:x .\n'
-                          % (i, x) for i in range(3))
-                + '%s { _:b ex:x "v" , %s . }\n' % (x, x))
+                + "".join('ex:s%d ex:x _:b , "v" , "w"^^ex:x , ex:x .\n' % i
+                          for i in range(3))
+                + 'ex:x { _:b ex:x "v" , ex:x . }\n')
         d = parse_trig(text)
         graphs = [d.default_graph, *d.named_graphs.values()]
         terms = [x for g in graphs for t in g for x in t] + list(d.named_graphs)
         terms += [t.object.datatype for g in graphs for t in g
                   if isinstance(t.object, Literal)]
-        for term in (Iri(EX + "x"), BlankNode("b"), Literal("v"),
-                     Literal("v", Iri(EX + "x"))):
+        for term in (Iri(EX + "x"), BlankNode("b"), Literal("v")):
             found = [x for x in terms if x == term]
             assert len(found) >= 3 and len(set(map(id, found))) == 1, term
+
+    def test_fresh_blank_nodes_take_no_written_label(self):
+        # Labels are shared across the graphs of one document, so a label
+        # written in either graph is taken.
+        d = parse_trig('@prefix ex: <%s> .\n' % EX
+                       + '[ ex:q ex:b ] . _:anon-1 ex:p ex:a .\n'
+                       'ex:g { ( ex:c ) ex:q ex:c . _:anon-2 ex:p ex:d .\n'
+                       '[ ex:q ex:e ] . }\n')
+        graphs = [d.default_graph, *d.named_graphs.values()]
+        subjects = {t.subject for g in graphs for t in g}
+        assert len(subjects) == 5
+        assert all(isinstance(x, BlankNode) for x in subjects)
 
     def test_memoized_string_keeps_its_tag_and_datatype(self):
         d = parse_trig('@prefix ex: <%s> .\n'
