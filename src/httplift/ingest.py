@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple, Union
 from . import turtle
 from .model import (
     Body, Conversation, Header, IngestError, Interaction, Method, Request,
-    Response, header_value, is_interim,
+    Response, header_value,
 )
 from .rdf import Graph
 from .uri import effective_request_uri, parse_uri, require_host
@@ -69,8 +69,12 @@ def _parse_headers(lines: List[str], request: bool) -> List[Header]:
                 raise IngestError("whitespace before the colon in header "
                                   "line: %s" % reprlib.repr(line))
             name = name.rstrip(" \t")
-        # RFC 9110 section 5.5: OWS around a value is SP or HTAB.
-        headers.append(Header(name, value.strip(" \t")))
+        # RFC 9110 section 5.5: OWS is SP or HTAB; no CR, LF or NUL inside.
+        value = value.strip(" \t")
+        headers.append(Header(name, value))
+        if "\r" in value or "\0" in value:
+            raise IngestError("CR, LF or NUL in header value: "
+                              + reprlib.repr(value))
     return headers
 
 
@@ -245,26 +249,25 @@ def _transcript_blocks(text: str) -> List[Tuple[int, str]]:
 
 def load_transcript(text: str) -> Conversation:
     """Pair a transcript's messages into interactions: each request opens
-    one, and the responses after it join it in order up to the first
-    final (non-1xx) one. A request may have no response. A malformed
-    message, or a response with no open interaction, raises IngestError
-    naming the message, counted from 1, and the line it starts on."""
-    groups: List[list] = []  # [request, response, ...] of each interaction
+    one, and the responses after it join it in order. A request may have
+    no response. A malformed message, or a response with no request or
+    after a final one, raises IngestError naming the message, counted
+    from 1, and the line it starts on."""
+    interactions: List[Interaction] = []
     for n, (line, block) in enumerate(_transcript_blocks(text), 1):
         try:
             if _is_response_block(block):
                 response = parse_http_response(block)
-                if not groups or len(groups[-1]) > 1 \
-                        and not is_interim(groups[-1][-1]):
+                if not interactions:
                     raise IngestError("response before any request")
-                groups[-1].append(response)
+                request, earlier = interactions[-1]
+                interactions[-1] = Interaction(request, earlier + (response,))
             else:
-                groups.append([parse_http_request(block)])
+                interactions.append(Interaction(parse_http_request(block)))
         except IngestError as e:
             raise IngestError("transcript message %d (line %d): %s"
                               % (n, line, e))
-    return Conversation(tuple(Interaction(g[0], tuple(g[1:]))
-                              for g in groups))
+    return Conversation(tuple(interactions))
 
 
 # --------------------------------------------------------------------------
@@ -278,8 +281,7 @@ def load_har(text: str) -> Conversation:
     # Imported here, as only HAR input is JSON.
     import json
     try:
-        doc = json.loads(text, parse_int=lambda s: _Long(s) if len(
-            s.lstrip("-")) > 3 else int(s))
+        doc = json.loads(text, parse_int=_Number)
     except (ValueError, RecursionError) as e:
         raise IngestError("not a HAR document: %s" % e)
     if not isinstance(doc, dict) or "log" not in doc:
@@ -292,8 +294,7 @@ def load_har(text: str) -> Conversation:
         raise IngestError("not a HAR document: 'entries' is not a list of "
                           "objects")
     indexed = sorted(enumerate(entries, 1),
-                     key=lambda pair: (str(pair[1].get("startedDateTime", "")),
-                                       pair[0]))
+                     key=lambda pair: str(pair[1].get("startedDateTime", "")))
     interactions = []
     for n, entry in indexed:
         try:
@@ -308,14 +309,13 @@ def load_har(text: str) -> Conversation:
 _NO_WHITESPACE = str.maketrans("", "", " \t\n\r\x0b\x0c")
 
 
-class _Long(str):
-    """A JSON integer of 4+ digits, as its text: int() refuses thousands."""
+class _Number(str):
+    """A JSON integer, as its text: int() refuses thousands of digits."""
 
 
 # The JSON name of each type that load_har's json.loads gives.
-_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number",
-               _Long: "number", float: "number", str: "string", list: "array",
-               dict: "object"}
+_JSON_TYPES = {type(None): "null", bool: "boolean", _Number: "number",
+               float: "number", str: "string", list: "array", dict: "object"}
 
 
 def _har_text(text: str) -> str:
@@ -343,15 +343,13 @@ def _har_json(value, kind: type = dict):
 
 def _har_status(status) -> int:
     """`status`, if it is a JSON integer or a string of ASCII digits."""
-    if type(status) is _Long or (type(status) is str and status.isascii()
-                                   and status.isdigit()):
+    if type(status) is _Number or (type(status) is str and status.isascii()
+                                     and status.isdigit()):
         digits = status.lstrip("0")
         if len(digits) > 3:
             raise ValueError("status code must have at most 3 digits: %s%s"
                              % (digits[:20], "..." * (len(digits) > 20)))
-        status = int(digits or "0")
-    if type(status) is int:
-        return status
+        return int(digits or "0")
     if isinstance(status, float):
         int(status)  # An infinity overflows, as it always did.
     raise ValueError("status is not an integer: %s" % (

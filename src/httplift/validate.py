@@ -65,8 +65,10 @@ _RULES = {
     "R6": "A message with a body must declare a content type.",
     "R7": "Responses to HEAD requests must not have a body.",
     "R8": "The response media type should match one of the media ranges "
-          "of the request's Accept header (substring containment either "
-          "way; */* matches anything).",
+          "of the request's Accept header, case-insensitively: */* matches "
+          "anything, type/* any subtype of its type, whatever their "
+          "parameters, and any other range by substring containment "
+          "either way.",
     "R9": "A method name must be a non-empty token without separators.",
     "R10": "A Location header value must be liftable to a URI.",
 }
@@ -85,8 +87,11 @@ def explain(rule_id: str) -> str:
 
 
 def _media_match(content_type: str, media_range: str) -> bool:
-    ct, mr = content_type.strip(), media_range.strip()
-    return mr == "*/*" or ct in mr or mr in ct
+    # RFC 9110 section 12.5.1: */* and type/* match whatever their
+    # parameters, and media types compare case-insensitively.
+    ct, mr = content_type.strip().lower(), media_range.strip().lower()
+    return (mr.split(";", 1)[0].rstrip() in ("*/*", ct.split("/", 1)[0] + "/*")
+            or ct in mr or mr in ct)
 
 
 def validate(dataset: Dataset) -> ValidationReport:

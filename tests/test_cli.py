@@ -482,6 +482,17 @@ class TestErrors:
         code, out, err = run(capsys, "lift", str(bad))
         assert (code, out, err) == (EXIT_ERROR, "", "error: %s\n" % message)
 
+    # RFC 9110 section 5.5: no NUL in a field value. The CLI reads with
+    # universal newlines, so a bare CR there is a line break, not a CR.
+    def test_nul_in_a_field_value_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.http"
+        bad.write_text("GET /a HTTP/1.1\nHost: h\nX: a\x00b\n",
+                       encoding="utf-8")
+        code, out, err = run(capsys, "lift", str(bad))
+        assert (code, out, err) == (
+            EXIT_ERROR, "", "error: transcript message 1 (line 1): CR, LF or "
+            "NUL in header value: 'a\\x00b'\n")
+
     def test_wire_whitespace_accepted(self, capsys, tmp_path):
         # HTAB separates start-line words; SP before a response field
         # name's colon is dropped.

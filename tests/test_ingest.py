@@ -357,6 +357,28 @@ class TestWireWhitespace:
             parse_http_response("HTTP/1.1 200 OK\n%s\n\n" % line)
         assert str(e.value) == message
 
+    # RFC 9110 section 5.5: a field value holds no CR, LF or NUL once OWS
+    # is stripped. LF cannot occur, as the head is split into lines on it,
+    # and a CR that ends a line is part of the line end.
+    @pytest.mark.parametrize("value, shown", [
+        ("a\x00b", "'a\\x00b'"), ("a\rb", "'a\\rb'"),
+        (" \x00 ", "'\\x00'"), ("a\r \r", "'a\\r'")],
+        ids=["nul", "cr", "nul-alone", "cr-before-the-line-end"])
+    def test_cr_or_nul_in_a_field_value_errors(self, value, shown):
+        message = "CR, LF or NUL in header value: " + shown
+        for parse, head in [(parse_http_request, "GET /a HTTP/1.1\nHost: h\n"),
+                            (parse_http_response, "HTTP/1.1 200 OK\n")]:
+            with pytest.raises(IngestError) as e:
+                parse(head + "X: %s\r\n\r\n" % value)
+            assert str(e.value) == message
+
+    def test_cr_and_nul_outside_field_values_are_not_this_error(self):
+        # A bare CR separates start-line words, and a CR that ends a field
+        # line is its line end.
+        r = parse_http_response("HTTP/1.1\r200 OK\r\nX: a \r\n\r\n\x00")
+        assert (r.status_code, r.headers) == (200, (Header("X", "a"),))
+        assert r.body.octets == b"\x00"
+
     # RFC 9112 section 2.3: HTTP-version = "HTTP/" DIGIT "." DIGIT.
     @pytest.mark.parametrize("version", ["HTTP/x.y!", "HTTP/1.10", "HTTP/11",
                                          "HTTP/1.", "HTTP/2", "HTTP/\u0661.1"])
@@ -472,6 +494,20 @@ class TestTranscript:
                            r"\(line 1\): response before any request$"):
             load_transcript("HTTP/1.1 200 OK\n")
 
+    # A response after a final one breaks the rule that every response
+    # but the last is 1xx, and gets the model's message for it.
+    @pytest.mark.parametrize("second, final", [("200 OK", 200),
+                                               ("100 Continue", 200),
+                                               ("204 No Content", 201)])
+    def test_response_after_a_final_one_errors(self, second, final):
+        text = ("GET /a HTTP/1.1\nHost: h\n---\nHTTP/1.1 %d Done\n---\n"
+                "HTTP/1.1 %s\n" % (final, second))
+        with pytest.raises(IngestError) as info:
+            load_transcript(text)
+        assert str(info.value) == (
+            "transcript message 3 (line 6): interim response must have a "
+            "1xx status, got %d" % final)
+
     def test_status_line_without_a_version_errors(self):
         # "200" makes the block a response, but no word is HTTP/x.y.
         with pytest.raises(IngestError) as info:
@@ -552,7 +588,8 @@ class TestTranscript:
 
     # Requests, 1xx responses and final responses in any order, against a
     # written-out pairing: a request opens a group, and a response joins
-    # the open group unless there is none or it already has a final one.
+    # the open group. With no group, or after a final response, the
+    # transcript is an error.
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(
         st.builds("GET /p{} HTTP/1.1\nHost: h{}\n".format,
@@ -568,10 +605,15 @@ class TestTranscript:
         for n, block in enumerate(blocks, 1):
             if block.startswith("GET"):
                 groups.append((parse_http_request(block), ()))
-            elif not groups or groups[-1][1] and not (
-                    100 <= groups[-1][1][-1].status_code <= 199):
+            elif not groups:
                 error = ("transcript message %d (line %d): response before "
                          "any request" % (n, line))
+                break
+            elif groups[-1][1] and not (
+                    100 <= groups[-1][1][-1].status_code <= 199):
+                error = ("transcript message %d (line %d): interim response "
+                         "must have a 1xx status, got %d"
+                         % (n, line, groups[-1][1][-1].status_code))
                 break
             else:
                 request, responses = groups[-1]
@@ -631,6 +673,22 @@ class TestHar:
         doc["log"]["entries"].reverse()
         c = load_har(json.dumps(doc))
         assert c.interactions[0].request.method == Method("POST")
+
+    # sorted() is stable: entries that start at the same time keep the
+    # order of the file.
+    def test_entries_that_start_together_keep_file_order(self):
+        def entry(path, started):
+            return {"startedDateTime": started,
+                    "request": {"method": "GET", "url": "http://h" + path},
+                    "response": {"status": 200}}
+        doc = {"log": {"entries": [
+            entry("/c", "2024-03-01T10:00:01Z"),
+            entry("/b", "2024-03-01T10:00:01Z"),
+            entry("/a", "2024-03-01T10:00:00Z"),
+            entry("/d", "2024-03-01T10:00:01Z")]}}
+        c = load_har(json.dumps(doc))
+        assert [i.request.uri.path for i in c.interactions] == [
+            "/a", "/c", "/b", "/d"]
 
     def test_base64_content(self):
         doc = json.loads(SAMPLE_HAR)
@@ -760,11 +818,19 @@ class TestHar:
          "not an object: string"),
         (2, lambda e: e["response"].update(content=[1]),
          "not an object: array"),
+        # Every JSON integer is kept as text: 0 is a number like 5.
+        (1, lambda e: e["request"].update(postData={
+            "mimeType": "text/plain", "text": 0}), "not a string: number"),
+        (2, lambda e: e["response"].update(content=0),
+         "not an object: number"),
+        (1, lambda e: e["request"].update(headers=0),
+         "not an array: number"),
     ], ids=["method", "header-name", "post-data-text", "content-text",
             "content-text-base64", "content-text-array",
             "content-text-surrogate", "request-array", "response-array",
             "header-number", "headers-object", "post-data-string",
-            "content-array"])
+            "content-array", "post-data-text-zero", "content-zero",
+            "headers-zero"])
     def test_value_that_is_not_a_string_errors(self, n, mutate, message):
         doc = json.loads(SAMPLE_HAR)
         mutate(doc["log"]["entries"][n - 1])
@@ -772,17 +838,20 @@ class TestHar:
                 "HAR entry %d: %s" % (n, message))):
             load_har(json.dumps(doc))
 
-    # Null and empty objects and arrays are read as empty ones.
-    @pytest.mark.parametrize("empty", [None, {}, []])
+    # Null, empty strings and empty objects and arrays are read as empty.
+    @pytest.mark.parametrize("empty", [None, {}, [], ""])
     def test_null_or_empty_values_are_empty(self, empty):
         doc = json.loads(SAMPLE_HAR)
         request = doc["log"]["entries"][0]["request"]
         response = doc["log"]["entries"][1]["response"]
         request.update(headers=empty, postData=empty)
         response.update(headers=empty, content=empty)
+        doc["log"]["entries"][1]["request"].update(postData={
+            "mimeType": "text/plain", "text": empty})
         c = load_har(json.dumps(doc))
         assert c.interactions[0].request.headers == ()
         assert c.interactions[0].request.body is None
+        assert c.interactions[1].request.body is None
         assert c.interactions[1].responses[-1].body is None
 
     # A status is a JSON integer or a string of ASCII digits; browsers

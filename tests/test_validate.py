@@ -332,6 +332,32 @@ class TestResponsePairs:
             Triple(r, vocab.CONTENT_TYPE, Literal("text/html"))], "R8")
         assert [f.focus for f in found] == [r, r]
 
+    @staticmethod
+    def r8(accept, content_type):
+        return [f for f in validate(lift_conversation(load_transcript(
+            "GET /a HTTP/1.1\nHost: h\nAccept: %s\n---\nHTTP/1.1 200 OK\n"
+            "Content-Type: %s\n" % (accept, content_type)))).findings
+            if f.rule_id == "R8"]
+
+    # RFC 9110 section 12.5.1: */* and type/* match whatever their
+    # parameters, and media types compare case-insensitively. Firefox
+    # sends "*/*;q=0.8".
+    @pytest.mark.parametrize("accept", [
+        "text/html, */*;q=0.1", "text/*", "TEXT/Turtle", "text/* ; q=0.5",
+        "application/json, */* ;q=0.8"])
+    def test_r8_wildcards_and_case_match(self, accept):
+        assert self.r8(accept, "text/turtle") == []
+
+    @pytest.mark.parametrize("accept, content_type", [
+        ("application/json", "text/turtle"),
+        ("text/turtle", "application/json"),
+        ("application/*", "text/turtle"),
+        ("text/html;level=*/*", "application/json")])
+    def test_r8_warns_on_other_types(self, accept, content_type):
+        (finding,) = self.r8(accept, content_type)
+        assert finding.message == ("content type %r matches no accepted "
+                                   "media range" % content_type)
+
 
 def _short(lexical):
     return lexical if len(lexical) < 20 else "%d-digits" % len(lexical)
