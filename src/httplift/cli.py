@@ -18,7 +18,7 @@ from .validate import validate as _run_rules
 from .ingest import IngestError, load_har, load_transcript
 from .lift import lift_conversation
 from .rdf import BlankNode, Dataset, Iri, Literal
-from .turtle import ParseError, format_term, parse_trig
+from .turtle import format_term, parse_trig
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -30,23 +30,13 @@ def _read_input(path: str) -> str:
     text mode. Both are read as bytes: a text-mode stdin under the C locale
     turns bad UTF-8 into lone surrogates."""
     if path == "-":
-        text = _decode(sys.stdin.buffer.read())
+        text = turtle.decode(sys.stdin.buffer.read())
     else:
         with open(path, "rb") as fh:
-            text = _decode(fh.read())
+            text = turtle.decode(fh.read())
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
-
-
-def _decode(data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        before = data[:e.start].decode("utf-8")
-        raise IngestError("not UTF-8: byte 0x%02x (line %d, column %d)"
-                          % (data[e.start], before.count("\n") + 1,
-                             len(before) - before.rfind("\n")))
 
 
 def _guess_format(path: str) -> str:
@@ -214,7 +204,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.run(args)
-    except (IngestError, ParseError, OSError) as e:
+    except (IngestError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -26,16 +26,20 @@ RDF_MEDIA_TYPES = ("text/turtle", "application/trig")
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
 
 
+def _utf8(text: str) -> bytes:
+    """`text` as UTF-8, which cannot encode a lone surrogate."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise IngestError("lone surrogate at offset %d" % e.start)
+
+
 def _split_head_body(raw: Union[bytes, str]) -> Tuple[str, List[str], bytes]:
     """The start line and the field lines as text, and the rest as bytes.
     Wire bytes are read as ISO-8859-1 (RFC 9110 section 5.5); a str keeps
     its text, and its body is encoded as UTF-8."""
-    data, charset = raw, "iso-8859-1"
-    if isinstance(raw, str):
-        try:
-            data, charset = raw.encode("utf-8"), "utf-8"
-        except UnicodeEncodeError as e:
-            raise IngestError("lone surrogate at offset %d" % e.start)
+    data, charset = ((_utf8(raw), "utf-8") if isinstance(raw, str)
+                     else (raw, "iso-8859-1"))
     head, *rest = _HEAD_END.split(data, 1)
     start, *fields = head.decode(charset).split("\n")
     return start, fields, rest[0] if rest else b""
@@ -153,15 +157,13 @@ def _make_body(headers: List[Header], octets: bytes) -> Optional[Body]:
     rdf = None
     if base in RDF_MEDIA_TYPES:
         try:
-            text = octets.decode("utf-8")
+            text = turtle.decode(octets)
             if base == "application/trig":
                 dataset = turtle.parse_trig(text)
                 rdf = Graph(chain(dataset.default_graph,
                                   *dataset.named_graphs.values()))
             else:
                 rdf = turtle.parse_turtle(text)
-        except UnicodeDecodeError as e:
-            raise IngestError("unparseable RDF body: %s" % e)
         except turtle.ParseError as e:
             raise IngestError("unparseable RDF body: %s (body line %d, "
                               "column %d)" % (e.message, e.line, e.col))
@@ -253,21 +255,27 @@ def load_transcript(text: str) -> Conversation:
     no response. A malformed message, or a response with no request or
     after a final one, raises IngestError naming the message, counted
     from 1, and the line it starts on."""
-    interactions: List[Interaction] = []
+    # Each request with its responses so far. The model's rule is between
+    # neighbours: a response is checked with the one before it alone, and
+    # each Interaction is built once, at the end.
+    pairs: List[Tuple[Request, List[Response]]] = []
     for n, (line, block) in enumerate(_transcript_blocks(text), 1):
         try:
             if _is_response_block(block):
                 response = parse_http_response(block)
-                if not interactions:
+                if not pairs:
                     raise IngestError("response before any request")
-                request, earlier = interactions[-1]
-                interactions[-1] = Interaction(request, earlier + (response,))
+                request, responses = pairs[-1]
+                if responses:
+                    Interaction(request, (responses[-1], response))
+                responses.append(response)
             else:
-                interactions.append(Interaction(parse_http_request(block)))
+                pairs.append((parse_http_request(block), []))
         except IngestError as e:
             raise IngestError("transcript message %d (line %d): %s"
                               % (n, line, e))
-    return Conversation(tuple(interactions))
+    return Conversation(tuple(Interaction(request, tuple(responses))
+                              for request, responses in pairs))
 
 
 # --------------------------------------------------------------------------
@@ -324,10 +332,7 @@ def _har_text(text: str) -> str:
     if type(text) is not str:
         raise TypeError("not a string: %s" % _JSON_TYPES[type(text)])
     if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as e:
-            raise ValueError("lone surrogate at offset %d" % e.start)
+        _utf8(text)
     return text
 
 

@@ -92,6 +92,9 @@ def _new_literal(cls, lexical: str, datatype: Iri = XSD_STRING,
     # A language-tagged literal always carries the langString datatype.
     if language is not None:
         datatype = RDF_LANG_STRING
+    elif not isinstance(datatype, Iri):
+        raise ValueError("literal datatype must be an IRI: "
+                         + reprlib.repr(datatype))
     return _tuple_new(cls, (lexical, datatype, language))
 
 
@@ -108,10 +111,10 @@ class Literal(tuple):
     def __repr__(self):
         lexical, datatype, language = self
         if language is not None:
-            return "Literal(%r, lang=%r)" % (lexical, language)
+            return "Literal(%r, language=%r)" % (lexical, language)
         if datatype == XSD_STRING:
             return "Literal(%r)" % lexical
-        return "Literal(%r, %r)" % (lexical, datatype.value)
+        return "Literal(%r, %r)" % (lexical, datatype)
 
 
 Term = Union[Iri, BlankNode, Literal]

@@ -22,6 +22,7 @@ import reprlib
 from itertools import count, filterfalse, islice
 from typing import Dict, List, Optional
 
+from .model import IngestError
 from .rdf import (
     IRI_CHARS, RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, XSD_BOOLEAN,
     XSD_INTEGER, XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Term,
@@ -29,7 +30,7 @@ from .rdf import (
 )
 
 
-class ParseError(ValueError):
+class ParseError(IngestError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
         self.message = message
@@ -41,6 +42,16 @@ def _error(message: str, text: str, pos: int) -> ParseError:
     """A ParseError at offset `pos` of `text`, with its line and column."""
     return ParseError(message, text.count('\n', 0, pos) + 1,
                       pos - text.rfind('\n', 0, pos))
+
+
+def decode(data: bytes) -> str:
+    """`data` as UTF-8; a ParseError locates the first byte that is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[:e.start].decode("utf-8")
+        raise _error("not UTF-8: byte 0x%02x" % data[e.start], before,
+                     len(before))
 
 
 # --------------------------------------------------------------------------

@@ -137,24 +137,24 @@ def require_host(u: UriParts) -> UriParts:
 
 
 def remove_dot_segments(path: str) -> str:
-    """RFC 3986 section 5.2.4: interpret the "." and ".." segments."""
-    out: List[str] = []
-    while path:
-        if path.startswith(("../", "./")):
-            path = path[path.index("/") + 1:]
-        elif path.startswith("/./") or path == "/.":
-            path = "/" + path[3:]
-        elif path.startswith("/../") or path == "/..":
-            path = "/" + path[4:]
-            if out:
-                out.pop()
-        elif path in (".", ".."):
-            path = ""
-        else:
-            end = path.find("/", 1)
-            end = len(path) if end == -1 else end
-            out.append(path[:end])
-            path = path[end:]
+    """RFC 3986 section 5.2.4: interpret the "." and ".." segments, in one
+    pass over the path's segments."""
+    segments = path.split("/")
+    # Steps 2A and 2D drop the leading "." and ".." segments.
+    first = 0
+    while first < len(segments) and segments[first] in (".", ".."):
+        first += 1
+    # Every later segment is output with its "/" (step 2E), but a "." is
+    # dropped (2B) and a ".." pops the last one output (2C); either leaves
+    # a "/" when it ends the path.
+    out = segments[first:first + 1]
+    for segment in segments[first + 1:]:
+        if segment == "..":
+            del out[-1:]
+        elif segment != ".":
+            out.append("/" + segment)
+    if first + 1 < len(segments) and segments[-1] in (".", ".."):
+        out.append("/")
     return "".join(out)
 
 

@@ -1,6 +1,7 @@
 """CLI behaviour: commands, output routing and exit codes."""
 
 import ast
+import base64
 import gc
 import importlib
 import io
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import httplift
 from httplift.cli import (main, entry_point, _build_parser, EXIT_OK,
                           EXIT_VIOLATIONS, EXIT_ERROR)
+from httplift.model import IngestError
 from httplift.rdf import isomorphic_datasets
 from httplift.turtle import parse_trig, parse_turtle
 
@@ -214,6 +216,12 @@ _HAR_STATUS = ('{"log": {"entries": [{"request": {"method": "GET", "url": '
                '"http://h/"}, "response": {"status": %s}}]}}')
 _TOO_MANY_DIGITS = ("HAR entry 1: status code must have at most 3 digits: "
                     + "2" * 20 + "...")
+# A response whose text/turtle body ends in the byte 0xff on its line 2.
+_HAR_BAD_TURTLE = (
+    '{"log": {"entries": [{"request": {"method": "GET", "url": "http://h/"}, '
+    '"response": {"status": 200, "content": {"mimeType": "text/turtle", '
+    '"encoding": "base64", "text": "%s"}}}]}}' % base64.b64encode(
+        b"<http://x/s> <http://x/p> <http://x/o> .\n\xff").decode("ascii"))
 
 
 def _cut(c: str) -> str:
@@ -373,6 +381,8 @@ class TestErrors:
          "argument --prop: invalid Iri value: 'a b'"),
         ("argv", ["lift", SAMPLE, "--base", "http://x/<q>"],
          "argument --base: invalid Iri value: 'http://x/<q>'"),
+        (".har", _HAR_BAD_TURTLE, "error: HAR entry 1: unparseable RDF body: "
+         "not UTF-8: byte 0xff (body line 2, column 1)\n"),
     ], ids=["har-status-abc", "har-status-1000", "har-method-space",
             "har-header-without-name", "har-log-not-object",
             "har-base64-padding", "har-base64-alphabet", "header-name-space",
@@ -398,7 +408,7 @@ class TestErrors:
             "long-chunk-size", "har-long-url-empty-host", "har-long-status",
             "trig-long-word", "trig-long-prefix",
             "prop-not-an-iri",
-            "base-not-an-iri"])
+            "base-not-an-iri", "har-rdf-body-not-utf-8"])
     def test_malformed_input_exits_2(self, capsys, tmp_path, suffix, mutate,
                                      message):
         # suffix "argv": `mutate` is the whole command line, and a bad
@@ -646,6 +656,36 @@ class TestStartup:
                       and node.conversion == ord("r")
                       or isinstance(node, ast.Name) and node.id == "repr")]
         assert found == []
+
+    def test_bad_input_is_one_exception_type(self):
+        # main turns bad input into exit 2 with one handler, for
+        # IngestError and OSError: every exception class the package
+        # defines is an IngestError, except turtle._Malformed, which the
+        # parser turns into a ParseError before it leaves.
+        package_dir = os.path.dirname(httplift.__file__)
+        with open(os.path.join(package_dir, "cli.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), "cli.py")
+        main_def, = (node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "main")
+        caught = sorted(sorted(name.id for name in ast.walk(node.type)
+                               if isinstance(name, ast.Name))
+                        for node in ast.walk(main_def)
+                        if isinstance(node, ast.ExceptHandler))
+        assert caught == [["IngestError", "OSError"], ["SystemExit"]]
+        outside = []
+        for name in sorted(os.listdir(package_dir)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            module = importlib.import_module("httplift." + name[:-3])
+            classes = [getattr(module, node.name) for node in tree.body
+                       if isinstance(node, ast.ClassDef)]
+            outside += ["%s.%s" % (name[:-3], cls.__name__) for cls in classes
+                        if issubclass(cls, BaseException)
+                        and not issubclass(cls, IngestError)]
+        assert outside == ["turtle._Malformed"]
 
     def test_every_imported_name_is_used(self):
         # A name that a module imports and never refers to is left over

@@ -287,8 +287,8 @@ class TestParseResponse:
             parse_http_response(b"HTTP/1.1 200 OK\r\nContent-Type: "
                                 b"text/turtle\r\n\r\n\xff")
         assert str(info.value) == (
-            "unparseable RDF body: 'utf-8' codec can't decode byte 0xff "
-            "in position 0: invalid start byte")
+            "unparseable RDF body: not UTF-8: byte 0xff (body line 1, "
+            "column 1)")
 
     def test_non_rdf_body_not_parsed(self):
         text = ('HTTP/1.1 200 OK\nContent-Type: application/json\n'
@@ -507,6 +507,26 @@ class TestTranscript:
         assert str(info.value) == (
             "transcript message 3 (line 6): interim response must have a "
             "1xx status, got %d" % final)
+
+    def test_interim_checks_grow_linearly_with_the_responses(
+            self, monkeypatch):
+        # Each response is checked against the one before it, not against
+        # every earlier one: at most 3 is_interim calls per response.
+        import httplift.model
+        original = httplift.model.is_interim
+        calls = 0
+
+        def counted(response):
+            nonlocal calls
+            calls += 1
+            return original(response)
+
+        monkeypatch.setattr(httplift.model, "is_interim", counted)
+        n = 2000
+        conversation = load_transcript("GET /a HTTP/1.1\nHost: h\n"
+                                       + "---\nHTTP/1.1 100 Continue\n" * n)
+        assert len(conversation.interactions[0].responses) == n
+        assert calls <= 3 * n
 
     def test_status_line_without_a_version_errors(self):
         # "200" makes the block a response, but no word is HTTP/x.y.

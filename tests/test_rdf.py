@@ -91,8 +91,9 @@ class TestTerms:
         (Triple, rdf._new_triple, (iri("s"), Literal("p"), iri("o"))),
         (Triple, rdf._new_triple, (iri("s"), iri("p"), "o")),
         (BlankNode, rdf._new_bnode, ("",)),
+        (Literal, rdf._new_literal, ("1", "http://x/dt")),
     ], ids=["literal-subject", "blank-predicate", "literal-predicate",
-            "str-object", "empty-label"])
+            "str-object", "empty-label", "str-datatype"])
     def test_direct_call_rejects_what_the_class_call_does(self, cls, new,
                                                            args):
         with pytest.raises(Exception) as by_class:
@@ -101,6 +102,25 @@ class TestTerms:
             new(cls, *args)
         assert type(direct.value) is type(by_class.value) is ValueError
         assert str(direct.value) == str(by_class.value)
+
+    def test_literal_datatype_must_be_an_iri(self):
+        with pytest.raises(ValueError) as info:
+            Literal("1", "http://x/" + "d" * 3000)
+        assert str(info.value) == (
+            "literal datatype must be an IRI: 'http://x/ddd...ddddddddddddd'")
+        # A language tag sets the datatype, so no other is looked at.
+        assert Literal("chat", None, "fr") == Literal("chat", language="fr")
+
+    @pytest.mark.parametrize("x", [
+        iri("a"), BlankNode("b"), Literal("c"), Literal("1", XSD_INTEGER),
+        Literal("chat", language="fr"),
+        Triple(BlankNode("s"), iri("p"), Literal("o", language="en"))],
+        ids=["iri", "blank-node", "plain", "typed", "tagged", "triple"])
+    def test_repr_evaluates_to_an_equal_term(self, x):
+        names = {"Iri": Iri, "BlankNode": BlankNode, "Literal": Literal,
+                 "Triple": Triple}
+        y = eval(repr(x), names)
+        assert type(y) is type(x) and y == x
 
     @pytest.mark.parametrize("x", [
         iri("a"), BlankNode("b"), Literal("c"), Literal("1", XSD_INTEGER),

@@ -248,8 +248,9 @@ class TestResolveReference:
         assert remove_dot_segments(path) == result
 
 
-# The split and the decoder that parse_uri and percent_decode replaced,
-# kept as reference implementations.
+# The split, the decoder and the dot-segment loop that parse_uri,
+# percent_decode and remove_dot_segments replaced, kept as reference
+# implementations.
 _OLD_URI_RE = re.compile(
     r'^([A-Za-z][A-Za-z0-9+.-]*)://([^/?#]*)([^?#]*)'
     r'(?:\?([^#]*))?(?:#(.*))?$', re.S)
@@ -294,6 +295,27 @@ def _old_parse_uri(text):
     return UriParts(scheme, authority, path, query, fragment, params)
 
 
+def _old_remove_dot_segments(path):
+    out = []
+    while path:
+        if path.startswith(("../", "./")):
+            path = path[path.index("/") + 1:]
+        elif path.startswith("/./") or path == "/.":
+            path = "/" + path[3:]
+        elif path.startswith("/../") or path == "/..":
+            path = "/" + path[4:]
+            if out:
+                out.pop()
+        elif path in (".", ".."):
+            path = ""
+        else:
+            end = path.find("/", 1)
+            end = len(path) if end == -1 else end
+            out.append(path[:end])
+            path = path[end:]
+    return "".join(out)
+
+
 def _outcome(f, *args):
     """f's value, or the type and message of what it raised."""
     try:
@@ -323,3 +345,10 @@ def test_parse_uri_agrees_with_the_old_split(head, tail):
 def test_percent_decode_agrees_with_the_old_loop(text, offset):
     assert _outcome(percent_decode, text, offset) \
         == _outcome(_old_percent_decode, text, offset)
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(["a", "b", ".", "..", "/", "./", "../"]),
+                max_size=12).map("".join))
+def test_remove_dot_segments_agrees_with_the_old_loop(path):
+    assert remove_dot_segments(path) == _old_remove_dot_segments(path)
